@@ -459,27 +459,6 @@ impl Ledger {
         self.retention = retention;
     }
 
-    /// A clone of every query-facing structure — coverage index, expiry
-    /// timeline, per-element statistics, cost accumulators — with an empty
-    /// decision trace forced to `Full` retention. This is the per-partition
-    /// scratch behind partitioned submission: workers serve against it so
-    /// coverage queries see all pre-batch history, and the trace it grows
-    /// holds exactly this batch's decisions (stable indices — `Full` never
-    /// evicts), ready to be replayed into the real ledger in arrival order.
-    pub(super) fn parallel_scratch(&self) -> Ledger {
-        let mut scratch = self.clone();
-        scratch.decisions = Vec::new();
-        scratch.decision_total = 0;
-        scratch.retention = DecisionRetention::Full;
-        scratch
-    }
-
-    /// Releases the retained decision trace — the partitioned-submission
-    /// merge consumes a scratch ledger's trace without cloning it.
-    pub(super) fn take_decisions(&mut self) -> Vec<Decision> {
-        std::mem::take(&mut self.decisions)
-    }
-
     /// Reserves capacity for at least `additional` more decisions.
     ///
     /// The trace is append-only and, on mega-scale streams, grows into the

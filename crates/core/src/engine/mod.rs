@@ -36,13 +36,15 @@
 //!   immediately and irrevocably, recording purchases through the
 //!   [`Books`] — the narrowed, algorithm-facing view of the ledger
 //!   (queries by deref, mutation limited to `buy`/`buy_priced`/`charge`).
-//! * [`Driver`] — feeds a request stream to an algorithm: batch
-//!   submission, monotone-time enforcement via [`DriverError`] (no
-//!   panics), ledger ownership and [`Report`] generation.
-//! * [`EngineHandle`] — the type-erased owned engine: a boxed policy
-//!   bound to its own arena-backed ledger, with `submit`/`submit_at`/
-//!   `advance`/`stats` plus bit-exact snapshot/restore — what the SimLab
-//!   harness and the `leased` daemon hold per worker/tenant shard.
+//! * [`Driver`] — feeds a request stream to an algorithm: one serve loop
+//!   ([`Driver::submit_at`]) behind every submission entry point, one
+//!   monotone-time check reporting [`DriverError`] (no panics), ledger
+//!   ownership, [`EngineStats`], bit-exact snapshot/restore and [`Report`]
+//!   generation.
+//! * [`EngineHandle`] — an erased `Driver` plus snapshot/restore: a boxed
+//!   policy bound to its own arena-backed ledger, dereferencing to the
+//!   driver — what the SimLab harness and the `leased` daemon hold per
+//!   worker/tenant shard.
 //! * [`Report`] — cost, offline optimum, competitive ratio and decision
 //!   counts in one serializable summary, consumed uniformly by tests,
 //!   examples and the bench binaries.
@@ -94,8 +96,6 @@ pub use ledger::{
     Decision, DecisionRetention, ElementStats, Ledger, SnapshotError, CATEGORY_CONNECTION,
     CATEGORY_LEASE, LEDGER_SNAPSHOT_SCHEMA,
 };
-
-use crate::framework::Triple;
 
 use crate::harness::CompetitiveOutcome;
 use crate::lease::LeaseStructure;
@@ -173,45 +173,6 @@ impl<A: LeasingAlgorithm + ?Sized> LeasingAlgorithm for Box<A> {
     }
 }
 
-/// An algorithm whose state decomposes by element — the contract behind
-/// [`Driver::submit_columns_partitioned`].
-///
-/// Serving a request for element `e` must read and write only state
-/// attributed to `e` (plus immutable configuration like the lease
-/// structure), and must query the [`Books`] only about `e` — coverage,
-/// ownership and active-lease lookups for the request's own element.
-/// Global ledger queries (`active_count`, totals across elements) break
-/// the independence the parallel path exploits and are outside this
-/// contract. Every per-element permit policy in the workspace (the
-/// request's element fully determines which accumulators it touches)
-/// satisfies this naturally.
-pub trait ElementPartitioned: LeasingAlgorithm + Clone + Send {
-    /// Folds `partition` — a clone of `self` that served this batch's
-    /// requests for exactly `elements` — back into `self`, adopting the
-    /// partition's state for those elements and keeping `self`'s state for
-    /// every other element. `elements` is sorted and deduplicated, and
-    /// partitions are absorbed in deterministic (partition-index) order.
-    fn absorb(&mut self, partition: Self, elements: &[usize]);
-}
-
-/// One request routed to a partition bucket:
-/// `(original arrival index, time, element, request)`.
-type BucketEntry<R> = (usize, TimeStep, usize, R);
-
-/// What one partitioned-submission worker hands back for the merge: the
-/// batch decisions it recorded into its scratch ledger, one span per
-/// request (in arrival order), the algorithm clone that served them, and
-/// the sorted distinct elements it touched.
-struct PartitionOutcome<A> {
-    algorithm: A,
-    decisions: Vec<Decision>,
-    /// `(original arrival index, span start, span end)` into `decisions`.
-    spans: Vec<(usize, usize, usize)>,
-    /// Merge cursor into `spans`.
-    cursor: usize,
-    elements: Vec<usize>,
-}
-
 /// Generic driver: owns the [`Ledger`], feeds requests to a
 /// [`LeasingAlgorithm`] and enforces the online model's monotone arrival
 /// order with a typed error instead of a panic.
@@ -221,36 +182,18 @@ pub struct Driver<A> {
     ledger: Ledger,
     last_time: Option<TimeStep>,
     requests: usize,
-    /// Column-wise scratch for [`Driver::submit_columns`]: the distinct
-    /// times of the validated batch prefix (one entry per equal-time run)
-    /// and, in parallel, each run's exclusive end index in the times
-    /// column. Cleared per batch, capacity kept — steady-state batched
-    /// submission allocates nothing.
-    run_times: Vec<TimeStep>,
-    run_ends: Vec<usize>,
 }
 
 impl<A: LeasingAlgorithm> Driver<A> {
-    fn from_ledger(algorithm: A, ledger: Ledger) -> Self {
-        Driver {
-            algorithm,
-            ledger,
-            last_time: None,
-            requests: 0,
-            run_times: Vec::new(),
-            run_ends: Vec::new(),
-        }
-    }
-
     /// A driver whose ledger prices and windows leases with `structure`.
     pub fn new(algorithm: A, structure: LeaseStructure) -> Self {
-        Driver::from_ledger(algorithm, Ledger::new(structure))
+        Driver::with_ledger(algorithm, Ledger::new(structure))
     }
 
     /// A driver with a structure-less ledger (for algorithms that price
     /// every purchase explicitly via [`Ledger::buy_priced`]).
     pub fn detached(algorithm: A) -> Self {
-        Driver::from_ledger(algorithm, Ledger::detached())
+        Driver::with_ledger(algorithm, Ledger::detached())
     }
 
     /// A driver over a caller-provided ledger — the arena-reuse path.
@@ -258,7 +201,24 @@ impl<A: LeasingAlgorithm> Driver<A> {
     /// ([`Ledger::reset`] keeps its allocations); a freshly reset ledger
     /// makes this identical to [`Driver::new`] with its structure.
     pub fn with_ledger(algorithm: A, ledger: Ledger) -> Self {
-        Driver::from_ledger(algorithm, ledger)
+        Driver {
+            algorithm,
+            ledger,
+            last_time: None,
+            requests: 0,
+        }
+    }
+
+    /// The driver's one monotone-time check: `time` must not precede the
+    /// latest accepted request or advance.
+    fn check_monotone(&self, time: TimeStep) -> Result<(), DriverError> {
+        match self.last_time {
+            Some(previous) if time < previous => Err(DriverError::TimeTravel {
+                previous,
+                attempted: time,
+            }),
+            _ => Ok(()),
+        }
     }
 
     /// Submits one request.
@@ -268,20 +228,7 @@ impl<A: LeasingAlgorithm> Driver<A> {
     /// Returns [`DriverError::TimeTravel`] when `time` is smaller than the
     /// previous request's time; the request is not served.
     pub fn submit(&mut self, time: TimeStep, request: A::Request) -> Result<(), DriverError> {
-        if let Some(previous) = self.last_time {
-            if time < previous {
-                return Err(DriverError::TimeTravel {
-                    previous,
-                    attempted: time,
-                });
-            }
-        }
-        self.last_time = Some(time);
-        self.ledger.advance(time);
-        self.algorithm
-            .on_request(time, request, Books::new(&mut self.ledger));
-        self.requests += 1;
-        Ok(())
+        self.submit_at(time, std::iter::once(request)).map(drop)
     }
 
     /// Submits a whole time-stamped request sequence.
@@ -305,8 +252,9 @@ impl<A: LeasingAlgorithm> Driver<A> {
         Ok(())
     }
 
-    /// Submits every request of one time step: the monotonicity check and
-    /// the expiry advancement run once, then all requests are served at
+    /// Submits every request of one time step — the serve loop behind
+    /// every submission entry point: the monotonicity check and the
+    /// expiry advancement run once, then all requests are served at
     /// `time`. Returns how many requests were served.
     ///
     /// # Errors
@@ -318,41 +266,29 @@ impl<A: LeasingAlgorithm> Driver<A> {
         time: TimeStep,
         requests: impl IntoIterator<Item = A::Request>,
     ) -> Result<usize, DriverError> {
-        if let Some(previous) = self.last_time {
-            if time < previous {
-                return Err(DriverError::TimeTravel {
-                    previous,
-                    attempted: time,
-                });
-            }
-        }
-        self.last_time = Some(time);
-        self.ledger.advance(time);
+        self.advance(time)?;
         let mut served = 0;
         for request in requests {
             self.algorithm
                 .on_request(time, request, Books::new(&mut self.ledger));
-            self.requests += 1;
             served += 1;
         }
+        self.requests += served;
         Ok(served)
     }
 
     /// Submits a column-shaped batch: `times[i]` stamps the `i`-th request
-    /// pulled from `requests`. This is the batched fast path — the whole
-    /// times column is validated against the monotone arrival order in one
-    /// pass that also records equal-time run boundaries into scratch
-    /// columns reused across batches (zero steady-state allocation), then
-    /// each distinct time pays for exactly one clock/expiry advancement
-    /// while its run of requests is served back to back. Serving order is
+    /// pulled from `requests`. Each equal-time run of the column is one
+    /// [`submit_at`](Driver::submit_at) call, so every distinct time pays
+    /// for exactly one clock/expiry advancement. Serving order is
     /// identical to a loop of [`Driver::submit`] calls, so the ledger —
     /// decision trace, f64 cost accumulation order, expiry timeline — is
     /// bit-identical to the per-request path.
     ///
     /// Returns how many requests were served. When `requests` yields fewer
     /// items than `times` has entries, serving stops with the requests
-    /// (extra times are ignored); extra requests beyond the times column
-    /// are never pulled.
+    /// (extra times are ignored, and an exhausted iterator never moves the
+    /// clock); extra requests beyond the times column are never pulled.
     ///
     /// # Errors
     ///
@@ -364,265 +300,25 @@ impl<A: LeasingAlgorithm> Driver<A> {
         times: &[TimeStep],
         requests: impl IntoIterator<Item = A::Request>,
     ) -> Result<usize, DriverError> {
-        // Pass 1 (columnar): validate the times column once, recording the
-        // boundary of every equal-time run into the reused scratch.
-        self.run_times.clear();
-        self.run_ends.clear();
-        let mut previous = self.last_time;
-        let mut violation = None;
-        let mut valid = times.len();
-        for (index, &time) in times.iter().enumerate() {
-            match previous {
-                Some(p) if time < p => {
-                    violation = Some(DriverError::TimeTravel {
-                        previous: p,
-                        attempted: time,
-                    });
-                    valid = index;
-                    break;
-                }
-                Some(p) if time == p && !self.run_times.is_empty() => {}
-                _ => {
-                    self.run_times.push(time);
-                    self.run_ends.push(index);
-                }
-            }
-            previous = Some(time);
-        }
-        // Close every run: shift `run_ends` left by one so each entry is
-        // its run's exclusive end, terminated by the valid prefix length.
-        if !self.run_ends.is_empty() {
-            self.run_ends.remove(0);
-            self.run_ends.push(valid);
-        }
-        // Pass 2: serve run by run — one advancement per distinct time.
-        // The clock only moves once a run's first request materializes, so
-        // an exhausted request iterator leaves the driver exactly where a
-        // zipped loop of `submit` calls would have stopped.
-        let mut requests = requests.into_iter();
+        let mut requests = requests.into_iter().peekable();
         let mut served = 0;
-        let mut cursor = 0;
-        for (&time, &end) in self.run_times.iter().zip(self.run_ends.iter()) {
-            let mut advanced = false;
-            while cursor < end {
-                let Some(request) = requests.next() else {
-                    self.requests += served;
-                    return Ok(served);
-                };
-                if !advanced {
-                    self.last_time = Some(time);
-                    self.ledger.advance(time);
-                    advanced = true;
-                }
-                cursor += 1;
-                self.algorithm
-                    .on_request(time, request, Books::new(&mut self.ledger));
-                served += 1;
-            }
-        }
-        self.requests += served;
-        match violation {
-            Some(error) => Err(error),
-            None => Ok(served),
-        }
-    }
-
-    /// Submits a column-shaped batch in parallel, partitioned by element:
-    /// `times[i]` stamps and `elements[i]` locates the `i`-th request.
-    /// Requests are bucketed by `element % threads`; each bucket is served
-    /// on its own scoped worker thread by a clone of the algorithm against
-    /// a scratch clone of the ledger's query state (so every coverage
-    /// query sees all pre-batch history plus the bucket's own purchases);
-    /// then the workers' decisions are replayed into the real ledger in
-    /// original arrival order and the algorithm clones are folded back via
-    /// [`ElementPartitioned::absorb`]. Because requests for the same
-    /// element never split across buckets and the merge re-runs the exact
-    /// recording sequence, the resulting driver — ledger bytes, f64
-    /// accumulation order, algorithm state — is identical to a serial
-    /// [`submit_columns`](Driver::submit_columns) call.
-    ///
-    /// `elements[i]` must be the element request `i` is about (the same
-    /// element the algorithm will touch). Degenerate shapes — `threads <=
-    /// 1`, a batch of fewer than two requests, or an `elements` column
-    /// shorter than the batch — fall back to the serial path.
-    ///
-    /// Returns how many requests were served; short request iterators and
-    /// extra times behave exactly like `submit_columns`.
-    ///
-    /// # Errors
-    ///
-    /// Stops at the first out-of-order time stamp and returns
-    /// [`DriverError::TimeTravel`]; requests before the violation stay
-    /// served.
-    pub fn submit_columns_partitioned(
-        &mut self,
-        times: &[TimeStep],
-        elements: &[usize],
-        requests: impl IntoIterator<Item = A::Request>,
-        threads: usize,
-    ) -> Result<usize, DriverError>
-    where
-        A: ElementPartitioned,
-        A::Request: Send,
-    {
-        // Pass 1 (columnar): validate the times column exactly like
-        // `submit_columns`, recording equal-time run boundaries.
-        self.run_times.clear();
-        self.run_ends.clear();
-        let mut previous = self.last_time;
-        let mut violation = None;
-        let mut valid = times.len();
-        for (index, &time) in times.iter().enumerate() {
-            match previous {
-                Some(p) if time < p => {
-                    violation = Some(DriverError::TimeTravel {
-                        previous: p,
-                        attempted: time,
-                    });
-                    valid = index;
-                    break;
-                }
-                Some(p) if time == p && !self.run_times.is_empty() => {}
-                _ => {
-                    self.run_times.push(time);
-                    self.run_ends.push(index);
-                }
-            }
-            previous = Some(time);
-        }
-        if !self.run_ends.is_empty() {
-            self.run_ends.remove(0);
-            self.run_ends.push(valid);
-        }
-        // The serial path pulls exactly min(valid, iterator length)
-        // requests; materialize the same prefix.
-        let collected: Vec<A::Request> = requests.into_iter().take(valid).collect();
-        let n = collected.len();
-        if threads <= 1 || n < 2 || elements.len() < n {
-            // Serial fallback — trivially byte-identical. The recomputed
-            // pass 1 sees the same driver clock and reaches the same
-            // verdict on the already-collected prefix.
-            return self.submit_columns(times, collected);
-        }
-
-        // Bucket requests by element partition, preserving arrival order
-        // within each bucket.
-        let mut buckets: Vec<Vec<BucketEntry<A::Request>>> =
-            (0..threads).map(|_| Vec::new()).collect();
-        let mut part_of: Vec<usize> = Vec::with_capacity(n);
-        for (index, (request, (&time, &element))) in collected
-            .into_iter()
-            .zip(times.iter().zip(elements.iter()))
-            .enumerate()
-        {
-            let part = element % threads;
-            part_of.push(part);
-            if let Some(bucket) = buckets.get_mut(part) {
-                bucket.push((index, time, element, request));
-            }
-        }
-
-        // Serve every non-empty bucket on its own scoped worker thread.
-        let algorithm = &self.algorithm;
-        let ledger = &self.ledger;
-        let mut outcomes: Vec<Option<PartitionOutcome<A>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = buckets
-                .into_iter()
-                .map(|bucket| {
-                    if bucket.is_empty() {
-                        return None;
-                    }
-                    let mut worker = algorithm.clone();
-                    let mut scratch = ledger.parallel_scratch();
-                    Some(scope.spawn(move || {
-                        let mut spans = Vec::with_capacity(bucket.len());
-                        let mut touched: Vec<usize> =
-                            bucket.iter().map(|&(_, _, element, _)| element).collect();
-                        touched.sort_unstable();
-                        touched.dedup();
-                        let mut last = None;
-                        for (index, time, _, request) in bucket {
-                            if last != Some(time) {
-                                scratch.advance(time);
-                                last = Some(time);
-                            }
-                            let before = scratch.decisions().len();
-                            worker.on_request(time, request, Books::new(&mut scratch));
-                            spans.push((index, before, scratch.decisions().len()));
-                        }
-                        PartitionOutcome {
-                            algorithm: worker,
-                            decisions: scratch.take_decisions(),
-                            spans,
-                            cursor: 0,
-                            elements: touched,
-                        }
-                    }))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| {
-                    handle.map(|handle| match handle.join() {
-                        Ok(outcome) => outcome,
-                        Err(payload) => std::panic::resume_unwind(payload),
-                    })
-                })
-                .collect()
-        });
-
-        // Merge: replay every request's decision span into the real ledger
-        // in original arrival order, advancing the clock once per distinct
-        // time exactly like the serial pass 2 — identical recording
-        // sequence, identical f64 accumulation order, identical bytes.
-        let mut cursor = 0usize;
-        for (&time, &end) in self.run_times.iter().zip(self.run_ends.iter()) {
-            if cursor >= n {
+        let mut rest = times;
+        while let Some(&time) = rest.first() {
+            // A violation is reported even when the requests ran out
+            // exactly at it, as if the column had been validated up front.
+            self.check_monotone(time)?;
+            if requests.peek().is_none() {
                 break;
             }
-            self.last_time = Some(time);
-            self.ledger.advance(time);
-            let stop = end.min(n);
-            while cursor < stop {
-                if let Some(outcome) = part_of
-                    .get(cursor)
-                    .and_then(|&part| outcomes.get_mut(part))
-                    .and_then(Option::as_mut)
-                {
-                    if let Some(&(index, start, span_end)) = outcome.spans.get(outcome.cursor) {
-                        debug_assert_eq!(index, cursor, "spans replay in arrival order");
-                        outcome.cursor += 1;
-                        for d in outcome.decisions.get(start..span_end).unwrap_or_default() {
-                            match &d.lease {
-                                Some(lease) => self.ledger.record_lease(
-                                    d.time,
-                                    Triple::new(d.element, lease.type_index, lease.start),
-                                    d.cost,
-                                    d.category.clone(),
-                                ),
-                                None => self.ledger.record_charge(
-                                    d.time,
-                                    d.element,
-                                    d.cost,
-                                    d.category.clone(),
-                                ),
-                            }
-                        }
-                    }
-                }
-                cursor += 1;
+            let run = rest.iter().take_while(|&&t| t == time).count();
+            let served_run = self.submit_at(time, requests.by_ref().take(run))?;
+            served += served_run;
+            if served_run < run {
+                break;
             }
+            rest = rest.get(run..).unwrap_or_default();
         }
-        self.requests += n;
-        // Fold each partition's per-element algorithm state back, in
-        // partition-index order.
-        for outcome in outcomes.into_iter().flatten() {
-            self.algorithm.absorb(outcome.algorithm, &outcome.elements);
-        }
-        match violation {
-            Some(error) if n == valid => Err(error),
-            _ => Ok(n),
-        }
+        Ok(served)
     }
 
     /// Advances the ledger clock to `time` without serving a request,
@@ -635,14 +331,7 @@ impl<A: LeasingAlgorithm> Driver<A> {
     /// Returns [`DriverError::TimeTravel`] when `time` precedes the
     /// previous request's (or advance's) time.
     pub fn advance(&mut self, time: TimeStep) -> Result<usize, DriverError> {
-        if let Some(previous) = self.last_time {
-            if time < previous {
-                return Err(DriverError::TimeTravel {
-                    previous,
-                    attempted: time,
-                });
-            }
-        }
+        self.check_monotone(time)?;
         self.last_time = Some(time);
         Ok(self.ledger.advance(time))
     }
@@ -1086,19 +775,6 @@ mod tests {
     }
 
     #[test]
-    fn submit_columns_reuses_scratch_across_batches() {
-        let mut d = driver();
-        d.submit_columns(&[0, 1, 1, 4], std::iter::repeat(()))
-            .unwrap();
-        let cap = (d.run_times.capacity(), d.run_ends.capacity());
-        // A same-shape batch fits the warmed scratch: no growth.
-        d.submit_columns(&[5, 6, 6, 9], std::iter::repeat(()))
-            .unwrap();
-        assert_eq!((d.run_times.capacity(), d.run_ends.capacity()), cap);
-        assert_eq!(d.requests(), 8);
-    }
-
-    #[test]
     fn submit_columns_stops_at_the_first_violation() {
         let mut d = driver();
         let err = d
@@ -1122,6 +798,41 @@ mod tests {
             }
         );
         assert_eq!(d.requests(), 2);
+        // A violation past the point where the requests ran out is never
+        // reached; one right where they ran out still reports, exactly as
+        // if the column had been validated up front.
+        let mut columnar = driver();
+        assert_eq!(columnar.submit_columns(&[0, 4, 9, 1], [(), ()]).unwrap(), 2);
+        assert_eq!(
+            columnar.ledger().to_json(),
+            looped(&[0, 4]).ledger().to_json()
+        );
+        let mut columnar = driver();
+        let err = columnar.submit_columns(&[0, 4, 1], [(), ()]).unwrap_err();
+        assert_eq!(
+            err,
+            DriverError::TimeTravel {
+                previous: 4,
+                attempted: 1
+            }
+        );
+        assert_eq!(
+            columnar.ledger().to_json(),
+            looped(&[0, 4, 1]).ledger().to_json()
+        );
+        assert_eq!(columnar.requests(), 2);
+    }
+
+    /// A driver fed `times` through a loop of `submit` calls, stopping at
+    /// the first error.
+    fn looped(times: &[TimeStep]) -> Driver<ShortBuyer> {
+        let mut d = driver();
+        for &t in times {
+            if d.submit(t, ()).is_err() {
+                break;
+            }
+        }
+        d
     }
 
     #[test]
@@ -1133,11 +844,23 @@ mod tests {
             columnar.submit_columns(&[0, 4, 9, 12], [(), ()]).unwrap(),
             2
         );
-        let mut looped = driver();
-        looped.submit(0, ()).unwrap();
-        looped.submit(4, ()).unwrap();
-        assert_eq!(columnar.ledger().to_json(), looped.ledger().to_json());
+        assert_eq!(
+            columnar.ledger().to_json(),
+            looped(&[0, 4]).ledger().to_json()
+        );
         assert_eq!(columnar.requests(), 2);
+        // Running out in the middle of an equal-time run stops there too,
+        // and the next times never move the clock.
+        let mut columnar = driver();
+        assert_eq!(columnar.submit_columns(&[3, 3, 3, 7], [(), ()]).unwrap(), 2);
+        let reference = looped(&[3, 3]);
+        assert_eq!(columnar.ledger().to_json(), reference.ledger().to_json());
+        assert_eq!(columnar.requests(), reference.requests());
+        columnar.submit(3, ()).unwrap();
+        // ... even when a violation follows the interrupted run.
+        let mut columnar = driver();
+        assert_eq!(columnar.submit_columns(&[3, 3, 3, 1], [(), ()]).unwrap(), 2);
+        assert_eq!(columnar.ledger().to_json(), reference.ledger().to_json());
         // An empty request iterator never moves the clock, even past a
         // violating times column.
         let mut idle = driver();
@@ -1151,120 +874,6 @@ mod tests {
         let mut d = driver();
         assert_eq!(d.submit_columns(&[], std::iter::repeat(())).unwrap(), 0);
         assert_eq!(d.requests(), 0);
-    }
-
-    /// Multi-element twin of [`ShortBuyer`]: the request names the element,
-    /// and ownership state decomposes per element — the shape
-    /// [`ElementPartitioned`] is about.
-    #[derive(Clone)]
-    struct MultiShortBuyer {
-        owned: std::collections::HashSet<Triple>,
-    }
-
-    impl LeasingAlgorithm for MultiShortBuyer {
-        type Request = usize;
-        fn on_request(&mut self, t: TimeStep, element: usize, mut books: Books<'_>) {
-            let len = books.structure().unwrap().length(0);
-            let triple = Triple::new(element, 0, aligned_start(t, len));
-            if self.owned.insert(triple) {
-                books.buy(t, triple);
-            }
-        }
-    }
-
-    impl ElementPartitioned for MultiShortBuyer {
-        fn absorb(&mut self, partition: Self, elements: &[usize]) {
-            self.owned
-                .retain(|tr| elements.binary_search(&tr.element).is_err());
-            self.owned.extend(
-                partition
-                    .owned
-                    .into_iter()
-                    .filter(|tr| elements.binary_search(&tr.element).is_ok()),
-            );
-        }
-    }
-
-    fn multi_driver() -> Driver<MultiShortBuyer> {
-        Driver::new(
-            MultiShortBuyer {
-                owned: std::collections::HashSet::new(),
-            },
-            structure(),
-        )
-    }
-
-    #[test]
-    fn submit_columns_partitioned_matches_serial_bit_for_bit() {
-        let times: Vec<TimeStep> = (0..200u64).map(|i| i / 3).collect();
-        let elements: Vec<usize> = (0..200usize).map(|i| (i * 7) % 13).collect();
-        for threads in [2, 4, 8] {
-            let mut parallel = multi_driver();
-            let mut serial = multi_driver();
-            assert_eq!(
-                parallel
-                    .submit_columns_partitioned(
-                        &times,
-                        &elements,
-                        elements.iter().copied(),
-                        threads
-                    )
-                    .unwrap(),
-                times.len()
-            );
-            serial
-                .submit_columns(&times, elements.iter().copied())
-                .unwrap();
-            assert_eq!(parallel.ledger().to_json(), serial.ledger().to_json());
-            assert_eq!(
-                parallel.cost().to_bits(),
-                serial.cost().to_bits(),
-                "identical f64 accumulation order on {threads} threads"
-            );
-            assert_eq!(parallel.requests(), serial.requests());
-            let mut a: Vec<Triple> = parallel.algorithm().owned.iter().copied().collect();
-            let mut b: Vec<Triple> = serial.algorithm().owned.iter().copied().collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "absorbed algorithm state matches serial");
-        }
-    }
-
-    #[test]
-    fn submit_columns_partitioned_handles_violations_and_short_iterators() {
-        // Violation mid-column: prefix served, typed error, like serial.
-        let times = [0u64, 2, 2, 5, 3, 9];
-        let elements = [0usize, 1, 2, 3, 0, 1];
-        let mut parallel = multi_driver();
-        let mut serial = multi_driver();
-        let ep = parallel
-            .submit_columns_partitioned(&times, &elements, elements.iter().copied(), 4)
-            .unwrap_err();
-        let es = serial
-            .submit_columns(&times, elements.iter().copied())
-            .unwrap_err();
-        assert_eq!(ep, es);
-        assert_eq!(parallel.ledger().to_json(), serial.ledger().to_json());
-        assert_eq!(parallel.requests(), serial.requests());
-        // Short request iterator: stops cleanly with Ok, like serial.
-        let mut parallel = multi_driver();
-        let mut serial = multi_driver();
-        assert_eq!(
-            parallel
-                .submit_columns_partitioned(&times[..4], &elements[..4], [0usize, 1].into_iter(), 4)
-                .unwrap(),
-            2
-        );
-        serial.submit_columns(&times[..4], [0usize, 1]).unwrap();
-        assert_eq!(parallel.ledger().to_json(), serial.ledger().to_json());
-        // Degenerate shapes fall back to serial.
-        let mut one = multi_driver();
-        assert_eq!(
-            one.submit_columns_partitioned(&[7], &[3], [3usize].into_iter(), 4)
-                .unwrap(),
-            1
-        );
-        assert_eq!(one.ledger().leases_bought(), 1);
     }
 
     #[test]

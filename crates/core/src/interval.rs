@@ -49,6 +49,42 @@ pub fn candidate_leases(
     (0..structure.num_types()).map(move |k| Lease::new(k, aligned_start(t, structure.length(k))))
 }
 
+/// Algorithm 1's dual step on day `t` — the one copy behind every
+/// deterministic primal-dual permit policy.
+///
+/// `slots[k]` accumulates the dual contributions `Σy` to type `k`'s
+/// current aligned window as `(window start, Σy)`; fresh slots start at
+/// the `(TimeStep::MAX, 0.0)` sentinel, where no aligned window starts.
+/// The step slides each slot to the aligned window containing `t` (a
+/// window the clock has left is never a candidate again, so its sum
+/// restarts at zero), takes `delta` as the smallest remaining slack
+/// `c_k − Σy`, adds `delta` to every slot, and calls `on_tight(k, start)`
+/// for each candidate whose constraint is now tight, in type order.
+/// Returns `delta`, the raise of `y_t`. Whether a tight candidate is
+/// bought — it may already be owned — is the caller's rule.
+pub fn dual_step(
+    structure: &LeaseStructure,
+    slots: &mut [(TimeStep, f64)],
+    t: TimeStep,
+    mut on_tight: impl FnMut(usize, TimeStep),
+) -> f64 {
+    let mut delta = f64::INFINITY;
+    for (k, slot) in slots.iter_mut().enumerate() {
+        let start = aligned_start(t, structure.length(k));
+        if slot.0 != start {
+            *slot = (start, 0.0);
+        }
+        delta = delta.min((structure.cost(k) - slot.1).max(0.0));
+    }
+    for (k, slot) in slots.iter_mut().enumerate() {
+        slot.1 += delta;
+        if slot.1 >= structure.cost(k) - crate::EPS {
+            on_tight(k, slot.0);
+        }
+    }
+    delta
+}
+
 /// All aligned leases whose validity window intersects `window`
 /// (the candidate set of a deadline-flexible client, Chapter 5).
 ///
@@ -207,6 +243,33 @@ mod tests {
 
     fn rounded_fixture() -> LeaseStructure {
         power_of_two_structure(&[(0, 1.0), (2, 3.0), (4, 8.0)])
+    }
+
+    #[test]
+    fn dual_step_slides_raises_and_reports_tight_candidates_in_type_order() {
+        let s = LeaseStructure::new(vec![LeaseType::new(1, 1.0), LeaseType::new(4, 2.0)]).unwrap();
+        let mut slots = vec![(TimeStep::MAX, 0.0); 2];
+        let mut tight = Vec::new();
+        // Day 0: the day lease's slack (1) is smallest; only it is tight.
+        assert_eq!(
+            dual_step(&s, &mut slots, 0, |k, start| tight.push((k, start))),
+            1.0
+        );
+        assert_eq!(tight, vec![(0, 0)]);
+        // Day 1: the day slot slides to [1, 2) and restarts; the long
+        // window [0, 4) keeps its sum, so both become tight together.
+        tight.clear();
+        assert_eq!(
+            dual_step(&s, &mut slots, 1, |k, start| tight.push((k, start))),
+            1.0
+        );
+        assert_eq!(tight, vec![(0, 1), (1, 0)]);
+        assert_eq!(slots, vec![(1, 1.0), (0, 2.0)]);
+        // Day 4 leaves the long window: it restarts at zero.
+        tight.clear();
+        dual_step(&s, &mut slots, 4, |k, start| tight.push((k, start)));
+        assert_eq!(slots, vec![(4, 1.0), (4, 1.0)]);
+        assert_eq!(tight, vec![(0, 4)]);
     }
 
     #[test]

@@ -19,12 +19,11 @@
 //! overlay for `list-active` and the accumulators for snapshots. Shards
 //! are single-threaded, so the `Rc` never crosses a thread boundary.
 
-use leasing_core::engine::Books;
+use leasing_core::engine::{Books, LeasingAlgorithm};
 use leasing_core::framework::Triple;
-use leasing_core::interval::aligned_start;
+use leasing_core::interval::dual_step;
 use leasing_core::lease::LeaseStructure;
 use leasing_core::time::TimeStep;
-use leasing_core::{engine::LeasingAlgorithm, EPS};
 use serde::{de, value_field, Deserialize, Serialize, Value};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
@@ -112,29 +111,15 @@ impl PermitCore {
         let slots = contributions
             .entry(tenant)
             .or_insert_with(|| vec![(TimeStep::MAX, 0.0); structure.num_types()]);
-        // Slide each type's accumulator to the aligned window containing
-        // `t`, then raise y until the first candidate becomes tight.
-        let mut delta = f64::INFINITY;
-        for (k, slot) in slots.iter_mut().enumerate() {
-            let start = aligned_start(t, structure.length(k));
-            if slot.0 != start {
-                *slot = (start, 0.0);
+        *dual_value += dual_step(structure, slots, t, |k, start| {
+            // A released window re-buys (and re-pays); an owned live one
+            // does not.
+            let was_released = released.remove(&(tenant, k, start));
+            let triple = Triple::new(tenant, k, start);
+            if was_released || !books.owns(triple) {
+                books.buy(t, triple);
             }
-            delta = delta.min((structure.cost(k) - slot.1).max(0.0));
-        }
-        *dual_value += delta;
-        for (k, slot) in slots.iter_mut().enumerate() {
-            slot.1 += delta;
-            if slot.1 >= structure.cost(k) - EPS {
-                let triple = Triple::new(tenant, k, slot.0);
-                // A released window re-buys (and re-pays); an owned live
-                // one does not.
-                let was_released = released.remove(&(tenant, k, slot.0));
-                if was_released || !books.owns(triple) {
-                    books.buy(t, triple);
-                }
-            }
-        }
+        });
         debug_assert!(
             self.covered_live(tenant, t, books),
             "the primal-dual step must cover the demand"

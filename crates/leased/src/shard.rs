@@ -15,7 +15,7 @@ use crate::error::LeasedError;
 use crate::metrics::ShardMetrics;
 use crate::policy::{PermitCore, TenantOp, TenantPermit};
 use crate::protocol::{ActiveLease, RetentionInfo, TraceEvent};
-use leasing_core::engine::{DecisionRetention, EngineHandle, EngineStats};
+use leasing_core::engine::{DecisionRetention, DriverError, EngineHandle, EngineStats};
 use leasing_core::lease::LeaseStructure;
 use leasing_core::time::TimeStep;
 use leasing_telemetry::{EventRing, Stopwatch};
@@ -196,10 +196,9 @@ const MICRO_BATCH: usize = 128;
 /// mailbox until `Shutdown` or every sender is gone.
 ///
 /// The drain loop micro-batches: each blocking `recv` is topped up with
-/// up to [`MICRO_BATCH`] already-queued operations, and the front run of
-/// submits whose clamped times are equal collapses into one engine
-/// `submit_at` call — one monotonicity check and one expiry advancement
-/// for the whole run, bit-identical to serving each submit alone.
+/// up to [`MICRO_BATCH`] already-queued operations, and a submit at the
+/// queue front takes the queued submits of its run along — one engine
+/// `submit_at` call for the whole run (see [`Worker::serve_run`]).
 fn worker_loop(
     index: usize,
     structure: LeaseStructure,
@@ -215,7 +214,7 @@ fn worker_loop(
     if restoring {
         metrics.restore_ns.record(restore_watch.elapsed_nanos());
     }
-    let (mut engine, core) = match built {
+    let (engine, core) = match built {
         Ok((mut engine, core)) => {
             engine.set_retention(retention);
             (engine, core)
@@ -231,19 +230,21 @@ fn worker_loop(
             return;
         }
     };
-    let mut clock = engine.stats().now;
-    let mut ring: EventRing<TraceEvent> = EventRing::new(trace_capacity);
+    let mut worker = Worker {
+        index,
+        clock: engine.stats().now,
+        engine,
+        core,
+        metrics,
+        ring: EventRing::new(trace_capacity),
+    };
     let mut queue: VecDeque<ShardMail> = VecDeque::with_capacity(MICRO_BATCH);
-    let mut run: Vec<TenantOp> = Vec::with_capacity(MICRO_BATCH);
     let mut waiters: Vec<mpsc::Sender<ShardReply>> = Vec::with_capacity(MICRO_BATCH);
-    // `(tenant, clamped)` per run entry, for counters and trace events
-    // once the run's outcome is known.
-    let mut run_info: Vec<(usize, bool)> = Vec::with_capacity(MICRO_BATCH);
     loop {
         if queue.is_empty() {
             match rx.recv() {
                 Ok(mail) => {
-                    metrics.mailbox_depth.dec();
+                    worker.metrics.mailbox_depth.dec();
                     queue.push_back(mail);
                 }
                 Err(_) => return,
@@ -251,269 +252,224 @@ fn worker_loop(
             while queue.len() < MICRO_BATCH {
                 match rx.try_recv() {
                     Ok(mail) => {
-                        metrics.mailbox_depth.dec();
+                        worker.metrics.mailbox_depth.dec();
                         queue.push_back(mail);
                     }
                     Err(_) => break,
                 }
             }
         }
-        // The front run of equal-clamped-time submits becomes one
-        // `submit_at`; any other operation is served on its own.
-        let run_time: Option<TimeStep> = match queue.front() {
-            Some(ShardMail {
-                request: ShardRequest::Submit { time, .. },
-                ..
-            }) => Some((*time).max(clock)),
-            _ => None,
+        let Some(mail) = queue.pop_front() else {
+            continue;
         };
-        if let Some(t) = run_time {
-            run.clear();
-            waiters.clear();
-            run_info.clear();
-            loop {
-                // A submit joins the run iff its clamped time equals the
-                // run time (the clock would already be at `t` when its
-                // turn came in the one-at-a-time ordering).
-                let joins = matches!(
-                    queue.front(),
-                    Some(ShardMail {
-                        request: ShardRequest::Submit { time, .. },
-                        ..
-                    }) if *time <= t
-                );
-                if !joins {
-                    break;
-                }
-                let Some(mail) = queue.pop_front() else { break };
-                if let ShardRequest::Submit { tenant, time } = mail.request {
-                    run.push(TenantOp::Demand(tenant));
-                    run_info.push((tenant, time < t));
-                    waiters.push(mail.reply);
-                }
-            }
-            metrics.ops_submit.add(run.len() as u64);
-            metrics.submit_demands.add(run.len() as u64);
-            metrics.micro_batch_len.record(run.len() as u64);
-            let reply = match engine.submit_at(t, run.drain(..)) {
-                Ok(_) => {
-                    clock = t;
-                    ShardReply::Done
-                }
-                Err(e) => ShardReply::Failed(e.to_string()),
-            };
-            let failure = match &reply {
-                ShardReply::Failed(message) => Some(message.clone()),
-                _ => None,
-            };
-            for &(tenant, clamped) in &run_info {
-                if clamped {
-                    metrics.clamped_timestamps.inc();
-                }
-                let outcome = match &failure {
-                    Some(message) => format!("err: {message}"),
-                    None if clamped => "clamped".to_string(),
-                    None => "ok".to_string(),
-                };
-                trace(&mut ring, index, t, tenant, "submit", outcome);
-            }
-            for waiter in waiters.drain(..) {
-                let _ = waiter.send(reply.clone());
-            }
-        } else if let Some(mail) = queue.pop_front() {
-            let stop = matches!(mail.request, ShardRequest::Shutdown);
-            let reply = handle(
-                &mut engine,
-                &core,
-                &mut clock,
-                &metrics,
-                &mut ring,
-                index,
-                mail.request,
-            );
-            let _ = mail.reply.send(reply);
-            if stop {
-                return;
-            }
+        let stop = matches!(mail.request, ShardRequest::Shutdown);
+        let reply = worker.handle(mail.request, &mut queue, &mut waiters);
+        for waiter in waiters.drain(..) {
+            let _ = waiter.send(reply.clone());
+        }
+        let _ = mail.reply.send(reply);
+        if stop {
+            return;
         }
     }
 }
 
-/// Pushes one event into the shard's trace ring (a no-op at capacity 0).
-fn trace(
-    ring: &mut EventRing<TraceEvent>,
-    shard: usize,
-    time: TimeStep,
-    tenant: usize,
-    op: &str,
-    outcome: String,
-) {
-    if ring.capacity() == 0 {
-        return;
-    }
-    ring.push(TraceEvent {
-        seq: ring.recorded().saturating_add(1),
-        shard: shard as u64,
-        time,
-        tenant: tenant as u64,
-        op: op.to_string(),
-        outcome,
-    });
+/// The clamped time of a run of submits starting with one at `first`, and
+/// how many of the `following` submit times join it: a submit joins iff
+/// its clamped time equals the run's — the clock would already be there
+/// when its turn came in the one-at-a-time ordering.
+fn run_of(
+    clock: TimeStep,
+    first: TimeStep,
+    following: impl Iterator<Item = TimeStep>,
+) -> (TimeStep, usize) {
+    let t = first.max(clock);
+    (t, following.take_while(|&time| time <= t).count())
 }
 
-fn handle(
-    engine: &mut EngineHandle<'static, TenantOp>,
-    core: &Rc<RefCell<PermitCore>>,
-    clock: &mut TimeStep,
-    metrics: &ShardMetrics,
-    ring: &mut EventRing<TraceEvent>,
+/// What a shard worker owns: the engine, the policy core it shares, the
+/// monotone shard clock, and where it reports.
+struct Worker {
     index: usize,
-    request: ShardRequest,
-) -> ShardReply {
-    match request {
-        ShardRequest::Submit { tenant, time } => {
-            let t = time.max(*clock);
-            let clamped = time < t;
-            metrics.ops_submit.inc();
-            metrics.submit_demands.inc();
-            metrics.micro_batch_len.record(1);
-            if clamped {
-                metrics.clamped_timestamps.inc();
-            }
-            match engine.submit(t, TenantOp::Demand(tenant)) {
-                Ok(()) => {
-                    *clock = t;
-                    let outcome = if clamped { "clamped" } else { "ok" };
-                    trace(ring, index, t, tenant, "submit", outcome.to_string());
-                    ShardReply::Done
-                }
-                Err(e) => {
-                    trace(ring, index, t, tenant, "submit", format!("err: {e}"));
-                    ShardReply::Failed(e.to_string())
-                }
-            }
+    engine: EngineHandle<'static, TenantOp>,
+    core: Rc<RefCell<PermitCore>>,
+    clock: TimeStep,
+    metrics: Arc<ShardMetrics>,
+    ring: EventRing<TraceEvent>,
+}
+
+impl Worker {
+    /// Pushes one event into the shard's trace ring (a no-op at capacity
+    /// 0).
+    fn trace(&mut self, time: TimeStep, tenant: usize, op: &str, outcome: String) {
+        if self.ring.capacity() == 0 {
+            return;
         }
-        ShardRequest::SubmitBatch { entries } => {
-            metrics.ops_submit_batch.inc();
-            metrics.submit_demands.add(entries.len() as u64);
-            let mut submitted = 0u64;
-            let mut run: Vec<TenantOp> = Vec::new();
-            let mut run_info: Vec<(usize, bool)> = Vec::new();
-            let mut entries = entries.into_iter().peekable();
-            while let Some((tenant, time)) = entries.next() {
-                let t = time.max(*clock);
-                run.clear();
-                run_info.clear();
-                run.push(TenantOp::Demand(tenant));
-                run_info.push((tenant, time < t));
-                // Later entries whose clamped time equals `t` extend the
-                // run — they would be clamped to `t` anyway once the
-                // clock reaches it.
-                while let Some(&(next_tenant, next_time)) = entries.peek() {
-                    if next_time > t {
-                        break;
+        self.ring.push(TraceEvent {
+            seq: self.ring.recorded().saturating_add(1),
+            shard: self.index as u64,
+            time,
+            tenant: tenant as u64,
+            op: op.to_string(),
+            outcome,
+        });
+    }
+
+    /// Serves one run of `(tenant, time)` demands at the run's clamped
+    /// time `t` with one engine `submit_at` call — one monotonicity check
+    /// and one expiry advancement for the whole run, bit-identical to
+    /// serving each demand alone — then counts and traces every entry.
+    fn serve_run(
+        &mut self,
+        t: TimeStep,
+        run: impl Iterator<Item = (usize, TimeStep)> + Clone,
+    ) -> Result<usize, DriverError> {
+        let result = self
+            .engine
+            .submit_at(t, run.clone().map(|(tenant, _)| TenantOp::Demand(tenant)));
+        if result.is_ok() {
+            self.clock = t;
+        }
+        let mut len = 0u64;
+        for (tenant, time) in run {
+            len += 1;
+            let clamped = time < t;
+            if clamped {
+                self.metrics.clamped_timestamps.inc();
+            }
+            let outcome = match &result {
+                Err(e) => format!("err: {e}"),
+                Ok(_) if clamped => "clamped".to_string(),
+                Ok(_) => "ok".to_string(),
+            };
+            self.trace(t, tenant, "submit", outcome);
+        }
+        self.metrics.micro_batch_len.record(len);
+        result
+    }
+
+    /// Serves one operation. A `Submit` takes the queued submits of its
+    /// run out of `queue` and leaves their reply senders in `waiters`, to
+    /// receive the same reply.
+    fn handle(
+        &mut self,
+        request: ShardRequest,
+        queue: &mut VecDeque<ShardMail>,
+        waiters: &mut Vec<mpsc::Sender<ShardReply>>,
+    ) -> ShardReply {
+        match request {
+            ShardRequest::Submit { tenant, time } => {
+                let queued = || {
+                    queue.iter().map_while(|mail| match mail.request {
+                        ShardRequest::Submit { tenant, time } => Some((tenant, time)),
+                        _ => None,
+                    })
+                };
+                let (t, joining) = run_of(self.clock, time, queued().map(|(_, time)| time));
+                let run = std::iter::once((tenant, time)).chain(queued().take(joining));
+                self.metrics.ops_submit.add(1 + joining as u64);
+                self.metrics.submit_demands.add(1 + joining as u64);
+                let reply = match self.serve_run(t, run) {
+                    Ok(_) => ShardReply::Done,
+                    Err(e) => ShardReply::Failed(e.to_string()),
+                };
+                waiters.extend(queue.drain(..joining).map(|mail| mail.reply));
+                reply
+            }
+            ShardRequest::SubmitBatch { entries } => {
+                self.metrics.ops_submit_batch.inc();
+                self.metrics.submit_demands.add(entries.len() as u64);
+                let mut submitted = 0u64;
+                let mut rest = entries.as_slice();
+                while let Some((&(_, first), following)) = rest.split_first() {
+                    let (t, joining) =
+                        run_of(self.clock, first, following.iter().map(|&(_, time)| time));
+                    let (run, tail) = rest.split_at(1 + joining);
+                    match self.serve_run(t, run.iter().copied()) {
+                        Ok(served) => submitted += u64::try_from(served).unwrap_or(u64::MAX),
+                        // Unreachable (t is clamped to the clock), but a
+                        // failure must not strand the caller: earlier runs
+                        // stay served, exactly like individual submits.
+                        Err(e) => return ShardReply::Failed(e.to_string()),
                     }
-                    run.push(TenantOp::Demand(next_tenant));
-                    run_info.push((next_tenant, next_time < t));
-                    entries.next();
+                    rest = tail;
                 }
-                metrics.micro_batch_len.record(run.len() as u64);
-                match engine.submit_at(t, run.drain(..)) {
-                    Ok(served) => {
-                        *clock = t;
-                        submitted += u64::try_from(served).unwrap_or(u64::MAX);
-                        for &(run_tenant, clamped) in &run_info {
-                            if clamped {
-                                metrics.clamped_timestamps.inc();
-                            }
-                            let outcome = if clamped { "clamped" } else { "ok" };
-                            trace(ring, index, t, run_tenant, "submit", outcome.to_string());
-                        }
+                ShardReply::Submitted(submitted)
+            }
+            ShardRequest::ForceRelease { tenant, time } => {
+                let t = time.max(self.clock);
+                let clamped = time < t;
+                self.metrics.ops_force_release.inc();
+                if clamped {
+                    self.metrics.clamped_timestamps.inc();
+                }
+                match self.engine.submit(t, TenantOp::Release(tenant)) {
+                    Ok(()) => {
+                        self.clock = t;
+                        let outcome = if clamped { "clamped" } else { "ok" };
+                        self.trace(t, tenant, "force-release", outcome.to_string());
+                        ShardReply::Done
                     }
-                    // Unreachable (t is clamped to the clock), but a
-                    // failure must not strand the caller: earlier runs
-                    // stay served, exactly like individual submits.
                     Err(e) => {
-                        for &(run_tenant, _) in &run_info {
-                            trace(ring, index, t, run_tenant, "submit", format!("err: {e}"));
-                        }
-                        return ShardReply::Failed(e.to_string());
+                        self.trace(t, tenant, "force-release", format!("err: {e}"));
+                        ShardReply::Failed(e.to_string())
                     }
                 }
             }
-            ShardReply::Submitted(submitted)
-        }
-        ShardRequest::ForceRelease { tenant, time } => {
-            let t = time.max(*clock);
-            let clamped = time < t;
-            metrics.ops_force_release.inc();
-            if clamped {
-                metrics.clamped_timestamps.inc();
+            ShardRequest::ListActive { tenant, time } => {
+                self.metrics.ops_list_active.inc();
+                let core = self.core.borrow();
+                let ledger = self.engine.ledger();
+                let leases = (0..core.structure().num_types())
+                    .filter_map(|k| {
+                        ledger
+                            .active_lease_of_type(tenant, k, time)
+                            .filter(|&triple| !core.is_released(triple))
+                            .map(|triple| ActiveLease {
+                                tenant: tenant as u64,
+                                type_index: k,
+                                start: triple.start,
+                                end: triple.start + core.structure().length(k),
+                            })
+                    })
+                    .collect();
+                ShardReply::Leases(leases)
             }
-            match engine.submit(t, TenantOp::Release(tenant)) {
-                Ok(()) => {
-                    *clock = t;
-                    let outcome = if clamped { "clamped" } else { "ok" };
-                    trace(ring, index, t, tenant, "force-release", outcome.to_string());
-                    ShardReply::Done
-                }
-                Err(e) => {
-                    trace(ring, index, t, tenant, "force-release", format!("err: {e}"));
-                    ShardReply::Failed(e.to_string())
-                }
+            ShardRequest::Stats => {
+                self.metrics.ops_stats.inc();
+                ShardReply::Stats(self.engine.stats())
             }
-        }
-        ShardRequest::ListActive { tenant, time } => {
-            metrics.ops_list_active.inc();
-            let core = core.borrow();
-            let ledger = engine.ledger();
-            let leases = (0..core.structure().num_types())
-                .filter_map(|k| {
-                    ledger
-                        .active_lease_of_type(tenant, k, time)
-                        .filter(|&triple| !core.is_released(triple))
-                        .map(|triple| ActiveLease {
-                            tenant: tenant as u64,
-                            type_index: k,
-                            start: triple.start,
-                            end: triple.start + core.structure().length(k),
-                        })
+            ShardRequest::RetentionInfo => {
+                self.metrics.ops_stats.inc();
+                let ledger = self.engine.ledger();
+                let (mode, limit) = match self.engine.retention() {
+                    DecisionRetention::Full => ("full", 0u64),
+                    DecisionRetention::Bounded(n) => {
+                        ("bounded", u64::try_from(n).unwrap_or(u64::MAX))
+                    }
+                    DecisionRetention::AggregateOnly => ("aggregate-only", 0),
+                };
+                ShardReply::Retention(RetentionInfo {
+                    mode: mode.to_string(),
+                    limit,
+                    retained: u64::try_from(ledger.retained_decisions()).unwrap_or(u64::MAX),
+                    total: u64::try_from(ledger.decision_count()).unwrap_or(u64::MAX),
                 })
-                .collect();
-            ShardReply::Leases(leases)
-        }
-        ShardRequest::Stats => {
-            metrics.ops_stats.inc();
-            ShardReply::Stats(engine.stats())
-        }
-        ShardRequest::RetentionInfo => {
-            metrics.ops_stats.inc();
-            let ledger = engine.ledger();
-            let (mode, limit) = match engine.retention() {
-                DecisionRetention::Full => ("full", 0u64),
-                DecisionRetention::Bounded(n) => ("bounded", u64::try_from(n).unwrap_or(u64::MAX)),
-                DecisionRetention::AggregateOnly => ("aggregate-only", 0),
-            };
-            ShardReply::Retention(RetentionInfo {
-                mode: mode.to_string(),
-                limit,
-                retained: u64::try_from(ledger.retained_decisions()).unwrap_or(u64::MAX),
-                total: u64::try_from(ledger.decision_count()).unwrap_or(u64::MAX),
-            })
-        }
-        ShardRequest::TraceDump => {
-            metrics.ops_trace_dump.inc();
-            ShardReply::Trace(ring.iter().cloned().collect())
-        }
-        ShardRequest::Snapshot | ShardRequest::Shutdown => {
-            metrics.ops_snapshot.inc();
-            let watch = Stopwatch::start();
-            let reply = match snapshot(engine, core) {
-                Ok(text) => ShardReply::Snapshot(text),
-                Err(e) => ShardReply::Failed(e.to_string()),
-            };
-            metrics.snapshot_ns.record(watch.elapsed_nanos());
-            reply
+            }
+            ShardRequest::TraceDump => {
+                self.metrics.ops_trace_dump.inc();
+                ShardReply::Trace(self.ring.iter().cloned().collect())
+            }
+            ShardRequest::Snapshot | ShardRequest::Shutdown => {
+                self.metrics.ops_snapshot.inc();
+                let watch = Stopwatch::start();
+                let reply = match snapshot(&self.engine, &self.core) {
+                    Ok(text) => ShardReply::Snapshot(text),
+                    Err(e) => ShardReply::Failed(e.to_string()),
+                };
+                self.metrics.snapshot_ns.record(watch.elapsed_nanos());
+                reply
+            }
         }
     }
 }
@@ -669,6 +625,51 @@ mod tests {
         assert_eq!(clamped[0].tenant, 2);
         assert_eq!(clamped[0].time, 10, "the event carries the clamped clock");
         assert_eq!(clamped[0].op, "submit");
+    }
+
+    #[test]
+    fn submit_batch_matches_individual_submits() {
+        // Equal-time runs, a run broken by a later time, and entries
+        // behind the clock that clamp forward into the current run.
+        let entries = [
+            (1, 3),
+            (2, 3),
+            (3, 1),
+            (1, 6),
+            (4, 2),
+            (2, 9),
+            (3, 9),
+            (5, 4),
+        ];
+        let run = |batched: bool| {
+            let (shard, metrics) = spawn(None);
+            if batched {
+                let reply = call(
+                    &shard,
+                    ShardRequest::SubmitBatch {
+                        entries: entries.to_vec(),
+                    },
+                );
+                assert_eq!(reply, ShardReply::Submitted(entries.len() as u64));
+            } else {
+                for (tenant, time) in entries {
+                    let reply = call(&shard, ShardRequest::Submit { tenant, time });
+                    assert_eq!(reply, ShardReply::Done);
+                }
+            }
+            let (ShardReply::Stats(stats), ShardReply::Trace(events)) = (
+                call(&shard, ShardRequest::Stats),
+                call(&shard, ShardRequest::TraceDump),
+            ) else {
+                panic!("expected stats and trace");
+            };
+            call(&shard, ShardRequest::Shutdown);
+            shard.join();
+            (stats.to_json(), events, metrics.clamped_timestamps.get())
+        };
+        let batched = run(true);
+        assert_eq!(batched.2, 3, "three entries clamp forward");
+        assert_eq!(batched, run(false));
     }
 
     #[test]

@@ -135,6 +135,37 @@ fn shutdown_snapshots_and_restart_restores_byte_identical_stats() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `submit-batch` is not atomic across shards: sub-batches apply in
+/// shard-index order, so when a later shard fails, the earlier shards'
+/// demands stay served while the reply is an error.
+#[test]
+fn submit_batch_keeps_earlier_shards_applied_when_a_later_shard_fails() {
+    let dir = temp_dir("partial-batch");
+    std::fs::create_dir_all(&dir).unwrap();
+    // A corrupt snapshot makes shard 1 answer every call with `Failed`.
+    std::fs::write(dir.join("shard-1.json"), "not json").unwrap();
+    let config = ServerConfig {
+        shards: 2,
+        snapshot_dir: Some(dir.clone()),
+        ..ServerConfig::new(structure())
+    };
+    let (addr, _server) = start(&config);
+    let mut client = Client::connect(addr).unwrap();
+
+    // Tenants 0 and 2 live on shard 0, tenant 1 on the failing shard 1.
+    assert!(client.submit_batch(&[(0, 5), (1, 5), (2, 6)]).is_err());
+    let leases = client.list_active(0, 5).unwrap();
+    assert_eq!(leases.len(), 1, "shard 0's sub-batch stays applied");
+    assert_eq!(leases[0].tenant, 0);
+    assert_eq!(client.list_active(2, 6).unwrap().len(), 1);
+    assert!(client.list_active(1, 5).is_err());
+
+    // The failed shard cannot snapshot, so the daemon refuses to shut
+    // down (no state is silently dropped); its thread is left running.
+    assert!(client.shutdown().is_err());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The CI leased-job contract for bounded retention: a bounded daemon
 /// serves the exact same traffic as a full-retention one with byte-equal
 /// `stats`, while each shard holds at most `n` decisions in memory and the

@@ -8,12 +8,11 @@
 //! Theorem 2.7.
 
 use crate::{PermitOnline, PurchaseLog, PERMIT_ELEMENT};
-use leasing_core::engine::{Books, ElementPartitioned, LeasingAlgorithm, Ledger};
+use leasing_core::engine::{Books, LeasingAlgorithm, Ledger};
 use leasing_core::framework::{OnlineAlgorithm, Triple};
-use leasing_core::interval::aligned_start;
+use leasing_core::interval::dual_step;
 use leasing_core::lease::{Lease, LeaseStructure};
 use leasing_core::time::TimeStep;
-use leasing_core::EPS;
 
 /// Deterministic primal-dual parking-permit algorithm over aligned
 /// (interval-model) leases.
@@ -62,33 +61,21 @@ impl DeterministicPrimalDual {
         }
     }
 
-    /// Core primal-dual step, recording purchases into the books.
+    /// Core primal-dual step, recording purchases into the books: the
+    /// shared [`dual_step`] over the `K` live accumulators, buying every
+    /// tight candidate the ledger does not already own.
     fn serve_with(&mut self, t: TimeStep, books: &mut Books<'_>) {
         if books.covered(PERMIT_ELEMENT, t) {
             return;
         }
-        // Slide each type's accumulator to the aligned window containing
-        // `t` (windows the clock has left reset to zero — they can never
-        // be candidates again), then raise y_t until the first candidate
-        // constraint becomes tight. No allocation, no hashing: K slots.
-        let structure = &self.structure;
-        let mut delta = f64::INFINITY;
-        for (k, slot) in self.contributions.iter_mut().enumerate() {
-            let start = aligned_start(t, structure.length(k));
-            if slot.0 != start {
-                *slot = (start, 0.0);
-            }
-            delta = delta.min((structure.cost(k) - slot.1).max(0.0));
-        }
-        self.dual_value += delta;
-        for (k, slot) in self.contributions.iter_mut().enumerate() {
-            slot.1 += delta;
-            let triple = Triple::new(PERMIT_ELEMENT, k, slot.0);
-            if slot.1 >= structure.cost(k) - EPS && !books.owns(triple) {
+        let purchases = &mut self.purchases;
+        self.dual_value += dual_step(&self.structure, &mut self.contributions, t, |k, start| {
+            let triple = Triple::new(PERMIT_ELEMENT, k, start);
+            if !books.owns(triple) {
                 books.buy(t, triple);
-                self.purchases.push(Lease::new(k, slot.0));
+                purchases.push(Lease::new(k, start));
             }
-        }
+        });
         debug_assert!(
             books.covered(PERMIT_ELEMENT, t),
             "primal-dual step must cover the demand"
@@ -132,15 +119,6 @@ impl LeasingAlgorithm for DeterministicPrimalDual {
 
     fn on_request(&mut self, time: TimeStep, _request: (), mut books: Books<'_>) {
         self.serve_with(time, &mut books);
-    }
-}
-
-/// The policy serves the single [`PERMIT_ELEMENT`], so a partitioned
-/// batch puts every request in one partition: absorbing replaces the
-/// whole state with the clone that did the serving.
-impl ElementPartitioned for DeterministicPrimalDual {
-    fn absorb(&mut self, partition: Self, _elements: &[usize]) {
-        *self = partition;
     }
 }
 
