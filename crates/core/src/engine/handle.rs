@@ -1,9 +1,9 @@
 //! [`EngineHandle`]: an erased [`Driver`] plus snapshot/restore.
 //!
 //! The [`Driver`] is generic over the algorithm type — ideal for
-//! benchmarks and tests that want monomorphized dispatch, but every owner
-//! (the SimLab matrix runner, the `leased` daemon's tenant shards) would
-//! have to be generic too. `EngineHandle` fixes the algorithm type to
+//! benchmarks and tests that want monomorphized dispatch, but an owner
+//! that serves many algorithms (the SimLab matrix runner) would have to
+//! be generic too. `EngineHandle` fixes the algorithm type to
 //! `Box<dyn LeasingAlgorithm>` so an owner holds *one* concrete type per
 //! request shape, and dereferences to that driver for the whole
 //! submit/advance/stats/snapshot surface — no generics, no ledger borrows.

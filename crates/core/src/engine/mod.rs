@@ -43,8 +43,7 @@
 //!   generation.
 //! * [`EngineHandle`] — an erased `Driver` plus snapshot/restore: a boxed
 //!   policy bound to its own arena-backed ledger, dereferencing to the
-//!   driver — what the SimLab harness and the `leased` daemon hold per
-//!   worker/tenant shard.
+//!   driver — what the SimLab harness holds per worker.
 //! * [`Report`] — cost, offline optimum, competitive ratio and decision
 //!   counts in one serializable summary, consumed uniformly by tests,
 //!   examples and the bench binaries.

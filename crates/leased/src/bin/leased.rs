@@ -1,15 +1,15 @@
 //! The `leased` daemon binary.
 //!
 //! ```text
-//! leased [--listen ADDR] [--shards N] [--queue-cap N]
+//! leased [--listen ADDR] [--shards N]
 //!        [--snapshot-dir DIR] [--lease LEN:COST[,LEN:COST...]]
 //!        [--metrics-listen ADDR] [--trace-cap N]
 //!        [--retention full|bounded:N|aggregate]
 //! ```
 //!
-//! Defaults: `--listen 127.0.0.1:7878`, `--shards 4`, `--queue-cap 1024`,
-//! no persistence, a 256-event trace ring per shard, no metrics endpoint,
-//! full decision retention, and the three-type structure `1:1,4:2.5,16:6`.
+//! Defaults: `--listen 127.0.0.1:7878`, `--shards 4`, no persistence, a
+//! 256-event trace ring per shard, no metrics endpoint, full decision
+//! retention, and the three-type structure `1:1,4:2.5,16:6`.
 //! `--retention bounded:N` caps each shard's in-memory decision trace at
 //! the most recent `N` decisions (`aggregate` keeps none); `stats` output
 //! is bit-identical in every mode. On start the daemon
@@ -26,7 +26,7 @@ use std::net::TcpListener;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-const USAGE: &str = "usage: leased [--listen ADDR] [--shards N] [--queue-cap N] \
+const USAGE: &str = "usage: leased [--listen ADDR] [--shards N] \
                      [--snapshot-dir DIR] [--lease LEN:COST[,LEN:COST...]] \
                      [--metrics-listen ADDR] [--trace-cap N] \
                      [--retention full|bounded:N|aggregate]";
@@ -34,7 +34,6 @@ const USAGE: &str = "usage: leased [--listen ADDR] [--shards N] [--queue-cap N] 
 struct Args {
     listen: String,
     shards: usize,
-    queue_cap: usize,
     snapshot_dir: Option<String>,
     lease_spec: String,
     metrics_listen: Option<String>,
@@ -46,7 +45,6 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         listen: "127.0.0.1:7878".to_string(),
         shards: 4,
-        queue_cap: 1024,
         snapshot_dir: None,
         lease_spec: "1:1,4:2.5,16:6".to_string(),
         metrics_listen: None,
@@ -62,11 +60,6 @@ fn parse_args() -> Result<Args, String> {
                 args.shards = value("--shards")?
                     .parse()
                     .map_err(|e| format!("--shards: {e}"))?
-            }
-            "--queue-cap" => {
-                args.queue_cap = value("--queue-cap")?
-                    .parse()
-                    .map_err(|e| format!("--queue-cap: {e}"))?
             }
             "--snapshot-dir" => args.snapshot_dir = Some(value("--snapshot-dir")?),
             "--lease" => args.lease_spec = value("--lease")?,
@@ -131,7 +124,6 @@ fn main() -> ExitCode {
     };
     let config = ServerConfig {
         shards: args.shards,
-        queue_capacity: args.queue_cap,
         structure,
         snapshot_dir: args.snapshot_dir.map(std::path::PathBuf::from),
         trace_capacity: args.trace_cap,

@@ -2,20 +2,21 @@
 //! [`leasing_core::engine`] API.
 //!
 //! The daemon partitions tenants across a fixed set of **shards** with the
-//! deterministic map `tenant % shards`. Each shard is one worker thread
-//! owning one type-erased [`EngineHandle`](leasing_core::engine::EngineHandle)
-//! bound to the multi-tenant [`TenantPermit`](policy::TenantPermit)
-//! primal-dual policy (the thesis' deterministic parking-permit algorithm
-//! with the tenant id as the covered element). Work reaches a shard through
-//! a bounded channel, so a slow shard back-pressures its callers instead of
-//! buffering unboundedly.
+//! deterministic map `tenant % shards`. Each shard is a lock around one
+//! [`Driver`](leasing_core::engine::Driver) bound to the multi-tenant
+//! [`PermitCore`](policy::PermitCore) primal-dual policy (the thesis'
+//! deterministic parking-permit algorithm with the tenant id as the
+//! covered element). The connection thread that receives an operation
+//! serves it under the shard's lock, so there is no hand-off between
+//! threads and no queue to bound; callers of a busy shard wait on its
+//! lock.
 //!
 //! Clients speak a length-delimited wire protocol over TCP — each frame is
 //! a 4-byte little-endian payload length followed by that many bytes of
 //! JSON (see [`protocol`]): `submit`, `list-active`, `force-release`,
 //! `stats`, `metrics`, `trace-dump`, `snapshot` and `shutdown`. The
 //! daemon is instrumented end to end (see [`metrics`]): per-shard op
-//! counters, mailbox depth gauges, micro-batch and latency histograms and
+//! counters, lock-depth gauges, submit-run and latency histograms and
 //! a bounded per-shard event ring, all exposed both in-band (`metrics`,
 //! `trace-dump`) and as a Prometheus scrape endpoint via
 //! `--metrics-listen`. Observability is a read-side overlay — enabling it

@@ -52,9 +52,11 @@ pub struct ShardMetrics {
     /// Demands whose requested timestamp was behind the shard clock and
     /// was clamped forward.
     pub clamped_timestamps: Counter,
-    /// Operations currently queued in the shard mailbox.
+    /// Callers currently holding or waiting on the shard's lock (exported
+    /// as `leased_mailbox_depth`, a name dashboards already scrape).
     pub mailbox_depth: Gauge,
-    /// Deepest the mailbox has ever been.
+    /// Most callers ever holding or waiting on the shard's lock at once:
+    /// at most the number of connections.
     pub mailbox_high_watermark: Gauge,
     /// Length of each collapsed equal-time submit run handed to the
     /// engine as one `submit_at` call.

@@ -13,11 +13,11 @@
 //! append-only — so the policy overlays a released set and re-buys (and
 //! re-pays) when a demand arrives for a voided window.
 //!
-//! The policy state lives behind an `Rc<RefCell<_>>` core shared with the
-//! owning shard: the engine handle boxes the policy away
-//! (`Box<dyn LeasingAlgorithm>`), and the shard still needs the released
-//! overlay for `list-active` and the accumulators for snapshots. Shards
-//! are single-threaded, so the `Rc` never crosses a thread boundary.
+//! [`PermitCore`] is the policy itself: each shard drives a concrete
+//! `Driver<PermitCore>` and reads the released overlay (for
+//! `list-active`) and the accumulators (for snapshots) through
+//! `Driver::algorithm`, so the engine is `Send` and needs no shared
+//! handle.
 
 use leasing_core::engine::{Books, LeasingAlgorithm};
 use leasing_core::framework::Triple;
@@ -44,7 +44,8 @@ pub enum TenantOp {
     Release(usize),
 }
 
-/// The shared mutable core of a [`TenantPermit`] policy.
+/// The multi-tenant permit policy: per-tenant dual accumulators plus the
+/// force-released overlay.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PermitCore {
     structure: LeaseStructure,
@@ -62,7 +63,8 @@ pub struct PermitCore {
 }
 
 impl PermitCore {
-    fn new(structure: LeaseStructure) -> Self {
+    /// A fresh policy over `structure`.
+    pub fn new(structure: LeaseStructure) -> Self {
         PermitCore {
             structure,
             contributions: BTreeMap::new(),
@@ -199,8 +201,20 @@ impl PermitCore {
     }
 }
 
-/// The policy object handed to the engine: a shared handle onto a
-/// [`PermitCore`].
+impl LeasingAlgorithm for PermitCore {
+    type Request = TenantOp;
+
+    fn on_request(&mut self, time: TimeStep, request: TenantOp, mut books: Books<'_>) {
+        match request {
+            TenantOp::Demand(tenant) => self.serve_demand(time, tenant, &mut books),
+            TenantOp::Release(tenant) => self.serve_release(time, tenant, &mut books),
+        }
+    }
+}
+
+/// A [`PermitCore`] behind a shared handle, so a caller can read the core
+/// while an engine owns the policy. Only the benchmark uses it: delete at
+/// the next benchmark change.
 #[derive(Clone, Debug)]
 pub struct TenantPermit {
     core: Rc<RefCell<PermitCore>>,
@@ -214,14 +228,7 @@ impl TenantPermit {
         }
     }
 
-    /// Wraps an existing (e.g. snapshot-restored) core.
-    pub fn from_core(core: Rc<RefCell<PermitCore>>) -> Self {
-        TenantPermit { core }
-    }
-
-    /// A shared handle onto the policy core — the shard keeps one to
-    /// answer `list-active` and to snapshot while the engine owns the
-    /// policy itself.
+    /// A shared handle onto the policy core.
     pub fn core(&self) -> Rc<RefCell<PermitCore>> {
         Rc::clone(&self.core)
     }
@@ -230,34 +237,28 @@ impl TenantPermit {
 impl LeasingAlgorithm for TenantPermit {
     type Request = TenantOp;
 
-    fn on_request(&mut self, time: TimeStep, request: TenantOp, mut books: Books<'_>) {
-        let mut core = self.core.borrow_mut();
-        match request {
-            TenantOp::Demand(tenant) => core.serve_demand(time, tenant, &mut books),
-            TenantOp::Release(tenant) => core.serve_release(time, tenant, &mut books),
-        }
+    fn on_request(&mut self, time: TimeStep, request: TenantOp, books: Books<'_>) {
+        self.core.borrow_mut().on_request(time, request, books);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use leasing_core::engine::EngineHandle;
+    use leasing_core::engine::Driver;
     use leasing_core::lease::LeaseType;
 
     fn structure() -> LeaseStructure {
         LeaseStructure::new(vec![LeaseType::new(1, 1.0), LeaseType::new(4, 3.0)]).unwrap()
     }
 
-    fn engine() -> (EngineHandle<'static, TenantOp>, Rc<RefCell<PermitCore>>) {
-        let policy = TenantPermit::new(structure());
-        let core = policy.core();
-        (EngineHandle::new(policy, structure()), core)
+    fn engine() -> Driver<PermitCore> {
+        Driver::new(PermitCore::new(structure()), structure())
     }
 
     #[test]
     fn tenants_are_independent_permit_instances() {
-        let (mut engine, core) = engine();
+        let mut engine = engine();
         engine.submit(0, TenantOp::Demand(1)).unwrap();
         engine.submit(0, TenantOp::Demand(2)).unwrap();
         // Each first demand buys the cheapest (day) lease for its tenant.
@@ -265,12 +266,12 @@ mod tests {
         assert!(engine.ledger().covered(1, 0));
         assert!(engine.ledger().covered(2, 0));
         assert!(!engine.ledger().covered(3, 0));
-        assert!((core.borrow().dual_value() - 2.0).abs() < 1e-9);
+        assert!((engine.algorithm().dual_value() - 2.0).abs() < 1e-9);
     }
 
     #[test]
     fn repeated_demands_escalate_to_the_long_lease() {
-        let (mut engine, _) = engine();
+        let mut engine = engine();
         for t in 0..4 {
             engine.submit(t, TenantOp::Demand(5)).unwrap();
         }
@@ -282,7 +283,7 @@ mod tests {
 
     #[test]
     fn covered_demands_are_free() {
-        let (mut engine, _) = engine();
+        let mut engine = engine();
         engine.submit(0, TenantOp::Demand(9)).unwrap();
         let cost = engine.cost();
         engine.submit(0, TenantOp::Demand(9)).unwrap();
@@ -291,7 +292,7 @@ mod tests {
 
     #[test]
     fn force_release_voids_coverage_and_rebuys_fresh() {
-        let (mut engine, core) = engine();
+        let mut engine = engine();
         for t in 0..3 {
             engine.submit(t, TenantOp::Demand(4)).unwrap();
         }
@@ -300,7 +301,7 @@ mod tests {
         engine.submit(3, TenantOp::Release(4)).unwrap();
         assert_eq!(engine.cost(), cost_before, "releasing is free");
         assert!(
-            core.borrow().is_released(Triple::new(4, 1, 0)),
+            engine.algorithm().is_released(Triple::new(4, 1, 0)),
             "the long lease is voided"
         );
         // The ledger still covers t=3, but the policy re-buys on demand.
@@ -308,7 +309,7 @@ mod tests {
         engine.submit(3, TenantOp::Demand(4)).unwrap();
         assert!(engine.cost() > cost_before, "a voided window re-pays");
         // The re-bought window is live again.
-        assert!(!core.borrow().is_released(Triple::new(4, 1, 0)));
+        assert!(!engine.algorithm().is_released(Triple::new(4, 1, 0)));
         // The audit charge is on the books.
         assert!(engine
             .stats()
@@ -319,14 +320,14 @@ mod tests {
 
     #[test]
     fn policy_state_round_trips_through_values() {
-        let (mut engine, core) = engine();
+        let mut engine = engine();
         for t in 0..4 {
             engine.submit(t, TenantOp::Demand(t as usize % 2)).unwrap();
         }
         engine.submit(3, TenantOp::Release(1)).unwrap();
-        let snap = core.borrow().to_value();
+        let snap = engine.algorithm().to_value();
         let restored = PermitCore::from_value(structure(), &snap).unwrap();
-        assert_eq!(restored, *core.borrow());
+        assert_eq!(restored, *engine.algorithm());
         assert_eq!(restored.to_value(), snap, "snapshots are idempotent");
     }
 

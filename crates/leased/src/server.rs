@@ -1,12 +1,15 @@
 //! The TCP daemon: accepts length-delimited connections, routes
 //! operations to tenant shards, and persists/restores shard snapshots.
 //!
-//! Every connection gets its own handler thread; requests from different
-//! connections interleave at shard-mailbox granularity, so one slow
-//! client never blocks the rest.
+//! Every connection gets its own handler thread, which serves each
+//! operation itself under the target shard's lock; requests from
+//! different connections interleave at shard-operation granularity, so
+//! one slow client never blocks the rest.
 //! `shutdown` snapshots every shard into the snapshot directory
 //! (when configured) and stops the daemon; a daemon started over the same
-//! directory restores each shard before accepting traffic.
+//! directory restores each shard before accepting traffic. Snapshot files
+//! are replaced atomically (temporary file, fsync, rename, directory
+//! fsync), so a crash mid-snapshot leaves the previous file intact.
 
 use crate::error::LeasedError;
 use crate::metrics::{DaemonMetrics, ShardMetrics};
@@ -19,6 +22,7 @@ use leasing_core::engine::{DecisionRetention, EngineStats};
 use leasing_core::lease::LeaseStructure;
 use leasing_core::time::TimeStep;
 use leasing_telemetry::Stopwatch;
+use std::fs::File;
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
@@ -31,10 +35,8 @@ const READ_BURST_BYTES: usize = 64 * 1024;
 /// Daemon configuration.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// Number of tenant shards (worker threads). Clamped below by 1.
+    /// Number of tenant shards. Clamped below by 1.
     pub shards: usize,
-    /// Bounded mailbox capacity per shard.
-    pub queue_capacity: usize,
     /// The lease structure every shard prices from.
     pub structure: LeaseStructure,
     /// Snapshot directory: written on `snapshot`/`shutdown`, read on
@@ -50,12 +52,11 @@ pub struct ServerConfig {
 }
 
 impl ServerConfig {
-    /// A daemon over `structure` with 4 shards, a 1024-deep mailbox, a
-    /// 256-event trace ring per shard and no persistence.
+    /// A daemon over `structure` with 4 shards, a 256-event trace ring
+    /// per shard and no persistence.
     pub fn new(structure: LeaseStructure) -> Self {
         ServerConfig {
             shards: 4,
-            queue_capacity: 1024,
             structure,
             snapshot_dir: None,
             trace_capacity: 256,
@@ -90,7 +91,7 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds `addr` and spawns the shard workers, restoring any shard
+    /// Binds `addr` and builds the shards, restoring any shard
     /// whose snapshot file exists under the configured directory.
     ///
     /// # Errors
@@ -114,7 +115,7 @@ impl Server {
                 Shard::spawn(
                     index,
                     config.structure.clone(),
-                    config.queue_capacity,
+                    0, // queue capacity: ignored, shards have no queue
                     restore,
                     shard_metrics,
                     config.trace_capacity,
@@ -146,11 +147,12 @@ impl Server {
     }
 
     /// Serves connections until a client sends `shutdown`, then snapshots
-    /// (when persistence is configured), stops the workers and returns.
+    /// (when persistence is configured), shuts the shards down and
+    /// returns.
     ///
     /// Each connection gets its own handler thread; requests from
-    /// different connections interleave at shard-mailbox granularity, so
-    /// a slow client never blocks the others.
+    /// different connections interleave at shard-operation granularity,
+    /// so a slow client never blocks the others.
     ///
     /// # Errors
     ///
@@ -180,9 +182,6 @@ impl Server {
                 });
             }
         });
-        for shard in self.shards {
-            shard.join();
-        }
         Ok(())
     }
 
@@ -292,7 +291,7 @@ impl Server {
                 Err(message) => Response::Error(message),
             },
             Request::Shutdown => {
-                // Snapshot first (while the workers are still alive); a
+                // Snapshot first (while the shards are still up); a
                 // failed snapshot refuses the shutdown so no state is
                 // lost. Without persistence configured, just stop.
                 let persisted = if self.snapshot_dir.is_some() {
@@ -405,7 +404,9 @@ impl Server {
             .collect()
     }
 
-    /// Snapshots every shard into the snapshot directory.
+    /// Snapshots every shard into the snapshot directory, replacing each
+    /// file atomically: a crash at any instant leaves either the old or
+    /// the new `shard-<i>.json`, never a torn one.
     fn snapshot_all(&self) -> Result<(), String> {
         let Some(dir) = self.snapshot_dir.as_deref() else {
             return Err("daemon started without --snapshot-dir".to_string());
@@ -419,10 +420,24 @@ impl Server {
                 Err(e) => return Err(e.to_string()),
             };
             let path = shard_snapshot_path(dir, shard.index());
-            std::fs::write(&path, text).map_err(|e| format!("writing {}: {e}", path.display()))?;
+            replace_file(&path, &text).map_err(|e| format!("writing {}: {e}", path.display()))?;
         }
-        Ok(())
+        // Make the renames durable.
+        File::open(dir)
+            .and_then(|d| d.sync_all())
+            .map_err(|e| format!("syncing {}: {e}", dir.display()))
     }
+}
+
+/// Replaces the `.json` file at `path` with `text`: writes `<path>.tmp`,
+/// syncs it to disk, then renames it over `path`. The caller syncs the
+/// directory.
+fn replace_file(path: &Path, text: &str) -> std::io::Result<()> {
+    let tmp = path.with_extension("json.tmp");
+    let mut file = File::create(&tmp)?;
+    file.write_all(text.as_bytes())?;
+    file.sync_all()?;
+    std::fs::rename(&tmp, path)
 }
 
 #[cfg(test)]
@@ -445,7 +460,6 @@ mod tests {
             LeaseStructure::new(vec![LeaseType::new(1, 1.0), LeaseType::new(4, 3.0)]).unwrap();
         let config = ServerConfig::new(structure);
         assert_eq!(config.shards, 4);
-        assert!(config.queue_capacity >= 1);
         assert!(config.snapshot_dir.is_none());
         assert_eq!(config.trace_capacity, 256);
         assert_eq!(config.retention, DecisionRetention::Full);

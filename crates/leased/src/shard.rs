@@ -1,11 +1,17 @@
-//! One tenant shard: a worker thread owning an
-//! [`EngineHandle`] bound to the [`TenantPermit`] policy, fed through a
-//! bounded channel.
+//! One tenant shard: a lock around a [`Driver`] bound to the
+//! [`PermitCore`] policy, served on the calling thread.
 //!
-//! [`EngineHandle`] is deliberately not `Send` (policies may hold `Rc`
-//! state, as [`TenantPermit`] does), so the engine is **constructed inside
-//! the worker thread** — [`Shard::spawn`] ships only `Send` inputs (the
-//! structure and an optional snapshot string) across.
+//! Every connection thread that routes an operation to a shard takes the
+//! shard's lock and serves the operation itself; there is no worker
+//! thread and no queue. Operations on one shard are serialized by the
+//! lock, so the engine sees one request at a time in lock order, while
+//! different shards serve in parallel.
+//!
+//! A shard whose snapshot cannot be restored answers every call with
+//! [`ShardReply::Failed`]. A shard that was shut down, or whose engine
+//! panicked while serving, answers every later call with
+//! [`LeasedError::ShardDown`]; the panic is caught, so it fails only that
+//! shard and never unwinds the caller.
 //!
 //! The shard clock is monotone: operations carrying a timestamp behind the
 //! clock are clamped forward, so replayed or reordered client traffic can
@@ -13,24 +19,21 @@
 
 use crate::error::LeasedError;
 use crate::metrics::ShardMetrics;
-use crate::policy::{PermitCore, TenantOp, TenantPermit};
+use crate::policy::{PermitCore, TenantOp};
 use crate::protocol::{ActiveLease, RetentionInfo, TraceEvent};
-use leasing_core::engine::{DecisionRetention, DriverError, EngineHandle, EngineStats};
+use leasing_core::engine::{DecisionRetention, Driver, DriverError, EngineStats};
 use leasing_core::lease::LeaseStructure;
 use leasing_core::time::TimeStep;
 use leasing_telemetry::{EventRing, Stopwatch};
 use serde::{json, value_field, value_str, Value};
-use std::cell::RefCell;
-use std::collections::VecDeque;
-use std::rc::Rc;
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Mutex};
 
 /// Schema tag of shard snapshots: the engine's `engine-snapshot/v1`
 /// envelope plus the policy overlay.
 pub const SHARD_SNAPSHOT_SCHEMA: &str = "leased-shard/v1";
 
-/// One operation for a shard worker.
+/// One operation for a shard.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ShardRequest {
     /// Serve a demand of `tenant` at `time` (clamped to the shard clock).
@@ -70,11 +73,11 @@ pub enum ShardRequest {
     TraceDump,
     /// Serialize the shard (engine + policy) to a snapshot string.
     Snapshot,
-    /// Snapshot and stop the worker.
+    /// Snapshot and shut the shard down.
     Shutdown,
 }
 
-/// A shard worker's answer.
+/// A shard's answer.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ShardReply {
     /// Submit/force-release succeeded.
@@ -91,60 +94,77 @@ pub enum ShardReply {
     Trace(Vec<TraceEvent>),
     /// `Snapshot`/`Shutdown` payload.
     Snapshot(String),
-    /// The operation failed; the worker stays up (except on `Shutdown`).
+    /// The operation failed; the shard stays up (except on `Shutdown`).
     Failed(String),
 }
 
-struct ShardMail {
-    request: ShardRequest,
-    reply: mpsc::Sender<ShardReply>,
-}
-
-/// A running shard: the bounded mailbox plus the worker's join handle.
+/// A shard: its index, its metrics, and its state behind the lock that
+/// serializes every operation on it.
 pub struct Shard {
     index: usize,
-    tx: mpsc::SyncSender<ShardMail>,
     metrics: Arc<ShardMetrics>,
-    worker: Option<std::thread::JoinHandle<()>>,
+    state: Mutex<ShardState>,
+}
+
+/// What a shard's lock guards.
+enum ShardState {
+    /// Serving.
+    Up(Box<Worker>),
+    /// The snapshot it was restored from is corrupt: every call answers
+    /// with this message.
+    Failed(String),
+    /// Shut down, or its engine panicked: every call is refused.
+    Down,
 }
 
 impl Shard {
-    /// Spawns shard `index`: a worker thread owning a fresh engine over
+    /// Builds shard `index` on the calling thread: a fresh engine over
     /// `structure`, or one restored from `restore_from` (a
-    /// [`SHARD_SNAPSHOT_SCHEMA`] string). The mailbox holds at most
-    /// `queue_capacity` in-flight operations; senders beyond that block.
-    /// The worker records into `metrics` and keeps its most recent
-    /// `trace_capacity` operations in an event ring (0 disables tracing).
-    /// `retention` is the engine's decision-trace policy, applied after
-    /// construction (and after a restore — the daemon config wins over
-    /// whatever mode the snapshot was taken under).
+    /// [`SHARD_SNAPSHOT_SCHEMA`] string). The shard records into `metrics`
+    /// and keeps its most recent `trace_capacity` operations in an event
+    /// ring (0 disables tracing). `retention` is the engine's
+    /// decision-trace policy, applied after construction (and after a
+    /// restore — the daemon config wins over whatever mode the snapshot
+    /// was taken under).
+    ///
+    /// `_queue_capacity` is ignored: shards have no queue. It stays in the
+    /// signature only because the benchmark's layer ladder calls this
+    /// function and cannot change with this crate.
     pub fn spawn(
         index: usize,
         structure: LeaseStructure,
-        queue_capacity: usize,
+        _queue_capacity: usize,
         restore_from: Option<String>,
         metrics: Arc<ShardMetrics>,
         trace_capacity: usize,
         retention: DecisionRetention,
     ) -> Shard {
-        let (tx, rx) = mpsc::sync_channel::<ShardMail>(queue_capacity.max(1));
-        let worker_metrics = Arc::clone(&metrics);
-        let worker = std::thread::spawn(move || {
-            worker_loop(
-                index,
-                structure,
-                rx,
-                restore_from,
-                worker_metrics,
-                trace_capacity,
-                retention,
-            );
-        });
+        let restoring = restore_from.is_some();
+        let restore_watch = Stopwatch::start();
+        let built = match restore_from {
+            None => Ok(Driver::new(PermitCore::new(structure.clone()), structure)),
+            Some(text) => restore_shard(structure, &text),
+        };
+        if restoring {
+            metrics.restore_ns.record(restore_watch.elapsed_nanos());
+        }
+        let state = match built {
+            Ok(mut engine) => {
+                engine.set_retention(retention);
+                ShardState::Up(Box::new(Worker {
+                    index,
+                    clock: engine.stats().now,
+                    engine,
+                    metrics: Arc::clone(&metrics),
+                    ring: EventRing::new(trace_capacity),
+                }))
+            }
+            Err(e) => ShardState::Failed(e.to_string()),
+        };
         Shard {
             index,
-            tx,
             metrics,
-            worker: Some(worker),
+            state: Mutex::new(state),
         }
     }
 
@@ -153,125 +173,43 @@ impl Shard {
         self.index
     }
 
-    /// Sends one operation and waits for the worker's answer.
+    /// Serves one operation on the calling thread, under the shard's lock.
     ///
     /// # Errors
     ///
-    /// Returns [`LeasedError::ShardDown`] when the worker is gone.
+    /// Returns [`LeasedError::ShardDown`] when the shard was shut down or
+    /// its engine panicked (a poisoned lock counts as a panic).
     pub fn call(&self, request: ShardRequest) -> Result<ShardReply, LeasedError> {
-        let (reply_tx, reply_rx) = mpsc::channel();
-        // The depth gauge counts enqueue-side; the worker decrements as it
-        // dequeues. `sync_channel` gives the pair a happens-before edge,
-        // so the gauge can sag toward zero but never wraps.
+        // The depth gauges count callers holding or waiting on the lock.
         let depth = self.metrics.mailbox_depth.inc();
         self.metrics.mailbox_high_watermark.record_max(depth);
-        self.tx
-            .send(ShardMail {
-                request,
-                reply: reply_tx,
-            })
-            .map_err(|_| {
-                self.metrics.mailbox_depth.dec();
-                LeasedError::ShardDown(self.index)
-            })?;
-        reply_rx
-            .recv()
-            .map_err(|_| LeasedError::ShardDown(self.index))
+        let reply = self.serve(request);
+        self.metrics.mailbox_depth.dec();
+        reply
     }
 
-    /// Waits for the worker to exit (after a `Shutdown` call).
-    pub fn join(mut self) {
-        if let Some(worker) = self.worker.take() {
-            let _ = worker.join();
-        }
-    }
-}
-
-/// How many queued operations one mailbox drain may pull — bounds both
-/// the latency a drained burst can add and the length of a collapsed
-/// `submit_at` run.
-const MICRO_BATCH: usize = 128;
-
-/// The worker body: builds (or restores) the engine, then serves the
-/// mailbox until `Shutdown` or every sender is gone.
-///
-/// The drain loop micro-batches: each blocking `recv` is topped up with
-/// up to [`MICRO_BATCH`] already-queued operations, and a submit at the
-/// queue front takes the queued submits of its run along — one engine
-/// `submit_at` call for the whole run (see [`Worker::serve_run`]).
-fn worker_loop(
-    index: usize,
-    structure: LeaseStructure,
-    rx: mpsc::Receiver<ShardMail>,
-    restore_from: Option<String>,
-    metrics: Arc<ShardMetrics>,
-    trace_capacity: usize,
-    retention: DecisionRetention,
-) {
-    let restoring = restore_from.is_some();
-    let restore_watch = Stopwatch::start();
-    let built = build_engine(structure, restore_from);
-    if restoring {
-        metrics.restore_ns.record(restore_watch.elapsed_nanos());
-    }
-    let (engine, core) = match built {
-        Ok((mut engine, core)) => {
-            engine.set_retention(retention);
-            (engine, core)
-        }
-        Err(e) => {
-            // Construction failed (corrupt snapshot): answer every caller
-            // with the failure until the daemon drops the mailbox.
-            let message = e.to_string();
-            while let Ok(mail) = rx.recv() {
-                metrics.mailbox_depth.dec();
-                let _ = mail.reply.send(ShardReply::Failed(message.clone()));
-            }
-            return;
-        }
-    };
-    let mut worker = Worker {
-        index,
-        clock: engine.stats().now,
-        engine,
-        core,
-        metrics,
-        ring: EventRing::new(trace_capacity),
-    };
-    let mut queue: VecDeque<ShardMail> = VecDeque::with_capacity(MICRO_BATCH);
-    let mut waiters: Vec<mpsc::Sender<ShardReply>> = Vec::with_capacity(MICRO_BATCH);
-    loop {
-        if queue.is_empty() {
-            match rx.recv() {
-                Ok(mail) => {
-                    worker.metrics.mailbox_depth.dec();
-                    queue.push_back(mail);
-                }
-                Err(_) => return,
-            }
-            while queue.len() < MICRO_BATCH {
-                match rx.try_recv() {
-                    Ok(mail) => {
-                        worker.metrics.mailbox_depth.dec();
-                        queue.push_back(mail);
-                    }
-                    Err(_) => break,
-                }
-            }
-        }
-        let Some(mail) = queue.pop_front() else {
-            continue;
+    fn serve(&self, request: ShardRequest) -> Result<ShardReply, LeasedError> {
+        let down = LeasedError::ShardDown(self.index);
+        let Ok(mut state) = self.state.lock() else {
+            return Err(down);
         };
-        let stop = matches!(mail.request, ShardRequest::Shutdown);
-        let reply = worker.handle(mail.request, &mut queue, &mut waiters);
-        for waiter in waiters.drain(..) {
-            let _ = waiter.send(reply.clone());
+        let stop = matches!(request, ShardRequest::Shutdown);
+        let reply = match &mut *state {
+            ShardState::Up(worker) => {
+                catch_unwind(AssertUnwindSafe(|| worker.handle(request))).map_err(|_| down)
+            }
+            ShardState::Failed(message) => Ok(ShardReply::Failed(message.clone())),
+            ShardState::Down => Err(down),
+        };
+        if stop || reply.is_err() {
+            *state = ShardState::Down;
         }
-        let _ = mail.reply.send(reply);
-        if stop {
-            return;
-        }
+        reply
     }
+
+    /// Does nothing: a shard owns no thread. Kept because the benchmark's
+    /// layer ladder calls it.
+    pub fn join(self) {}
 }
 
 /// The clamped time of a run of submits starting with one at `first`, and
@@ -287,30 +225,45 @@ fn run_of(
     (t, following.take_while(|&time| time <= t).count())
 }
 
-/// What a shard worker owns: the engine, the policy core it shares, the
-/// monotone shard clock, and where it reports.
+/// How a traced operation ended.
+enum Outcome {
+    Ok,
+    Clamped,
+    Err(String),
+}
+
+/// One traced operation, formatted into a [`TraceEvent`] only when the
+/// ring is dumped.
+struct TraceRecord {
+    seq: u64,
+    time: TimeStep,
+    tenant: usize,
+    op: &'static str,
+    outcome: Outcome,
+}
+
+/// What a serving shard owns: the engine, the monotone shard clock, and
+/// where it reports.
 struct Worker {
     index: usize,
-    engine: EngineHandle<'static, TenantOp>,
-    core: Rc<RefCell<PermitCore>>,
+    engine: Driver<PermitCore>,
     clock: TimeStep,
     metrics: Arc<ShardMetrics>,
-    ring: EventRing<TraceEvent>,
+    ring: EventRing<TraceRecord>,
 }
 
 impl Worker {
     /// Pushes one event into the shard's trace ring (a no-op at capacity
     /// 0).
-    fn trace(&mut self, time: TimeStep, tenant: usize, op: &str, outcome: String) {
+    fn trace(&mut self, time: TimeStep, tenant: usize, op: &'static str, outcome: Outcome) {
         if self.ring.capacity() == 0 {
             return;
         }
-        self.ring.push(TraceEvent {
+        self.ring.push(TraceRecord {
             seq: self.ring.recorded().saturating_add(1),
-            shard: self.index as u64,
             time,
-            tenant: tenant as u64,
-            op: op.to_string(),
+            tenant,
+            op,
             outcome,
         });
     }
@@ -338,9 +291,9 @@ impl Worker {
                 self.metrics.clamped_timestamps.inc();
             }
             let outcome = match &result {
-                Err(e) => format!("err: {e}"),
-                Ok(_) if clamped => "clamped".to_string(),
-                Ok(_) => "ok".to_string(),
+                Err(e) => Outcome::Err(e.to_string()),
+                Ok(_) if clamped => Outcome::Clamped,
+                Ok(_) => Outcome::Ok,
             };
             self.trace(t, tenant, "submit", outcome);
         }
@@ -348,33 +301,16 @@ impl Worker {
         result
     }
 
-    /// Serves one operation. A `Submit` takes the queued submits of its
-    /// run out of `queue` and leaves their reply senders in `waiters`, to
-    /// receive the same reply.
-    fn handle(
-        &mut self,
-        request: ShardRequest,
-        queue: &mut VecDeque<ShardMail>,
-        waiters: &mut Vec<mpsc::Sender<ShardReply>>,
-    ) -> ShardReply {
+    /// Serves one operation.
+    fn handle(&mut self, request: ShardRequest) -> ShardReply {
         match request {
             ShardRequest::Submit { tenant, time } => {
-                let queued = || {
-                    queue.iter().map_while(|mail| match mail.request {
-                        ShardRequest::Submit { tenant, time } => Some((tenant, time)),
-                        _ => None,
-                    })
-                };
-                let (t, joining) = run_of(self.clock, time, queued().map(|(_, time)| time));
-                let run = std::iter::once((tenant, time)).chain(queued().take(joining));
-                self.metrics.ops_submit.add(1 + joining as u64);
-                self.metrics.submit_demands.add(1 + joining as u64);
-                let reply = match self.serve_run(t, run) {
+                self.metrics.ops_submit.inc();
+                self.metrics.submit_demands.inc();
+                match self.serve_run(time.max(self.clock), std::iter::once((tenant, time))) {
                     Ok(_) => ShardReply::Done,
                     Err(e) => ShardReply::Failed(e.to_string()),
-                };
-                waiters.extend(queue.drain(..joining).map(|mail| mail.reply));
-                reply
+                }
             }
             ShardRequest::SubmitBatch { entries } => {
                 self.metrics.ops_submit_batch.inc();
@@ -406,19 +342,23 @@ impl Worker {
                 match self.engine.submit(t, TenantOp::Release(tenant)) {
                     Ok(()) => {
                         self.clock = t;
-                        let outcome = if clamped { "clamped" } else { "ok" };
-                        self.trace(t, tenant, "force-release", outcome.to_string());
+                        let outcome = if clamped {
+                            Outcome::Clamped
+                        } else {
+                            Outcome::Ok
+                        };
+                        self.trace(t, tenant, "force-release", outcome);
                         ShardReply::Done
                     }
                     Err(e) => {
-                        self.trace(t, tenant, "force-release", format!("err: {e}"));
+                        self.trace(t, tenant, "force-release", Outcome::Err(e.to_string()));
                         ShardReply::Failed(e.to_string())
                     }
                 }
             }
             ShardRequest::ListActive { tenant, time } => {
                 self.metrics.ops_list_active.inc();
-                let core = self.core.borrow();
+                let core = self.engine.algorithm();
                 let ledger = self.engine.ledger();
                 let leases = (0..core.structure().num_types())
                     .filter_map(|k| {
@@ -458,12 +398,25 @@ impl Worker {
             }
             ShardRequest::TraceDump => {
                 self.metrics.ops_trace_dump.inc();
-                ShardReply::Trace(self.ring.iter().cloned().collect())
+                let shard = self.index as u64;
+                let events = self.ring.iter().map(|record| TraceEvent {
+                    seq: record.seq,
+                    shard,
+                    time: record.time,
+                    tenant: record.tenant as u64,
+                    op: record.op.to_string(),
+                    outcome: match &record.outcome {
+                        Outcome::Ok => "ok".to_string(),
+                        Outcome::Clamped => "clamped".to_string(),
+                        Outcome::Err(e) => format!("err: {e}"),
+                    },
+                });
+                ShardReply::Trace(events.collect())
             }
             ShardRequest::Snapshot | ShardRequest::Shutdown => {
                 self.metrics.ops_snapshot.inc();
                 let watch = Stopwatch::start();
-                let reply = match snapshot(&self.engine, &self.core) {
+                let reply = match snapshot(&self.engine) {
                     Ok(text) => ShardReply::Snapshot(text),
                     Err(e) => ShardReply::Failed(e.to_string()),
                 };
@@ -476,10 +429,7 @@ impl Worker {
 
 /// Serializes the shard: `{"schema": "leased-shard/v1", "engine": <engine
 /// snapshot>, "policy": <policy snapshot>}`.
-fn snapshot(
-    engine: &EngineHandle<'static, TenantOp>,
-    core: &Rc<RefCell<PermitCore>>,
-) -> Result<String, LeasedError> {
+fn snapshot(engine: &Driver<PermitCore>) -> Result<String, LeasedError> {
     let engine_value = json::parse(&engine.snapshot())?;
     let envelope = Value::Map(vec![
         (
@@ -487,28 +437,12 @@ fn snapshot(
             Value::Str(SHARD_SNAPSHOT_SCHEMA.to_string()),
         ),
         ("engine".to_string(), engine_value),
-        ("policy".to_string(), core.borrow().to_value()),
+        ("policy".to_string(), engine.algorithm().to_value()),
     ]);
     Ok(json::to_string(&envelope))
 }
 
-/// Builds a fresh engine over `structure`, or restores one from a
-/// [`SHARD_SNAPSHOT_SCHEMA`] string.
-fn build_engine(
-    structure: LeaseStructure,
-    restore_from: Option<String>,
-) -> Result<(EngineHandle<'static, TenantOp>, Rc<RefCell<PermitCore>>), LeasedError> {
-    match restore_from {
-        None => {
-            let policy = TenantPermit::new(structure.clone());
-            let core = policy.core();
-            Ok((EngineHandle::new(policy, structure), core))
-        }
-        Some(text) => restore_shard(structure, &text),
-    }
-}
-
-/// Restores an engine + policy pair from a shard snapshot.
+/// Restores an engine and its policy from a shard snapshot.
 ///
 /// # Errors
 ///
@@ -517,7 +451,7 @@ fn build_engine(
 pub fn restore_shard(
     structure: LeaseStructure,
     text: &str,
-) -> Result<(EngineHandle<'static, TenantOp>, Rc<RefCell<PermitCore>>), LeasedError> {
+) -> Result<Driver<PermitCore>, LeasedError> {
     let envelope = json::parse(text)?;
     let schema = value_str(value_field(&envelope, "schema")?)?;
     if schema != SHARD_SNAPSHOT_SCHEMA {
@@ -525,15 +459,9 @@ pub fn restore_shard(
             "expected schema {SHARD_SNAPSHOT_SCHEMA}, found {schema}"
         )));
     }
-    let policy_value = value_field(&envelope, "policy")?;
-    let core = Rc::new(RefCell::new(PermitCore::from_value(
-        structure,
-        policy_value,
-    )?));
+    let core = PermitCore::from_value(structure, value_field(&envelope, "policy")?)?;
     let engine_text = json::to_string(value_field(&envelope, "engine")?);
-    let engine = EngineHandle::restore(TenantPermit::from_core(Rc::clone(&core)), &engine_text)
-        .map_err(|e| LeasedError::Protocol(e.to_string()))?;
-    Ok((engine, core))
+    Driver::restore(core, &engine_text).map_err(|e| LeasedError::Protocol(e.to_string()))
 }
 
 #[cfg(test)]
@@ -742,6 +670,57 @@ mod tests {
             1,
             "restoring records one restore duration"
         );
+    }
+
+    #[test]
+    fn shutdown_takes_the_shard_down() {
+        let (shard, _) = spawn(None);
+        call(&shard, ShardRequest::Submit { tenant: 1, time: 0 });
+        assert!(matches!(
+            call(&shard, ShardRequest::Shutdown),
+            ShardReply::Snapshot(_)
+        ));
+        assert!(matches!(
+            shard.call(ShardRequest::Stats),
+            Err(LeasedError::ShardDown(0))
+        ));
+    }
+
+    #[test]
+    fn a_poisoned_lock_takes_only_that_shard_down() {
+        let shards: Vec<Shard> = (0..3)
+            .map(|index| {
+                let metrics = Arc::new(ShardMetrics::new());
+                Shard::spawn(
+                    index,
+                    structure(),
+                    0,
+                    None,
+                    metrics,
+                    32,
+                    DecisionRetention::Full,
+                )
+            })
+            .collect();
+        let poisoned = catch_unwind(AssertUnwindSafe(|| {
+            let _guard = shards[1].state.lock();
+            panic!("a panic while holding the shard lock");
+        }));
+        assert!(poisoned.is_err());
+        assert!(matches!(
+            shards[1].call(ShardRequest::Submit { tenant: 1, time: 0 }),
+            Err(LeasedError::ShardDown(1))
+        ));
+        for shard in [&shards[0], &shards[2]] {
+            assert_eq!(
+                call(shard, ShardRequest::Submit { tenant: 3, time: 0 }),
+                ShardReply::Done
+            );
+            assert!(matches!(
+                call(shard, ShardRequest::Stats),
+                ShardReply::Stats(stats) if stats.requests == 1
+            ));
+        }
     }
 
     #[test]

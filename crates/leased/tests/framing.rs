@@ -154,8 +154,8 @@ fn stats_after(ops: &[(u64, u64)], shards: usize, batch: usize, pipelined: bool)
     let (addr, server) = start(&config);
     let mut client = Client::connect(addr).unwrap();
     if pipelined {
-        // Every frame queued before any answer is read: the shard workers
-        // see flooded mailboxes and drain them in micro-batches.
+        // Every frame queued before any answer is read: the server reads
+        // them in bursts and flushes its answers once per burst.
         for &(tenant, time) in ops {
             client.send(&Request::Submit { tenant, time }).unwrap();
         }
@@ -195,9 +195,7 @@ fn submit_batch_splits_across_shards_like_lockstep_singles() {
     }
 }
 
-/// A flooded pipeline of singles — which the shard workers drain in
-/// micro-batches through `submit_at` — matches the lockstep run
-/// byte-for-byte.
+/// A flooded pipeline of singles matches the lockstep run byte-for-byte.
 #[test]
 fn micro_batched_mailbox_drain_matches_lockstep() {
     let ops: Vec<(u64, u64)> = (0..500u64).map(|i| (i % 13, i / 13)).collect();

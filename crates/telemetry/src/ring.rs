@@ -1,9 +1,9 @@
 //! A bounded ring of recent events with a single writer.
 //!
-//! The ring is deliberately *not* thread-safe: each daemon shard worker
-//! owns one and pushes into it from its own thread, and dumps travel
-//! through the shard's mailbox like any other reply. That keeps the hot
-//! path free of locks and the dump free of torn reads.
+//! The ring is deliberately *not* thread-safe: each daemon shard owns one
+//! behind the lock that already serializes the shard's operations, and
+//! pushes and dumps happen under that lock. That keeps the ring itself
+//! free of synchronization and the dump free of torn reads.
 
 use std::collections::VecDeque;
 
