@@ -9,8 +9,9 @@ pub enum LeasedError {
     Io(std::io::Error),
     /// A wire frame or snapshot payload did not parse as expected.
     Protocol(String),
-    /// A shard worker is gone (its channel closed) — the daemon is
-    /// shutting down or the worker died during restore.
+    /// A shard no longer serves: it was shut down, or its engine
+    /// panicked while serving an operation (a poisoned lock counts as a
+    /// panic).
     ShardDown(usize),
     /// The remote daemon answered an operation with an error message.
     Remote(String),

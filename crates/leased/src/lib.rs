@@ -13,8 +13,9 @@
 //!
 //! Clients speak a length-delimited wire protocol over TCP — each frame is
 //! a 4-byte little-endian payload length followed by that many bytes of
-//! JSON (see [`protocol`]): `submit`, `list-active`, `force-release`,
-//! `stats`, `metrics`, `trace-dump`, `snapshot` and `shutdown`. The
+//! JSON (see [`protocol`]): `submit`, `submit-batch`, `list-active`,
+//! `force-release`, `stats`, `retention`, `metrics`, `trace-dump`,
+//! `snapshot` and `shutdown`. The
 //! daemon is instrumented end to end (see [`metrics`]): per-shard op
 //! counters, lock-depth gauges, submit-run and latency histograms and
 //! a bounded per-shard event ring, all exposed both in-band (`metrics`,

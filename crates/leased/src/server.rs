@@ -14,7 +14,8 @@
 use crate::error::LeasedError;
 use crate::metrics::{DaemonMetrics, ShardMetrics};
 use crate::protocol::{
-    self, DaemonStats, FrameRead, Request, Response, RetentionInfo, TraceEvent, MAX_FRAME_LEN,
+    self, DaemonStats, FrameRead, Message, Request, Response, RetentionInfo, TraceEvent,
+    MAX_FRAME_LEN,
 };
 use crate::shard::{Shard, ShardReply, ShardRequest};
 use crate::shard_of;
@@ -202,6 +203,7 @@ impl Server {
         let mut reader = BufReader::with_capacity(READ_BURST_BYTES, read_half);
         let mut writer = stream;
         let mut burst: Vec<u8> = Vec::new();
+        let mut encoded = String::new();
         loop {
             let frame = match protocol::read_frame_lenient(&mut reader) {
                 Ok(frame) => frame,
@@ -217,6 +219,13 @@ impl Server {
                         Response::Error(format!(
                             "frame payload of {len} bytes exceeds the {MAX_FRAME_LEN}-byte cap"
                         )),
+                        false,
+                    )
+                }
+                FrameRead::NotUtf8 { len, reason } => {
+                    transport.bytes_read.add(len as u64 + 4);
+                    (
+                        Response::Error(format!("frame payload is not UTF-8: {reason}")),
                         false,
                     )
                 }
@@ -242,7 +251,9 @@ impl Server {
                 }
             };
             let queued_before = burst.len();
-            if protocol::queue_frame(&mut burst, &protocol::encode(&response)).is_err() {
+            encoded.clear();
+            response.write_json(&mut encoded);
+            if protocol::queue_frame(&mut burst, &encoded).is_err() {
                 return false;
             }
             transport.frames_written.inc();

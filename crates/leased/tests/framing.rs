@@ -1,11 +1,11 @@
 //! Wire-framing edge cases under pipelining, over real TCP: frames split
 //! across read boundaries, bursts of back-to-back frames in one segment,
-//! oversized frames rejected mid-pipeline without desyncing the stream,
-//! and the deterministic cross-shard split of `submit-batch` — pinned
+//! oversized, non-UTF-8 and too deeply nested frames rejected
+//! mid-pipeline without desyncing the stream, and the deterministic cross-shard split of `submit-batch` — pinned
 //! against the lockstep single-submit daemon byte-for-byte.
 
 use leased::client::Client;
-use leased::protocol::{encode, read_frame, Request, Response, MAX_FRAME_LEN};
+use leased::protocol::{decode, encode, read_frame, Request, Response, MAX_FRAME_LEN};
 use leased::server::{Server, ServerConfig};
 use leasing_core::lease::{LeaseStructure, LeaseType};
 use std::io::Write;
@@ -140,6 +140,69 @@ fn oversized_frames_are_rejected_mid_pipeline_without_desync() {
     assert!(last.contains("\"ok\":true"), "{last}");
 
     drop(stream);
+    shutdown(addr, server);
+}
+
+/// Sends `burst` in one write and decodes the first `replies` answers.
+fn replies_to(addr: SocketAddr, burst: &[u8], replies: usize) -> Vec<Response> {
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream.write_all(burst).unwrap();
+    stream.flush().unwrap();
+    (0..replies)
+        .map(|_| decode(&read_frame(&mut stream).unwrap()).unwrap())
+        .collect()
+}
+
+/// A frame whose payload is not UTF-8 draws an in-band error. The answers
+/// to the frames before it, still buffered when it arrives, are not lost,
+/// and the frame after it is served.
+#[test]
+fn non_utf8_frames_are_answered_in_band_without_losing_replies() {
+    let (addr, server) = start(&ServerConfig::new(structure()));
+    let mut burst = Vec::new();
+    burst.extend(raw_frame(&encode(&Request::Submit { tenant: 1, time: 0 })));
+    burst.extend(raw_frame(&encode(&Request::Submit { tenant: 2, time: 0 })));
+    let not_utf8 = [b'{', 0xFF, 0xFE, b'}'];
+    burst.extend(u32::try_from(not_utf8.len()).unwrap().to_le_bytes());
+    burst.extend(not_utf8);
+    burst.extend(raw_frame(&encode(&Request::Stats)));
+
+    let replies = replies_to(addr, &burst, 4);
+    assert_eq!(replies[..2], [Response::Ok, Response::Ok]);
+    assert!(
+        matches!(&replies[2], Response::Error(message) if message.contains("UTF-8")),
+        "{:?}",
+        replies[2]
+    );
+    match &replies[3] {
+        Response::Stats(stats) => assert_eq!(stats.requests(), 2),
+        other => panic!("expected stats, got {other:?}"),
+    }
+    shutdown(addr, server);
+}
+
+/// A payload nested far deeper than any request draws an in-band error
+/// instead of overflowing the connection thread's stack.
+#[test]
+fn deeply_nested_frames_are_rejected_without_crashing_the_daemon() {
+    let (addr, server) = start(&ServerConfig::new(structure()));
+    let depth = 100_000;
+    let nested = format!(
+        r#"{{"op":"stats","x":{}{}}}"#,
+        "[".repeat(depth),
+        "]".repeat(depth)
+    );
+    let mut burst = raw_frame(&nested);
+    burst.extend(raw_frame(&encode(&Request::Submit { tenant: 1, time: 0 })));
+
+    let replies = replies_to(addr, &burst, 2);
+    assert!(
+        matches!(&replies[0], Response::Error(message) if message.contains("nested")),
+        "{:?}",
+        replies[0]
+    );
+    assert_eq!(replies[1], Response::Ok);
     shutdown(addr, server);
 }
 
