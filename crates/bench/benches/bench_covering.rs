@@ -8,6 +8,7 @@
 //!   any runtime gap is pure abstraction overhead.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use leasing_bench::drive;
 use leasing_core::lease::{LeaseStructure, LeaseType};
 use leasing_core::rng::seeded;
 use leasing_workloads::set_systems::{random_system, zipf_arrivals};
@@ -55,8 +56,8 @@ fn bench_smcl_abstraction(c: &mut Criterion) {
         let inst = SmclInstance::uniform(system, lease_structure(3), arr).expect("feasible");
         group.bench_with_input(BenchmarkId::new("specialized", n), &inst, |b, inst| {
             b.iter(|| {
-                let mut alg = SmclOnline::new(inst, 11);
-                black_box(alg.run())
+                let alg = drive(SmclOnline::new(inst, 11), &inst.structure, inst.requests());
+                black_box(alg.cost())
             });
         });
         group.bench_with_input(BenchmarkId::new("generic", n), &inst, |b, inst| {

@@ -2,6 +2,7 @@
 //! randomized SCLD algorithm.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use leasing_bench::drive;
 use leasing_core::lease::{LeaseStructure, LeaseType};
 use leasing_core::rng::seeded;
 use leasing_deadlines::old::{OldInstance, OldPrimalDual};
@@ -23,8 +24,8 @@ fn bench_old(c: &mut Criterion) {
         let inst = OldInstance::new(structure(), clients).unwrap();
         group.bench_with_input(BenchmarkId::new("serve_all", horizon), &inst, |b, inst| {
             b.iter(|| {
-                let mut alg = OldPrimalDual::new(inst);
-                black_box(alg.run())
+                let alg = drive(OldPrimalDual::new(inst), &inst.structure, inst.requests());
+                black_box(alg.cost())
             })
         });
     }
@@ -49,8 +50,12 @@ fn bench_windows(c: &mut Criterion) {
         let inst = WindowInstance::new(structure(), clients).unwrap();
         group.bench_with_input(BenchmarkId::new("serve_all", horizon), &inst, |b, inst| {
             b.iter(|| {
-                let mut alg = WindowPrimalDual::new(inst);
-                black_box(alg.run())
+                let alg = drive(
+                    WindowPrimalDual::new(inst),
+                    &inst.structure,
+                    inst.requests(),
+                );
+                black_box(alg.cost())
             })
         });
     }
@@ -75,8 +80,8 @@ fn bench_scld(c: &mut Criterion) {
         let inst = ScldInstance::uniform(system, structure(), arrivals).unwrap();
         group.bench_with_input(BenchmarkId::new("randomized", n), &inst, |b, inst| {
             b.iter(|| {
-                let mut alg = ScldOnline::new(inst, 2);
-                black_box(alg.run())
+                let alg = drive(ScldOnline::new(inst, 2), &inst.structure, inst.requests());
+                black_box(alg.cost())
             })
         });
     }

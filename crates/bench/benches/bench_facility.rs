@@ -6,6 +6,7 @@ use facility_leasing::baselines::GreedyLease;
 use facility_leasing::nagarajan_williamson::NagarajanWilliamson;
 use facility_leasing::online::PrimalDualFacility;
 use facility_leasing::series::ArrivalPattern;
+use leasing_bench::drive;
 use leasing_core::lease::{LeaseStructure, LeaseType};
 use leasing_core::rng::seeded;
 use leasing_workloads::facilities::facility_instance;
@@ -25,8 +26,12 @@ fn bench_primal_dual(c: &mut Criterion) {
         let inst = facility_instance(&mut seeded(5), 4, structure(), pattern, steps, 40.0);
         group.bench_with_input(BenchmarkId::new("pd", name), &inst, |b, inst| {
             b.iter(|| {
-                let mut alg = PrimalDualFacility::new(inst);
-                black_box(alg.run())
+                let alg = drive(
+                    PrimalDualFacility::new(inst),
+                    inst.structure(),
+                    inst.requests(),
+                );
+                black_box(alg.cost())
             })
         });
         group.bench_with_input(BenchmarkId::new("greedy", name), &inst, |b, inst| {
@@ -37,8 +42,12 @@ fn bench_primal_dual(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("nw", name), &inst, |b, inst| {
             b.iter(|| {
-                let mut alg = NagarajanWilliamson::new(inst);
-                black_box(alg.run())
+                let alg = drive(
+                    NagarajanWilliamson::new(inst),
+                    inst.structure(),
+                    inst.requests(),
+                );
+                black_box(alg.cost())
             })
         });
     }

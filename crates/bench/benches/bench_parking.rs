@@ -3,13 +3,13 @@
 //! offline DPs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use leasing_bench::drive;
 use leasing_core::lease::LeaseStructure;
 use leasing_core::rng::seeded;
 use leasing_workloads::rainy_days;
 use parking_permit::det::DeterministicPrimalDual;
 use parking_permit::offline;
 use parking_permit::rand_alg::RandomizedPermit;
-use parking_permit::PermitOnline;
 use std::hint::black_box;
 
 fn structure() -> LeaseStructure {
@@ -26,22 +26,16 @@ fn bench_online(c: &mut Criterion) {
             &days,
             |b, days| {
                 b.iter(|| {
-                    let mut alg = DeterministicPrimalDual::new(s.clone());
-                    for &d in days {
-                        alg.serve_demand(d);
-                    }
-                    black_box(alg.total_cost())
+                    let alg = DeterministicPrimalDual::new(s.clone());
+                    black_box(drive(alg, &s, days.iter().map(|&d| (d, ()))).cost())
                 })
             },
         );
         group.bench_with_input(BenchmarkId::new("randomized", horizon), &days, |b, days| {
             b.iter(|| {
                 let mut rng = seeded(7);
-                let mut alg = RandomizedPermit::new(s.clone(), &mut rng);
-                for &d in days {
-                    alg.serve_demand(d);
-                }
-                black_box(alg.total_cost())
+                let alg = RandomizedPermit::new(s.clone(), &mut rng);
+                black_box(drive(alg, &s, days.iter().map(|&d| (d, ()))).cost())
             })
         });
     }

@@ -2,6 +2,7 @@
 //! randomized online algorithm and the density-greedy offline baseline.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use leasing_bench::drive;
 use leasing_core::lease::{LeaseStructure, LeaseType};
 use leasing_core::rng::seeded;
 use leasing_workloads::set_systems::{random_system, zipf_arrivals};
@@ -27,8 +28,8 @@ fn bench_online(c: &mut Criterion) {
         let inst = make_instance(n);
         group.bench_with_input(BenchmarkId::new("randomized", n), &inst, |b, inst| {
             b.iter(|| {
-                let mut alg = SmclOnline::new(inst, 9);
-                black_box(alg.run())
+                let alg = drive(SmclOnline::new(inst, 9), &inst.structure, inst.requests());
+                black_box(alg.cost())
             })
         });
     }

@@ -2,6 +2,7 @@
 //! the network and request stream grow.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use leasing_bench::drive;
 use leasing_core::lease::LeaseStructure;
 use leasing_core::rng::seeded;
 use leasing_graph::generators::connected_erdos_renyi;
@@ -37,8 +38,12 @@ fn bench_steiner_online(c: &mut Criterion) {
             &inst,
             |b, inst| {
                 b.iter(|| {
-                    let mut alg = SteinerLeasingOnline::new(inst);
-                    black_box(alg.run())
+                    let alg = drive(
+                        SteinerLeasingOnline::new(inst),
+                        &inst.structure,
+                        inst.requests(),
+                    );
+                    black_box(alg.cost())
                 });
             },
         );

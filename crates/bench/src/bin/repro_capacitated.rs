@@ -12,7 +12,7 @@ use capacitated_facility::online::{CapacitatedGreedy, LeaseChoice};
 use capacitated_facility::scheduling::{to_capacitated, JobBatch, Machine};
 use facility_leasing::instance::FacilityInstance;
 use facility_leasing::metric::Point;
-use leasing_bench::table;
+use leasing_bench::{drive, table};
 use leasing_core::lease::LeaseStructure;
 use leasing_core::rng::seeded;
 use rand::RngExt;
@@ -53,7 +53,12 @@ fn main() {
             continue;
         };
         let opt = offline::optimal_cost(&inst, 500_000).unwrap_or(f64::NAN);
-        let greedy = CapacitatedGreedy::new(&inst, LeaseChoice::CheapestTotal).run();
+        let greedy = drive(
+            CapacitatedGreedy::new(&inst, LeaseChoice::CheapestTotal),
+            inst.base.structure(),
+            inst.base.requests(),
+        )
+        .cost();
         table::row(
             &[
                 table::i(cap),
@@ -82,8 +87,18 @@ fn main() {
             let base =
                 FacilityInstance::euclidean(sites, structure.clone(), point_batches).unwrap();
             let inst = CapacitatedInstance::uniform(base, 1).unwrap();
-            cheap_sum += CapacitatedGreedy::new(&inst, LeaseChoice::CheapestTotal).run();
-            rate_sum += CapacitatedGreedy::new(&inst, LeaseChoice::BestRate).run();
+            cheap_sum += drive(
+                CapacitatedGreedy::new(&inst, LeaseChoice::CheapestTotal),
+                inst.base.structure(),
+                inst.base.requests(),
+            )
+            .cost();
+            rate_sum += drive(
+                CapacitatedGreedy::new(&inst, LeaseChoice::BestRate),
+                inst.base.structure(),
+                inst.base.requests(),
+            )
+            .cost();
         }
         let winner = if rate_sum < cheap_sum {
             "best-rate"
@@ -126,7 +141,12 @@ fn main() {
     }
     let inst = to_capacitated(&machines, structure.clone(), &jobs).unwrap();
     let opt = offline::optimal_cost(&inst, 500_000).unwrap_or(f64::NAN);
-    let greedy = CapacitatedGreedy::new(&inst, LeaseChoice::CheapestTotal).run();
+    let greedy = drive(
+        CapacitatedGreedy::new(&inst, LeaseChoice::CheapestTotal),
+        inst.base.structure(),
+        inst.base.requests(),
+    )
+    .cost();
     table::header(&["jobs", "opt", "greedy", "ratio"], 10);
     table::row(
         &[

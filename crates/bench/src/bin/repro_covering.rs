@@ -15,7 +15,7 @@
 //!   engine re-derives Algorithm 1 (Theorem 2.7) and the §5.3 OLD
 //!   algorithm, again bit-exactly.
 
-use leasing_bench::table;
+use leasing_bench::{drive, table};
 use leasing_core::engine::Driver;
 use leasing_core::lease::{LeaseStructure, LeaseType};
 use leasing_core::rng::seeded;
@@ -27,8 +27,8 @@ use online_covering::{
     GenericDeterministicPermit, GenericOld, GenericParkingPermit, GenericScld, GenericSmcl,
 };
 use parking_permit::det::DeterministicPrimalDual;
+use parking_permit::offline;
 use parking_permit::rand_alg::RandomizedPermit;
-use parking_permit::{offline, PermitOnline};
 use rand::RngExt;
 use set_cover_leasing::instance::SmclInstance;
 use set_cover_leasing::offline as sc_offline;
@@ -72,7 +72,7 @@ fn main() {
             for &t in &days {
                 gen.serve_demand(t);
             }
-            let (a, b) = (spec.cost(), PermitOnline::total_cost(&gen));
+            let (a, b) = (spec.cost(), gen.total_cost());
             all_equal &= a.to_bits() == b.to_bits();
             spec_total += a;
             gen_total += b;
@@ -98,9 +98,13 @@ fn main() {
             let system = random_system(&mut rng, 24, 12, 4);
             let arr = zipf_arrivals(&mut rng, &system, 24, 64, 1.1, 2);
             let inst = SmclInstance::uniform(system, lease_structure(2), arr).expect("feasible");
-            let mut spec = SmclOnline::new(&inst, seed);
+            let spec = drive(
+                SmclOnline::new(&inst, seed),
+                &inst.structure,
+                inst.requests(),
+            );
             let mut gen = GenericSmcl::new(&inst, seed);
-            let (a, b) = (spec.run(), gen.run());
+            let (a, b) = (spec.cost(), gen.run());
             all_equal &= a.to_bits() == b.to_bits();
             spec_total += a;
             gen_total += b;
@@ -134,9 +138,13 @@ fn main() {
             }
             let inst =
                 ScldInstance::uniform(system, lease_structure(2), arrivals).expect("feasible");
-            let mut spec = ScldOnline::new(&inst, seed);
+            let spec = drive(
+                ScldOnline::new(&inst, seed),
+                &inst.structure,
+                inst.requests(),
+            );
             let mut gen = GenericScld::new(&inst, seed);
-            let (a, b) = (spec.run(), gen.run());
+            let (a, b) = (spec.cost(), gen.run());
             all_equal &= a.to_bits() == b.to_bits();
             spec_total += a;
             gen_total += b;
@@ -168,7 +176,7 @@ fn main() {
             for &t in &days {
                 gen.serve_demand(t);
             }
-            let (a, b) = (spec.cost(), PermitOnline::total_cost(&gen));
+            let (a, b) = (spec.cost(), gen.total_cost());
             all_equal &= a.to_bits() == b.to_bits();
             spec_total += a;
             gen_total += b;
@@ -198,9 +206,9 @@ fn main() {
                 })
                 .collect();
             let inst = OldInstance::new(s.clone(), clients).expect("sorted clients");
-            let mut spec = OldPrimalDual::new(&inst);
+            let spec = drive(OldPrimalDual::new(&inst), &inst.structure, inst.requests());
             let mut gen = GenericOld::new(&inst);
-            let (a, b) = (spec.run(), gen.run());
+            let (a, b) = (spec.cost(), gen.run());
             all_equal &= a.to_bits() == b.to_bits();
             spec_total += a;
             gen_total += b;
@@ -237,7 +245,7 @@ fn main() {
             for &t in &days {
                 alg.serve_demand(t);
             }
-            let cost = PermitOnline::total_cost(&alg);
+            let cost = alg.total_cost();
             let cert = alg.certificate();
             true_ratio += cost / opt;
             certified_ratio += cost / cert.lower_bound.max(1e-12);

@@ -7,7 +7,7 @@
 //! * E13 (Theorem 5.7): SCLD ratio sweeps, with the Step-2 ablation showing
 //!   the mirror purchase is what makes intersecting clients free.
 
-use leasing_bench::table;
+use leasing_bench::{drive, table};
 use leasing_core::harness::RatioStats;
 use leasing_core::lease::{LeaseStructure, LeaseType};
 use leasing_core::rng::seeded;
@@ -45,8 +45,8 @@ fn main() {
             if opt <= 0.0 {
                 continue;
             }
-            let mut alg = OldPrimalDual::new(&inst);
-            stats.push(alg.run() / opt);
+            let alg = drive(OldPrimalDual::new(&inst), &inst.structure, inst.requests());
+            stats.push(alg.cost() / opt);
         }
         table::row(
             &[
@@ -79,8 +79,8 @@ fn main() {
             if opt <= 0.0 {
                 continue;
             }
-            let mut alg = OldPrimalDual::new(&inst);
-            stats.push(alg.run() / opt);
+            let alg = drive(OldPrimalDual::new(&inst), &inst.structure, inst.requests());
+            stats.push(alg.cost() / opt);
         }
         let ratio_ref = 2.0 + d_max as f64 / s.l_min() as f64;
         table::row(
@@ -100,8 +100,8 @@ fn main() {
     for d_max in [8u64, 16, 32, 64, 128] {
         let l_min = 2;
         let inst = tight_example(d_max, l_min, 0.01);
-        let mut alg = OldPrimalDual::new(&inst);
-        let cost = alg.run();
+        let alg = drive(OldPrimalDual::new(&inst), &inst.structure, inst.requests());
+        let cost = alg.cost();
         let opt = tight_example_optimum(0.01);
         table::row(
             &[
@@ -147,8 +147,12 @@ fn main() {
             if opt <= 0.0 {
                 continue;
             }
-            let mut alg = ScldOnline::new(&inst, SEED + t);
-            stats.push(alg.run() / opt);
+            let alg = drive(
+                ScldOnline::new(&inst, SEED + t),
+                &inst.structure,
+                inst.requests(),
+            );
+            stats.push(alg.cost() / opt);
         }
         let l_max = s.l_max();
         let reference = ((15.0 * (k as f64 + d_max as f64 / s.l_min() as f64)) + 1.0).log2()

@@ -10,7 +10,7 @@ use facility_leasing::baselines::GreedyLease;
 use facility_leasing::offline;
 use facility_leasing::online::PrimalDualFacility;
 use facility_leasing::series::{h_series, harmonic, ArrivalPattern};
-use leasing_bench::table;
+use leasing_bench::{drive, table};
 use leasing_core::harness::RatioStats;
 use leasing_core::lease::{LeaseStructure, LeaseType};
 use leasing_core::rng::seeded;
@@ -80,8 +80,12 @@ fn main() {
             if opt <= 0.0 {
                 continue;
             }
-            let mut alg = PrimalDualFacility::new(&inst);
-            pd_stats.push(alg.run() / opt);
+            let alg = drive(
+                PrimalDualFacility::new(&inst),
+                inst.structure(),
+                inst.requests(),
+            );
+            pd_stats.push(alg.cost() / opt);
             let mut greedy = GreedyLease::new(&inst);
             greedy_stats.push(greedy.run() / opt);
         }
@@ -122,8 +126,12 @@ fn main() {
             if opt <= 0.0 {
                 continue;
             }
-            let mut alg = PrimalDualFacility::new(&inst);
-            pd_stats.push(alg.run() / opt);
+            let alg = drive(
+                PrimalDualFacility::new(&inst),
+                inst.structure(),
+                inst.requests(),
+            );
+            pd_stats.push(alg.cost() / opt);
         }
         table::row(
             &[

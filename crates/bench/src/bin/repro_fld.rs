@@ -24,7 +24,7 @@
 use facility_leasing::fld::{self, FldInstance};
 use facility_leasing::online::PrimalDualFacility;
 use facility_leasing::series::ArrivalPattern;
-use leasing_bench::table;
+use leasing_bench::{drive, table};
 use leasing_core::harness::RatioStats;
 use leasing_core::lease::{LeaseStructure, LeaseType};
 use leasing_core::rng::seeded;
@@ -95,11 +95,35 @@ fn main() {
                 continue;
             }
             opt_rel.push(opt / rigid_opts[t]);
-            arrive_stats.push(PrimalDualFacility::new(inst.base()).run() / opt);
+            arrive_stats.push(
+                drive(
+                    PrimalDualFacility::new(inst.base()),
+                    inst.base().structure(),
+                    inst.base().requests(),
+                )
+                .cost()
+                    / opt,
+            );
             let by_deadline = inst.defer_to_deadline().expect("valid regrouping");
-            deadline_stats.push(PrimalDualFacility::new(&by_deadline).run() / opt);
+            deadline_stats.push(
+                drive(
+                    PrimalDualFacility::new(&by_deadline),
+                    by_deadline.structure(),
+                    by_deadline.requests(),
+                )
+                .cost()
+                    / opt,
+            );
             let by_aligned = inst.defer_to_aligned().expect("valid regrouping");
-            aligned_stats.push(PrimalDualFacility::new(&by_aligned).run() / opt);
+            aligned_stats.push(
+                drive(
+                    PrimalDualFacility::new(&by_aligned),
+                    by_aligned.structure(),
+                    by_aligned.requests(),
+                )
+                .cost()
+                    / opt,
+            );
         }
         table::row(
             &[
@@ -136,11 +160,29 @@ fn main() {
         let opt = fld::optimal_cost(&inst, 200_000)
             .or_else(|_| fld::lp_lower_bound(&inst))
             .expect("covering relaxation is solvable");
-        let arrive = PrimalDualFacility::new(inst.base()).run() / opt;
+        let arrive = drive(
+            PrimalDualFacility::new(inst.base()),
+            inst.base().structure(),
+            inst.base().requests(),
+        )
+        .cost()
+            / opt;
         let by_deadline = inst.defer_to_deadline().expect("valid regrouping");
-        let deadline = PrimalDualFacility::new(&by_deadline).run() / opt;
+        let deadline = drive(
+            PrimalDualFacility::new(&by_deadline),
+            by_deadline.structure(),
+            by_deadline.requests(),
+        )
+        .cost()
+            / opt;
         let by_aligned = inst.defer_to_aligned().expect("valid regrouping");
-        let aligned = PrimalDualFacility::new(&by_aligned).run() / opt;
+        let aligned = drive(
+            PrimalDualFacility::new(&by_aligned),
+            by_aligned.structure(),
+            by_aligned.requests(),
+        )
+        .cost()
+            / opt;
         table::row(
             &[
                 table::i(span),

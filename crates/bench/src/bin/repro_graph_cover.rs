@@ -7,7 +7,7 @@ use graph_cover_leasing::reduction::{
     dominating_set_instance, edge_cover_instance, vertex_cover_instance,
 };
 use graph_cover_leasing::vertex_cover::{VcLeasingInstance, VcPrimalDual};
-use leasing_bench::table;
+use leasing_bench::{drive, table};
 use leasing_core::harness::RatioStats;
 use leasing_core::lease::LeaseStructure;
 use leasing_core::rng::seeded;
@@ -36,9 +36,14 @@ fn main() {
                 continue;
             };
             let vc = VcLeasingInstance::unweighted(g, structure.clone(), arrivals).unwrap();
-            let direct = VcPrimalDual::new(&vc).run();
+            let direct = drive(VcPrimalDual::new(&vc), &vc.structure, vc.requests()).cost();
             direct_stats.push(direct / opt);
-            let randomized = SmclOnline::new(&reduced, SEED ^ trial).run();
+            let randomized = drive(
+                SmclOnline::new(&reduced, SEED ^ trial),
+                &reduced.structure,
+                reduced.requests(),
+            )
+            .cost();
             rand_stats.push(randomized / opt);
         }
         table::row(
@@ -62,7 +67,7 @@ fn main() {
     let v_arrivals = item_arrivals(&mut rng, g.num_nodes(), 6, 3);
     let ec = edge_cover_instance(&g, structure.clone(), &v_arrivals, true).unwrap();
     let ec_opt = offline::optimal_cost(&ec, 400_000).unwrap_or(f64::NAN);
-    let ec_online = SmclOnline::new(&ec, SEED).run();
+    let ec_online = drive(SmclOnline::new(&ec, SEED), &ec.structure, ec.requests()).cost();
     table::row(
         &[
             "edge-cover".into(),
@@ -80,7 +85,7 @@ fn main() {
         .collect();
     let ds = dominating_set_instance(&g, structure.clone(), &ds_arrivals).unwrap();
     let ds_opt = offline::optimal_cost(&ds, 400_000).unwrap_or(f64::NAN);
-    let ds_online = SmclOnline::new(&ds, SEED + 1).run();
+    let ds_online = drive(SmclOnline::new(&ds, SEED + 1), &ds.structure, ds.requests()).cost();
     table::row(
         &[
             "dom-set".into(),

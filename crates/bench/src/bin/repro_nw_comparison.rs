@@ -21,7 +21,7 @@ use facility_leasing::nagarajan_williamson::NagarajanWilliamson;
 use facility_leasing::offline;
 use facility_leasing::online::PrimalDualFacility;
 use facility_leasing::series::{h_lmax_rounds, h_series, ArrivalPattern};
-use leasing_bench::table;
+use leasing_bench::{drive, table};
 use leasing_core::harness::RatioStats;
 use leasing_core::lease::{LeaseStructure, LeaseType};
 use leasing_core::rng::seeded;
@@ -83,8 +83,24 @@ fn main() {
             if opt <= 0.0 {
                 continue;
             }
-            thesis.push(PrimalDualFacility::new(&inst).run() / opt);
-            nw.push(NagarajanWilliamson::new(&inst).run() / opt);
+            thesis.push(
+                drive(
+                    PrimalDualFacility::new(&inst),
+                    inst.structure(),
+                    inst.requests(),
+                )
+                .cost()
+                    / opt,
+            );
+            nw.push(
+                drive(
+                    NagarajanWilliamson::new(&inst),
+                    inst.structure(),
+                    inst.requests(),
+                )
+                .cost()
+                    / opt,
+            );
             greedy.push(GreedyLease::new(&inst).run() / opt);
         }
         table::row(
@@ -125,8 +141,24 @@ fn main() {
             if opt <= 0.0 {
                 continue;
             }
-            thesis.push(PrimalDualFacility::new(&inst).run() / opt);
-            nw.push(NagarajanWilliamson::new(&inst).run() / opt);
+            thesis.push(
+                drive(
+                    PrimalDualFacility::new(&inst),
+                    inst.structure(),
+                    inst.requests(),
+                )
+                .cost()
+                    / opt,
+            );
+            nw.push(
+                drive(
+                    NagarajanWilliamson::new(&inst),
+                    inst.structure(),
+                    inst.requests(),
+                )
+                .cost()
+                    / opt,
+            );
             greedy.push(GreedyLease::new(&inst).run() / opt);
         }
         table::row(
@@ -166,8 +198,24 @@ fn main() {
             if opt <= 0.0 {
                 continue;
             }
-            thesis.push(PrimalDualFacility::new(&inst).run() / opt);
-            nw.push(NagarajanWilliamson::new(&inst).run() / opt);
+            thesis.push(
+                drive(
+                    PrimalDualFacility::new(&inst),
+                    inst.structure(),
+                    inst.requests(),
+                )
+                .cost()
+                    / opt,
+            );
+            nw.push(
+                drive(
+                    NagarajanWilliamson::new(&inst),
+                    inst.structure(),
+                    inst.requests(),
+                )
+                .cost()
+                    / opt,
+            );
         }
         table::row(
             &[

@@ -14,7 +14,7 @@ use facility_leasing::offline;
 use facility_leasing::offline_primal_dual::{self, is_feasible};
 use facility_leasing::online::PrimalDualFacility;
 use facility_leasing::series::ArrivalPattern;
-use leasing_bench::table;
+use leasing_bench::{drive, table};
 use leasing_core::lease::{LeaseStructure, LeaseType};
 use leasing_core::rng::seeded;
 use leasing_workloads::facilities::facility_instance;
@@ -88,8 +88,12 @@ fn main() {
             let mut rng = seeded(SEED ^ (t * 1009 + name.len() as u64));
             let inst = facility_instance(&mut rng, 4, structure(), pattern, 8, 20.0);
             off += offline_primal_dual::solve(&inst).total_cost();
-            let mut alg = PrimalDualFacility::new(&inst);
-            on += alg.run();
+            let alg = drive(
+                PrimalDualFacility::new(&inst),
+                inst.structure(),
+                inst.requests(),
+            );
+            on += alg.cost();
         }
         table::row(
             &[

@@ -6,7 +6,7 @@
 //! * E21b: weighted first-fit vs the copy-expanded ILP as capacity
 //!   tightens.
 
-use leasing_bench::table;
+use leasing_bench::{drive, table};
 use leasing_core::harness::RatioStats;
 use leasing_core::lease::LeaseStructure;
 use leasing_core::rng::seeded;
@@ -50,7 +50,7 @@ fn main() {
             let Some(opt) = multi_day::optimal_cost(&inst, 400_000) else {
                 continue;
             };
-            let online = MultiDayOnline::new(&inst).run();
+            let online = drive(MultiDayOnline::new(&inst), &inst.structure, inst.requests()).cost();
             stats.push(online / opt);
             opt_sum += opt;
             onl_sum += online;
@@ -95,8 +95,18 @@ fn main() {
             let Some(opt) = leasing_deadlines::capacitated::optimal_cost(&inst, 3, 400_000) else {
                 continue;
             };
-            let cheap = FirstFitOnline::new(&inst).run(BuyRule::Cheapest);
-            let rate = FirstFitOnline::new(&inst).run(BuyRule::BestRate);
+            let cheap = drive(
+                FirstFitOnline::new(&inst),
+                &inst.structure,
+                inst.requests(BuyRule::Cheapest),
+            )
+            .cost();
+            let rate = drive(
+                FirstFitOnline::new(&inst),
+                &inst.structure,
+                inst.requests(BuyRule::BestRate),
+            )
+            .cost();
             opt_sum += opt;
             cheap_sum += cheap;
             rate_sum += rate;

@@ -41,11 +41,11 @@ fn main() {
         let s = LeaseStructure::meyerson_adversarial(k);
         // Adaptive adversary (E2) — inherently interactive, so it drives
         // the algorithm demand by demand.
-        let mut det_alg = DeterministicPrimalDual::new(s.clone());
+        let mut det_alg = Driver::new(DeterministicPrimalDual::new(s.clone()), s.clone());
         let horizon = s.l_max().min(1 << 14);
         let demands = run_adaptive_adversary(&mut det_alg, horizon);
         let opt = offline::optimal_cost_interval_model(&s, &demands);
-        let adv_ratio = det_alg.total_cost() / opt;
+        let adv_ratio = det_alg.cost() / opt;
 
         // Random instances (E1): one SimLab cell per seed.
         let config = MatrixConfig {

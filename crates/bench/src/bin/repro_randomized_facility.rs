@@ -12,7 +12,7 @@ use facility_leasing::metric::Point;
 use facility_leasing::offline;
 use facility_leasing::online::PrimalDualFacility;
 use facility_leasing::randomized::RandomizedFacility;
-use leasing_bench::table;
+use leasing_bench::{drive, table};
 use leasing_core::harness::RatioStats;
 use leasing_core::lease::LeaseStructure;
 use leasing_core::rng::seeded;
@@ -57,12 +57,22 @@ fn main() {
             let Some(opt) = offline::optimal_cost(&inst, 400_000) else {
                 continue;
             };
-            let det = PrimalDualFacility::new(&inst).run();
+            let det = drive(
+                PrimalDualFacility::new(&inst),
+                inst.structure(),
+                inst.requests(),
+            )
+            .cost();
             det_stats.push(det / opt);
             // Average the randomized algorithm over 5 seeds per instance.
             let mut sum = 0.0;
             for s in 0..5u64 {
-                sum += RandomizedFacility::new(&inst, &mut seeded(SEED ^ (trial * 5 + s))).run();
+                sum += drive(
+                    RandomizedFacility::new(&inst, &mut seeded(SEED ^ (trial * 5 + s))),
+                    inst.structure(),
+                    inst.requests(),
+                )
+                .cost();
             }
             rnd_stats.push(sum / 5.0 / opt);
         }
@@ -88,8 +98,18 @@ fn main() {
         for trial in 0..5u64 {
             let mut rng = seeded(SEED * 3 + 1000 * k as u64 + trial);
             let inst = random_instance(&mut rng, &structure, 5, 24);
-            det_sum += PrimalDualFacility::new(&inst).run();
-            rnd_sum += RandomizedFacility::new(&inst, &mut seeded(SEED + trial)).run();
+            det_sum += drive(
+                PrimalDualFacility::new(&inst),
+                inst.structure(),
+                inst.requests(),
+            )
+            .cost();
+            rnd_sum += drive(
+                RandomizedFacility::new(&inst, &mut seeded(SEED + trial)),
+                inst.structure(),
+                inst.requests(),
+            )
+            .cost();
         }
         table::row(
             &[

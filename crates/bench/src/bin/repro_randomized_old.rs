@@ -20,7 +20,7 @@
 //!   algorithm — the `O(log K)` result needs the specialised rounding, not
 //!   just any randomization.
 
-use leasing_bench::table;
+use leasing_bench::{drive, table};
 use leasing_core::harness::RatioStats;
 use leasing_core::lease::LeaseStructure;
 use leasing_core::rng::seeded;
@@ -44,7 +44,7 @@ fn main() {
         let d_max = 2 * ratio;
         let inst = tight_example(d_max, 2, 0.01);
         let opt = tight_example_optimum(0.01);
-        let det = OldPrimalDual::new(&inst).run() / opt;
+        let det = drive(OldPrimalDual::new(&inst), &inst.structure, inst.requests()).cost() / opt;
         let mut rand_stats = RatioStats::new();
         for s in 0..RAND_RUNS {
             rand_stats.push(randomized_old(&inst, SEED + s).cost / opt);
@@ -94,14 +94,15 @@ fn main() {
             if opt <= 0.0 {
                 continue;
             }
-            det_stats.push(OldPrimalDual::new(&inst).run() / opt);
+            det_stats.push(
+                drive(OldPrimalDual::new(&inst), &inst.structure, inst.requests()).cost() / opt,
+            );
             let permit_inst = PermitInstance::new(structure.clone(), days.clone());
             for s in 0..4u64 {
                 rand_stats.push(randomized_old(&inst, SEED + 977 * t + s).cost / opt);
-                let mut mey =
-                    RandomizedPermit::new(structure.clone(), &mut seeded(SEED + 57 * t + s));
-                permit_inst.run(&mut mey);
-                meyerson_stats.push(mey.total_cost() / opt);
+                let mey = RandomizedPermit::new(structure.clone(), &mut seeded(SEED + 57 * t + s));
+                let mey = drive(mey, &structure, permit_inst.requests());
+                meyerson_stats.push(mey.cost() / opt);
             }
         }
         table::row(

@@ -8,10 +8,10 @@
 //!   ablated against the plain `2⌈log(n+1)⌉` thresholds.
 //! * E8 (Lemma 3.1): the fractional cost stays within `O(log(δK))·Opt`.
 
-use leasing_bench::table;
+use leasing_bench::{drive, table};
 use leasing_core::harness::RatioStats;
 use leasing_core::lease::{LeaseStructure, LeaseType};
-use leasing_core::rng::seeded;
+use leasing_core::rng::{seeded, threshold_count};
 use leasing_workloads::set_systems::{random_system, zipf_arrivals};
 use set_cover_leasing::instance::SmclInstance;
 use set_cover_leasing::offline;
@@ -52,10 +52,14 @@ fn measure(
         if opt <= 0.0 {
             continue;
         }
-        let mut alg = SmclOnline::new(&inst, SEED + t);
-        let cost = alg.run();
+        let alg = drive(
+            SmclOnline::new(&inst, SEED + t),
+            &inst.structure,
+            inst.requests(),
+        );
+        let cost = alg.cost();
         stats.push(cost / opt);
-        frac_ratio += alg.stats().fractional_cost / opt;
+        frac_ratio += alg.algorithm().stats().fractional_cost / opt;
         count += 1.0;
     }
     let mean_frac = if count > 0.0 {
@@ -136,8 +140,12 @@ fn main() {
             if opt <= 0.0 {
                 continue;
             }
-            let mut alg = SmclOnline::new(&inst, SEED + t);
-            stats.push(alg.run() / opt);
+            let alg = drive(
+                SmclOnline::new(&inst, SEED + t),
+                &inst.structure,
+                inst.requests(),
+            );
+            stats.push(alg.cost() / opt);
         }
         let reference = (4f64 + 1.0).log2() * ((n as f64) + 1.0).log2();
         table::row(
@@ -178,25 +186,26 @@ fn main() {
             if opt <= 0.0 {
                 continue;
             }
-            let mut alg = RepetitionsOnline::new(&inst, SEED + t);
-            paper_stats.push(alg.run() / opt);
-            // Plain-threshold ablation uses the raw SMCL machinery
-            // (q = 2⌈log(n+1)⌉) with persistent exclusions emulated by
-            // multiplicity aggregation.
-            let mut plain = SmclOnline::new(&inst, SEED + t);
-            let mut cost = 0.0;
-            {
-                use std::collections::{HashMap, HashSet};
-                let mut used: HashMap<usize, HashSet<usize>> = HashMap::new();
-                for a in &inst.arrivals {
-                    let excluded = used.entry(a.element).or_default().clone();
-                    let s = plain.cover_once(a.time, a.element, &excluded);
-                    used.entry(a.element).or_default().insert(s);
-                }
-                cost += plain.total_cost();
-                fallbacks += plain.stats().fallbacks;
-                arrivals_total += inst.arrivals.len();
-            }
+            // Each arrival of an element must use a set none of its earlier
+            // arrivals used.
+            let arrivals = || inst.requests().map(|(time, (element, _))| (time, element));
+            let alg = drive(
+                RepetitionsOnline::new(&inst, SEED + t),
+                &inst.structure,
+                arrivals(),
+            );
+            paper_stats.push(alg.cost() / opt);
+            // Plain-threshold ablation: the same repetition rule with the raw
+            // SMCL threshold count q = 2⌈log(n+1)⌉.
+            let q = threshold_count(inst.system.num_elements() as u64);
+            let plain = drive(
+                RepetitionsOnline::with_threshold_count(&inst, SEED + t, q),
+                &inst.structure,
+                arrivals(),
+            );
+            let cost = plain.cost();
+            fallbacks += plain.algorithm().stats().fallbacks;
+            arrivals_total += inst.arrivals.len();
             plain_stats.push(cost / opt);
         }
         let fb = 100.0 * fallbacks as f64 / arrivals_total.max(1) as f64;

@@ -7,7 +7,7 @@
 //! route-then-lease offline heuristic on larger ones, and show the naive
 //! per-request baseline degrading with demand repetition.
 
-use leasing_bench::table;
+use leasing_bench::{drive, table};
 use leasing_core::harness::RatioStats;
 use leasing_core::lease::LeaseStructure;
 use leasing_core::rng::seeded;
@@ -36,9 +36,19 @@ fn main() {
         let Ok(opt) = steiner_optimal_cost(&inst, 300, 400_000) else {
             continue;
         };
-        let det = SteinerLeasingOnline::new(&inst).run();
+        let det = drive(
+            SteinerLeasingOnline::new(&inst),
+            &inst.structure,
+            inst.requests(),
+        )
+        .cost();
         let mut rng2 = seeded(SEED ^ trial);
-        let rnd = RandomizedSteinerLeasing::new(&inst, &mut rng2).run();
+        let rnd = drive(
+            RandomizedSteinerLeasing::new(&inst, &mut rng2),
+            &inst.structure,
+            inst.requests(),
+        )
+        .cost();
         let off = route_then_lease(&inst).cost;
         det_stats.push(det / opt);
         rand_stats.push(rnd / opt);
@@ -73,7 +83,12 @@ fn main() {
             let g = connected_erdos_renyi(&mut rng, 12, 0.3, 1.0..3.0);
             let requests = steiner_requests(&mut rng, 12, 30, bias, 3);
             let inst = SteinerInstance::new(g, structure.clone(), requests).unwrap();
-            online_sum += SteinerLeasingOnline::new(&inst).run();
+            online_sum += drive(
+                SteinerLeasingOnline::new(&inst),
+                &inst.structure,
+                inst.requests(),
+            )
+            .cost();
             offline_sum += route_then_lease(&inst).cost;
             naive_sum += buy_per_request(&inst).cost;
         }
@@ -98,7 +113,12 @@ fn main() {
             let g = connected_erdos_renyi(&mut rng, n, 0.3, 1.0..3.0);
             let requests = steiner_requests(&mut rng, n, 40, 0.5, 3);
             let inst = SteinerInstance::new(g, structure.clone(), requests).unwrap();
-            let online = SteinerLeasingOnline::new(&inst).run();
+            let online = drive(
+                SteinerLeasingOnline::new(&inst),
+                &inst.structure,
+                inst.requests(),
+            )
+            .cost();
             let offline = route_then_lease(&inst).cost;
             stats.push(online / offline);
         }

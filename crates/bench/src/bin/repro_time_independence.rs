@@ -12,7 +12,7 @@
 //! buys more and more redundant leases per candidate while the Chapter 5
 //! variant stays put.
 
-use leasing_bench::table;
+use leasing_bench::{drive, table};
 use leasing_core::harness::RatioStats;
 use leasing_core::lease::{LeaseStructure, LeaseType};
 use leasing_core::rng::seeded;
@@ -68,10 +68,18 @@ fn main() {
                 continue;
             }
             q3 = leasing_core::rng::threshold_count(n as u64);
-            let mut a3 = SmclOnline::new(&smcl, SEED + t);
-            ch3.push(a3.run() / opt);
-            let mut a5 = ScldOnline::new(&scld, SEED + t);
-            ch5.push(a5.run() / opt);
+            let a3 = drive(
+                SmclOnline::new(&smcl, SEED + t),
+                &smcl.structure,
+                smcl.requests(),
+            );
+            ch3.push(a3.cost() / opt);
+            let a5 = drive(
+                ScldOnline::new(&scld, SEED + t),
+                &scld.structure,
+                scld.requests(),
+            );
+            ch5.push(a5.cost() / opt);
         }
         table::row(
             &[

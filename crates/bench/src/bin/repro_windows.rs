@@ -16,7 +16,7 @@
 //! * E24c — **periodic clients** ("any Tuesday for the next few weeks"):
 //!   the period sweep varies candidate overlap between clients.
 
-use leasing_bench::table;
+use leasing_bench::{drive, table};
 use leasing_core::harness::RatioStats;
 use leasing_core::lease::{LeaseStructure, LeaseType};
 use leasing_core::rng::seeded;
@@ -63,9 +63,13 @@ fn main() {
             if opt <= 0.0 {
                 continue;
             }
-            let mut alg = WindowPrimalDual::new(&inst);
-            let cost = alg.run();
-            assert!(is_feasible(&inst, alg.purchases()));
+            let alg = drive(
+                WindowPrimalDual::new(&inst),
+                &inst.structure,
+                inst.requests(),
+            );
+            let cost = alg.cost();
+            assert!(is_feasible(&inst, alg.algorithm().purchases()));
             stats.push(cost / opt);
         }
         table::row(
@@ -116,8 +120,24 @@ fn main() {
             if w_opt <= 0.0 {
                 continue;
             }
-            w_stats.push(WindowPrimalDual::new(&w_inst).run() / w_opt);
-            o_stats.push(OldPrimalDual::new(&o_inst).run() / o_opt);
+            w_stats.push(
+                drive(
+                    WindowPrimalDual::new(&w_inst),
+                    &w_inst.structure,
+                    w_inst.requests(),
+                )
+                .cost()
+                    / w_opt,
+            );
+            o_stats.push(
+                drive(
+                    OldPrimalDual::new(&o_inst),
+                    &o_inst.structure,
+                    o_inst.requests(),
+                )
+                .cost()
+                    / o_opt,
+            );
         }
         table::row(
             &[
@@ -150,11 +170,15 @@ fn main() {
             if opt <= 0.0 {
                 continue;
             }
-            let mut alg = WindowPrimalDual::new(&inst);
-            let cost = alg.run();
-            assert!(is_feasible(&inst, alg.purchases()));
+            let alg = drive(
+                WindowPrimalDual::new(&inst),
+                &inst.structure,
+                inst.requests(),
+            );
+            let cost = alg.cost();
+            assert!(is_feasible(&inst, alg.algorithm().purchases()));
             stats.push(cost / opt);
-            dual_stats.push(alg.dual_value() / opt);
+            dual_stats.push(alg.algorithm().dual_value() / opt);
         }
         table::row(
             &[

@@ -24,6 +24,7 @@
 //! use capacitated_facility::online::{CapacitatedGreedy, LeaseChoice};
 //! use facility_leasing::instance::FacilityInstance;
 //! use facility_leasing::metric::Point;
+//! use leasing_core::engine::Driver;
 //! use leasing_core::lease::{LeaseStructure, LeaseType};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -38,8 +39,10 @@
 //! )?;
 //! // Capacity 1 forces the second client to a different facility.
 //! let instance = CapacitatedInstance::uniform(base, 1)?;
-//! let cost = CapacitatedGreedy::new(&instance, LeaseChoice::CheapestTotal).run();
-//! assert!(cost > 0.0);
+//! let greedy = CapacitatedGreedy::new(&instance, LeaseChoice::CheapestTotal);
+//! let mut driver = Driver::new(greedy, instance.base.structure().clone());
+//! driver.submit_batch(instance.base.requests())?;
+//! assert!(driver.cost() > 0.0);
 //! # Ok(())
 //! # }
 //! ```
@@ -50,5 +53,5 @@ pub mod online;
 pub mod scheduling;
 
 pub use instance::{CapacitatedError, CapacitatedInstance};
-pub use online::{CapacitatedCosts, CapacitatedGreedy, LeaseChoice};
+pub use online::{CapacitatedGreedy, LeaseChoice};
 pub use scheduling::{to_capacitated, JobBatch, Machine};

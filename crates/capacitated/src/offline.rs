@@ -101,6 +101,7 @@ mod tests {
     use crate::online::{CapacitatedGreedy, LeaseChoice};
     use facility_leasing::instance::FacilityInstance;
     use facility_leasing::metric::Point;
+    use leasing_core::engine::Driver;
     use leasing_core::lease::{LeaseStructure, LeaseType};
 
     fn structure() -> LeaseStructure {
@@ -136,7 +137,12 @@ mod tests {
             let inst = instance(sizes, cap);
             let opt = optimal_cost(&inst, 200_000).unwrap();
             for choice in [LeaseChoice::CheapestTotal, LeaseChoice::BestRate] {
-                let cost = CapacitatedGreedy::new(&inst, choice).run();
+                let mut greedy = Driver::new(
+                    CapacitatedGreedy::new(&inst, choice),
+                    inst.base.structure().clone(),
+                );
+                greedy.submit_batch(inst.base.requests()).unwrap();
+                let cost = greedy.cost();
                 assert!(
                     cost >= opt - 1e-6,
                     "greedy {cost} below opt {opt} for {sizes:?} cap {cap}"

@@ -1,7 +1,7 @@
 //! Online greedy algorithms for capacitated facility leasing.
 
 use crate::instance::CapacitatedInstance;
-use leasing_core::engine::{Books, LeasingAlgorithm, Ledger, CATEGORY_CONNECTION, CATEGORY_LEASE};
+use leasing_core::engine::{Books, LeasingAlgorithm, CATEGORY_CONNECTION, CATEGORY_LEASE};
 use leasing_core::framework::Triple;
 use leasing_core::interval::candidates_covering;
 use leasing_core::time::TimeStep;
@@ -18,22 +18,6 @@ pub enum LeaseChoice {
     BestRate,
 }
 
-/// Per-category cost counters.
-#[derive(Copy, Clone, Debug, Default, PartialEq)]
-pub struct CapacitatedCosts {
-    /// Total lease payments.
-    pub leasing: f64,
-    /// Total connection payments.
-    pub connection: f64,
-}
-
-impl CapacitatedCosts {
-    /// Lease plus connection cost.
-    pub fn total(&self) -> f64 {
-        self.leasing + self.connection
-    }
-}
-
 /// Greedy online algorithm: each client connects to the cheapest available
 /// option — an active facility with spare capacity at its arrival step, or a
 /// newly leased one (lease price plus connection).
@@ -48,8 +32,6 @@ pub struct CapacitatedGreedy<'a> {
     owned: HashSet<Triple>,
     /// `(client, facility)` assignment log.
     assignments: Vec<(usize, usize)>,
-    /// Decision ledger backing the legacy `run` entry point.
-    ledger: Ledger,
 }
 
 impl<'a> CapacitatedGreedy<'a> {
@@ -60,19 +42,11 @@ impl<'a> CapacitatedGreedy<'a> {
             choice,
             owned: HashSet::new(),
             assignments: Vec::new(),
-            ledger: Ledger::new(instance.base.structure().clone()),
         }
     }
 
-    /// Whether facility `i` holds an active lease at time `t` (on the
-    /// internal legacy-path ledger; when driving through a
-    /// [`Driver`](leasing_core::engine::Driver), query the driver's ledger).
-    pub fn is_active(&self, i: usize, t: TimeStep) -> bool {
-        self.ledger.covered(i, t)
-    }
-
     /// Core greedy assignment step, recording purchases and connection
-    /// charges into `ledger`. Facility activity is the ledger's coverage
+    /// charges into `books`. Facility activity is the books' coverage
     /// index, not a private table.
     fn serve_with(&mut self, t: TimeStep, clients: &[usize], books: &mut Books<'_>) {
         let base = &self.instance.base;
@@ -113,42 +87,6 @@ impl<'a> CapacitatedGreedy<'a> {
             usage[i] += 1;
             self.assignments.push((j, i));
         }
-    }
-
-    /// Runs the whole instance and returns the final total cost.
-    pub fn run(&mut self) -> f64 {
-        let mut ledger = std::mem::take(&mut self.ledger);
-        for batch in self.instance.base.batches().to_vec() {
-            ledger.advance(batch.time);
-            self.serve_with(batch.time, &batch.clients, &mut Books::new(&mut ledger));
-        }
-        self.ledger = ledger;
-        self.total_cost()
-    }
-
-    /// Total cost paid so far.
-    /// Reports the internal legacy-path ledger; when driving through a
-    /// [`Driver`](leasing_core::engine::Driver), read the driver's ledger
-    /// (or [`Report`](leasing_core::engine::Report)) instead.
-    pub fn total_cost(&self) -> f64 {
-        self.ledger.total_cost()
-    }
-
-    /// Cost split into leasing and connection parts (read from the
-    /// ledger's `"lease"` and `"connection"` categories).
-    /// Reports the internal legacy-path ledger; when driving through a
-    /// [`Driver`](leasing_core::engine::Driver), read the driver's ledger
-    /// (or [`Report`](leasing_core::engine::Report)) instead.
-    pub fn costs(&self) -> CapacitatedCosts {
-        CapacitatedCosts {
-            leasing: self.ledger.category_cost(CATEGORY_LEASE),
-            connection: self.ledger.category_cost(CATEGORY_CONNECTION),
-        }
-    }
-
-    /// The internal decision ledger backing the deprecated serve path.
-    pub fn ledger(&self) -> &Ledger {
-        &self.ledger
     }
 
     /// `(client, facility)` assignments in service order.
@@ -233,6 +171,7 @@ mod tests {
     use super::*;
     use facility_leasing::instance::FacilityInstance;
     use facility_leasing::metric::Point;
+    use leasing_core::engine::{Driver, Ledger};
     use leasing_core::lease::{LeaseStructure, LeaseType};
 
     fn structure() -> LeaseStructure {
@@ -251,11 +190,25 @@ mod tests {
         CapacitatedInstance::uniform(base, cap).unwrap()
     }
 
+    /// Serves every batch of `inst` with `choice` and returns the greedy
+    /// with its ledger.
+    fn run<'a>(
+        inst: &'a CapacitatedInstance,
+        choice: LeaseChoice,
+    ) -> (CapacitatedGreedy<'a>, Ledger) {
+        let mut driver = Driver::new(
+            CapacitatedGreedy::new(inst, choice),
+            inst.base.structure().clone(),
+        );
+        driver.submit_batch(inst.base.requests()).unwrap();
+        driver.into_parts()
+    }
+
     #[test]
     fn single_client_opens_the_nearest_facility() {
         let inst = two_facility_instance(&[1], 1);
-        let mut alg = CapacitatedGreedy::new(&inst, LeaseChoice::CheapestTotal);
-        let cost = alg.run();
+        let (alg, ledger) = run(&inst, LeaseChoice::CheapestTotal);
+        let cost = ledger.total_cost();
         assert!((cost - 1.0).abs() < 1e-9); // short lease at the co-located site
         assert_eq!(alg.assignments(), &[(0, 0)]);
         let owned: HashSet<Triple> = alg.owned().copied().collect();
@@ -267,8 +220,7 @@ mod tests {
         // Batch of 2 with capacity 1: the second client must spill to the
         // remote facility even though it is farther.
         let inst = two_facility_instance(&[2], 1);
-        let mut alg = CapacitatedGreedy::new(&inst, LeaseChoice::CheapestTotal);
-        let _ = alg.run();
+        let (alg, _) = run(&inst, LeaseChoice::CheapestTotal);
         let facilities: HashSet<usize> = alg.assignments().iter().map(|&(_, i)| i).collect();
         assert_eq!(facilities.len(), 2, "both facilities must serve");
         let owned: HashSet<Triple> = alg.owned().copied().collect();
@@ -279,8 +231,7 @@ mod tests {
     fn capacity_resets_between_time_steps() {
         // One client per step fits within capacity 1 at the same facility.
         let inst = two_facility_instance(&[1, 1], 1);
-        let mut alg = CapacitatedGreedy::new(&inst, LeaseChoice::CheapestTotal);
-        let _ = alg.run();
+        let (alg, _) = run(&inst, LeaseChoice::CheapestTotal);
         let facilities: HashSet<usize> = alg.assignments().iter().map(|&(_, i)| i).collect();
         assert_eq!(facilities.len(), 1, "the same facility serves both steps");
     }
@@ -290,10 +241,8 @@ mod tests {
         // Sustained demand: 8 consecutive steps. BestRate leases long once;
         // CheapestTotal re-buys short leases.
         let inst = two_facility_instance(&[1, 1, 1, 1, 1, 1, 1, 1], 1);
-        let mut myopic = CapacitatedGreedy::new(&inst, LeaseChoice::CheapestTotal);
-        let myopic_cost = myopic.run();
-        let mut rate = CapacitatedGreedy::new(&inst, LeaseChoice::BestRate);
-        let rate_cost = rate.run();
+        let myopic_cost = run(&inst, LeaseChoice::CheapestTotal).1.total_cost();
+        let rate_cost = run(&inst, LeaseChoice::BestRate).1.total_cost();
         assert!(
             rate_cost < myopic_cost,
             "BestRate {rate_cost} must beat CheapestTotal {myopic_cost} under sustained demand"
@@ -303,10 +252,9 @@ mod tests {
     #[test]
     fn active_facility_is_reused_without_new_lease() {
         let inst = two_facility_instance(&[1, 1], 2);
-        let mut alg = CapacitatedGreedy::new(&inst, LeaseChoice::CheapestTotal);
-        let _ = alg.run();
+        let (_, ledger) = run(&inst, LeaseChoice::CheapestTotal);
         // Both arrivals (t=0, t=1) fit in one 2-step lease.
-        assert!((alg.costs().leasing - 1.0).abs() < 1e-9);
+        assert!((ledger.category_cost(CATEGORY_LEASE) - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -90,6 +90,7 @@ mod tests {
     use super::*;
     use crate::offline::optimal_cost;
     use crate::online::{is_feasible_assignment, CapacitatedGreedy, LeaseChoice};
+    use leasing_core::engine::Driver;
     use leasing_core::framework::Triple;
     use leasing_core::lease::LeaseType;
     use std::collections::HashSet;
@@ -148,9 +149,14 @@ mod tests {
             },
         ];
         let inst = to_capacitated(&machines(), structure(), &jobs).unwrap();
-        let mut alg = CapacitatedGreedy::new(&inst, LeaseChoice::CheapestTotal);
-        let cost = alg.run();
+        let mut driver = Driver::new(
+            CapacitatedGreedy::new(&inst, LeaseChoice::CheapestTotal),
+            inst.base.structure().clone(),
+        );
+        driver.submit_batch(inst.base.requests()).unwrap();
+        let cost = driver.cost();
         assert!(cost > 0.0);
+        let alg = driver.algorithm();
         let owned: HashSet<Triple> = alg.owned().copied().collect();
         assert!(is_feasible_assignment(&inst, &owned, alg.assignments()));
     }

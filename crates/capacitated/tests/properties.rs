@@ -6,6 +6,7 @@ use capacitated_facility::offline;
 use capacitated_facility::online::{is_feasible_assignment, CapacitatedGreedy, LeaseChoice};
 use facility_leasing::instance::FacilityInstance;
 use facility_leasing::metric::Point;
+use leasing_core::engine::{Driver, CATEGORY_CONNECTION, CATEGORY_LEASE};
 use leasing_core::framework::Triple;
 use leasing_core::lease::{LeaseStructure, LeaseType};
 use leasing_core::rng::seeded;
@@ -48,15 +49,21 @@ proptest! {
     fn greedy_is_always_feasible(seed in 0u64..400, cap in 1usize..4) {
         let inst = random_instance(seed, 3, cap);
         for choice in [LeaseChoice::CheapestTotal, LeaseChoice::BestRate] {
-            let mut alg = CapacitatedGreedy::new(&inst, choice);
-            let cost = alg.run();
+            let mut driver = Driver::new(
+                CapacitatedGreedy::new(&inst, choice),
+                inst.base.structure().clone(),
+            );
+            driver.submit_batch(inst.base.requests()).unwrap();
+            let cost = driver.cost();
             prop_assert!(cost > 0.0);
+            let alg = driver.algorithm();
             let owned: HashSet<Triple> = alg.owned().copied().collect();
             prop_assert!(is_feasible_assignment(&inst, &owned, alg.assignments()),
                 "{choice:?} infeasible");
             // Connection + leasing split sums to the total.
-            let costs = alg.costs();
-            prop_assert!((costs.leasing + costs.connection - cost).abs() < 1e-9);
+            let ledger = driver.ledger();
+            let split = ledger.category_cost(CATEGORY_LEASE) + ledger.category_cost(CATEGORY_CONNECTION);
+            prop_assert!((split - cost).abs() < 1e-9);
         }
     }
 
@@ -73,7 +80,12 @@ proptest! {
             return Ok(());
         };
         prop_assert!(lp <= ilp + 1e-6, "LP {lp} above ILP {ilp}");
-        let greedy = CapacitatedGreedy::new(&inst, LeaseChoice::CheapestTotal).run();
+        let mut greedy = Driver::new(
+            CapacitatedGreedy::new(&inst, LeaseChoice::CheapestTotal),
+            inst.base.structure().clone(),
+        );
+        greedy.submit_batch(inst.base.requests()).unwrap();
+        let greedy = greedy.cost();
         prop_assert!(greedy >= ilp - 1e-6, "greedy {greedy} below ILP {ilp}");
     }
 }

@@ -35,8 +35,8 @@ pub struct Books<'a> {
 impl<'a> Books<'a> {
     /// Opens the books over `ledger`.
     ///
-    /// Normally called by the [`Driver`](super::Driver); legacy entry
-    /// points that still own a private ledger wrap it the same way.
+    /// Normally called by the [`Driver`](super::Driver), which owns the
+    /// ledger and its clock.
     pub fn new(ledger: &'a mut Ledger) -> Self {
         Books { ledger }
     }

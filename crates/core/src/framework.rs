@@ -7,10 +7,12 @@
 //! covers suitable demands during `[t, t + l_k)`.
 //!
 //! The concrete problem crates (`set-cover-leasing`, `facility-leasing`,
-//! `leasing-deadlines`) instantiate this module's vocabulary: the
+//! `leasing-deadlines`, ...) instantiate this module's vocabulary: the
 //! [`Triple`] type is the element of the *infrastructure leasing set*
-//! `Ī = I × {1..K} × ℕ`, and [`OnlineAlgorithm`] is the driver-facing trait
-//! every online algorithm in the workspace implements.
+//! `Ī = I × {1..K} × ℕ`. Every online algorithm buys triples through the
+//! engine ([`crate::engine`]): it implements
+//! [`LeasingAlgorithm`](crate::engine::LeasingAlgorithm) and is served by a
+//! [`Driver`](crate::engine::Driver), which owns its one ledger.
 
 use crate::lease::{Lease, LeaseStructure};
 use crate::time::{TimeStep, Window};
@@ -63,96 +65,10 @@ impl Triple {
     }
 }
 
-/// Driver-facing interface of every online algorithm in the workspace.
-///
-/// Requests arrive in non-decreasing time order; the algorithm must serve
-/// each request immediately and irrevocably (the online model of §2.1). The
-/// driver later compares [`total_cost`](OnlineAlgorithm::total_cost) against
-/// an offline optimum.
-pub trait OnlineAlgorithm {
-    /// One unit of input revealed at a time step (a demand, a batch of
-    /// clients, ...).
-    type Request;
-
-    /// Serves the request that arrives at `time`.
-    ///
-    /// Implementations may assume that `time` is non-decreasing across
-    /// calls; they are free to panic otherwise.
-    fn serve(&mut self, time: TimeStep, request: Self::Request);
-
-    /// Total cost paid so far.
-    fn total_cost(&self) -> f64;
-}
-
-/// Feeds a time-stamped request sequence to `alg` and returns its final cost.
-///
-/// # Errors
-///
-/// Returns [`DriverError::TimeTravel`](crate::engine::DriverError) at the
-/// first request whose time decreases; earlier requests stay served.
-pub fn run_online<A: OnlineAlgorithm>(
-    alg: &mut A,
-    requests: impl IntoIterator<Item = (TimeStep, A::Request)>,
-) -> Result<f64, crate::engine::DriverError> {
-    let mut last: Option<TimeStep> = None;
-    for (t, req) in requests {
-        if let Some(previous) = last {
-            if t < previous {
-                return Err(crate::engine::DriverError::TimeTravel {
-                    previous,
-                    attempted: t,
-                });
-            }
-        }
-        last = Some(t);
-        alg.serve(t, req);
-    }
-    Ok(alg.total_cost())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lease::LeaseType;
-
-    struct CountingAlg {
-        served: Vec<(TimeStep, u32)>,
-    }
-
-    impl OnlineAlgorithm for CountingAlg {
-        type Request = u32;
-        fn serve(&mut self, time: TimeStep, request: u32) {
-            self.served.push((time, request));
-        }
-        fn total_cost(&self) -> f64 {
-            self.served.iter().map(|&(_, r)| r as f64).sum()
-        }
-    }
-
-    #[test]
-    fn run_online_feeds_in_order_and_sums_cost() {
-        let mut alg = CountingAlg { served: vec![] };
-        let cost = run_online(&mut alg, vec![(0, 1), (0, 2), (3, 4)]).unwrap();
-        assert_eq!(cost, 7.0);
-        assert_eq!(alg.served, vec![(0, 1), (0, 2), (3, 4)]);
-    }
-
-    #[test]
-    fn run_online_rejects_time_travel_with_typed_error() {
-        use crate::engine::DriverError;
-        let mut alg = CountingAlg { served: vec![] };
-        let err = run_online(&mut alg, vec![(5, 1), (3, 1)]).unwrap_err();
-        assert_eq!(
-            err,
-            DriverError::TimeTravel {
-                previous: 5,
-                attempted: 3
-            }
-        );
-        assert!(err.to_string().contains("non-decreasing time order"));
-        // The violating request was never served.
-        assert_eq!(alg.served, vec![(5, 1)]);
-    }
 
     #[test]
     fn triple_covers_its_window_only() {

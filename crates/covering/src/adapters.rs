@@ -17,7 +17,7 @@ use crate::dual_ascent::DualAscent;
 use crate::engine::{CoveringEngine, EngineStats};
 use crate::fractional::{DualCertificate, FractionalCovering};
 use crate::rounding::suffix_crossing;
-use leasing_core::framework::{OnlineAlgorithm, Triple};
+use leasing_core::framework::Triple;
 use leasing_core::interval::{aligned_start, candidates_covering, candidates_intersecting};
 use leasing_core::lease::{Lease, LeaseStructure};
 use leasing_core::rng::threshold_count;
@@ -25,7 +25,6 @@ use leasing_core::time::TimeStep;
 use leasing_core::EPS;
 use leasing_deadlines::old::{OldClient, OldInstance};
 use leasing_deadlines::scld::{ScldArrival, ScldInstance};
-use parking_permit::PermitOnline;
 use rand::{Rng, RngExt};
 use set_cover_leasing::instance::SmclInstance;
 use std::collections::HashSet;
@@ -92,10 +91,10 @@ impl GenericParkingPermit {
     pub fn certificate(&self) -> DualCertificate {
         self.fractional.certificate()
     }
-}
 
-impl PermitOnline for GenericParkingPermit {
-    fn serve_demand(&mut self, t: TimeStep) {
+    /// Serves a demand (a rainy day) at time `t`; days must be served in
+    /// non-decreasing order.
+    pub fn serve_demand(&mut self, t: TimeStep) {
         let candidates: Vec<(Lease, f64)> = candidates_covering(&self.structure, t)
             .into_iter()
             .map(|l| (l, l.cost(&self.structure)))
@@ -114,25 +113,15 @@ impl PermitOnline for GenericParkingPermit {
         debug_assert!(self.is_covered(t));
     }
 
-    fn is_covered(&self, t: TimeStep) -> bool {
+    /// Whether the permits bought so far cover day `t`.
+    pub fn is_covered(&self, t: TimeStep) -> bool {
         candidates_covering(&self.structure, t)
             .into_iter()
             .any(|c| self.owned.contains(&c))
     }
 
-    fn total_cost(&self) -> f64 {
-        self.cost
-    }
-}
-
-impl OnlineAlgorithm for GenericParkingPermit {
-    type Request = ();
-
-    fn serve(&mut self, time: TimeStep, _request: ()) {
-        self.serve_demand(time);
-    }
-
-    fn total_cost(&self) -> f64 {
+    /// Total price paid so far.
+    pub fn total_cost(&self) -> f64 {
         self.cost
     }
 }
@@ -334,8 +323,7 @@ impl<'a> GenericScld<'a> {
 /// ```
 /// use leasing_core::lease::{LeaseStructure, LeaseType};
 /// use online_covering::GenericDeterministicPermit;
-/// use parking_permit::PermitOnline;
-///
+/// ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let permits = LeaseStructure::new(vec![
 ///     LeaseType::new(1, 1.0),
@@ -348,7 +336,7 @@ impl<'a> GenericScld<'a> {
 /// assert!(alg.is_covered(3));
 /// // Weak duality: the raised dual lower-bounds the optimum; Theorem 2.7
 /// // bounds the cost by K times that.
-/// assert!(PermitOnline::total_cost(&alg) <= 2.0 * alg.dual_value());
+/// assert!(alg.total_cost() <= 2.0 * alg.dual_value());
 /// # Ok(())
 /// # }
 /// ```
@@ -382,10 +370,10 @@ impl GenericDeterministicPermit {
     pub fn purchases(&self) -> &[Lease] {
         self.engine.purchases()
     }
-}
 
-impl PermitOnline for GenericDeterministicPermit {
-    fn serve_demand(&mut self, t: TimeStep) {
+    /// Serves a demand (a rainy day) at time `t`; days must be served in
+    /// non-decreasing order.
+    pub fn serve_demand(&mut self, t: TimeStep) {
         if self.is_covered(t) {
             return;
         }
@@ -397,25 +385,15 @@ impl PermitOnline for GenericDeterministicPermit {
         debug_assert!(!bought.is_empty() || self.is_covered(t));
     }
 
-    fn is_covered(&self, t: TimeStep) -> bool {
+    /// Whether the permits bought so far cover day `t`.
+    pub fn is_covered(&self, t: TimeStep) -> bool {
         candidates_covering(&self.structure, t)
             .into_iter()
             .any(|c| self.engine.owns(&c))
     }
 
-    fn total_cost(&self) -> f64 {
-        self.engine.total_cost()
-    }
-}
-
-impl OnlineAlgorithm for GenericDeterministicPermit {
-    type Request = ();
-
-    fn serve(&mut self, time: TimeStep, _request: ()) {
-        self.serve_demand(time);
-    }
-
-    fn total_cost(&self) -> f64 {
+    /// Total price paid so far.
+    pub fn total_cost(&self) -> f64 {
         self.engine.total_cost()
     }
 }
@@ -535,6 +513,7 @@ impl<'a> GenericOld<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use leasing_core::engine::{Driver, LeasingAlgorithm};
     use leasing_core::lease::LeaseType;
     use leasing_core::rng::seeded;
     use parking_permit::rand_alg::RandomizedPermit;
@@ -551,6 +530,17 @@ mod tests {
         .unwrap()
     }
 
+    /// Serves `requests` through a fresh driver over `structure`.
+    fn driven<A: LeasingAlgorithm>(
+        alg: A,
+        structure: &LeaseStructure,
+        requests: impl IntoIterator<Item = (TimeStep, A::Request)>,
+    ) -> Driver<A> {
+        let mut driver = Driver::new(alg, structure.clone());
+        driver.submit_batch(requests).unwrap();
+        driver
+    }
+
     fn triangle_system() -> SetSystem {
         SetSystem::new(3, vec![vec![0, 1], vec![1, 2], vec![0, 2]]).unwrap()
     }
@@ -560,17 +550,21 @@ mod tests {
         let demands: Vec<u64> = vec![0, 1, 5, 6, 7, 20, 40, 41, 64, 65];
         for pct in 1..=10 {
             let tau = pct as f64 / 10.0;
-            let mut spec = RandomizedPermit::with_threshold(structure(), tau);
+            let spec = driven(
+                RandomizedPermit::with_threshold(structure(), tau),
+                &structure(),
+                demands.iter().map(|&t| (t, ())),
+            );
             let mut gen = GenericParkingPermit::with_threshold(structure(), tau);
             for &t in &demands {
-                spec.serve_demand(t);
                 gen.serve_demand(t);
             }
             assert_eq!(
-                PermitOnline::total_cost(&spec).to_bits(),
-                PermitOnline::total_cost(&gen).to_bits(),
+                spec.cost().to_bits(),
+                gen.total_cost().to_bits(),
                 "tau {tau}: integral costs diverge"
             );
+            let spec = spec.algorithm();
             assert_eq!(
                 spec.purchases(),
                 gen.purchases(),
@@ -588,16 +582,17 @@ mod tests {
     fn parking_permit_adapter_same_rng_draws_same_tau() {
         let mut r1 = seeded(9);
         let mut r2 = seeded(9);
-        let mut spec = RandomizedPermit::new(structure(), &mut r1);
+        let days = [0u64, 2, 3, 17];
+        let spec = driven(
+            RandomizedPermit::new(structure(), &mut r1),
+            &structure(),
+            days.map(|t| (t, ())),
+        );
         let mut gen = GenericParkingPermit::new(structure(), &mut r2);
-        for t in [0u64, 2, 3, 17] {
-            spec.serve_demand(t);
+        for t in days {
             gen.serve_demand(t);
         }
-        assert_eq!(
-            PermitOnline::total_cost(&spec).to_bits(),
-            PermitOnline::total_cost(&gen).to_bits()
-        );
+        assert_eq!(spec.cost().to_bits(), gen.total_cost().to_bits());
     }
 
     #[test]
@@ -613,8 +608,13 @@ mod tests {
             LeaseStructure::new(vec![LeaseType::new(4, 1.0), LeaseType::new(16, 3.0)]).unwrap();
         let inst = SmclInstance::uniform(triangle_system(), lengths, arrivals).unwrap();
         for seed in 0..20 {
-            let mut spec = SmclOnline::new(&inst, seed);
-            let spec_cost = spec.run();
+            let spec = driven(
+                SmclOnline::new(&inst, seed),
+                &inst.structure,
+                inst.requests(),
+            );
+            let spec_cost = spec.cost();
+            let spec = spec.algorithm();
             let mut gen = GenericSmcl::new(&inst, seed);
             let gen_cost = gen.run();
             assert_eq!(
@@ -661,8 +661,13 @@ mod tests {
         ];
         let inst = ScldInstance::uniform(triangle_system(), lengths, arrivals).unwrap();
         for seed in 0..20 {
-            let mut spec = ScldOnline::new(&inst, seed);
-            let spec_cost = spec.run();
+            let spec = driven(
+                ScldOnline::new(&inst, seed),
+                &inst.structure,
+                inst.requests(),
+            );
+            let spec_cost = spec.cost();
+            let spec = spec.algorithm();
             let mut gen = GenericScld::new(&inst, seed);
             let gen_cost = gen.run();
             assert_eq!(
@@ -696,17 +701,18 @@ mod tests {
     fn deterministic_permit_adapter_is_bit_equal_to_algorithm_1() {
         use parking_permit::det::DeterministicPrimalDual;
         let demands: Vec<u64> = vec![0, 1, 2, 5, 6, 7, 20, 40, 41, 64, 65, 80];
-        let mut spec = DeterministicPrimalDual::new(structure());
+        let spec = driven(
+            DeterministicPrimalDual::new(structure()),
+            &structure(),
+            demands.iter().map(|&t| (t, ())),
+        );
         let mut gen = GenericDeterministicPermit::new(structure());
         for &t in &demands {
-            spec.serve_demand(t);
             gen.serve_demand(t);
             assert!(gen.is_covered(t));
         }
-        assert_eq!(
-            PermitOnline::total_cost(&spec).to_bits(),
-            PermitOnline::total_cost(&gen).to_bits()
-        );
+        assert_eq!(spec.cost().to_bits(), gen.total_cost().to_bits());
+        let spec = spec.algorithm();
         assert_eq!(spec.purchases(), gen.purchases());
         assert_eq!(spec.dual_value().to_bits(), gen.dual_value().to_bits());
     }
@@ -723,8 +729,9 @@ mod tests {
             OldClient::new(21, 8),
         ];
         let inst = OldInstance::new(structure(), clients).expect("sorted clients");
-        let mut spec = OldPrimalDual::new(&inst);
-        let spec_cost = spec.run();
+        let spec = driven(OldPrimalDual::new(&inst), &inst.structure, inst.requests());
+        let spec_cost = spec.cost();
+        let spec = spec.algorithm();
         let mut gen = GenericOld::new(&inst);
         let gen_cost = gen.run();
         assert_eq!(spec_cost.to_bits(), gen_cost.to_bits());
@@ -748,10 +755,7 @@ mod tests {
         for &t in &days {
             permit.serve_demand(t);
         }
-        assert_eq!(
-            old_cost.to_bits(),
-            PermitOnline::total_cost(&permit).to_bits()
-        );
+        assert_eq!(old_cost.to_bits(), permit.total_cost().to_bits());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! day. Multiple copies of the same `(type, start)` lease may be bought —
 //! solutions are multisets.
 
-use leasing_core::engine::{Books, LeasingAlgorithm, Ledger};
+use leasing_core::engine::{Books, LeasingAlgorithm};
 use leasing_core::framework::Triple;
 use leasing_core::interval::{candidates_covering, candidates_intersecting};
 use leasing_core::lease::{Lease, LeaseStructure};
@@ -118,6 +118,18 @@ impl CapacitatedOldInstance {
             demands,
         })
     }
+
+    /// The demands as `(arrival, (slack, weight, rule))` requests for a
+    /// [`Driver`](leasing_core::engine::Driver) over [`FirstFitOnline`]
+    /// buying by `rule`.
+    pub fn requests(
+        &self,
+        rule: BuyRule,
+    ) -> impl Iterator<Item = (TimeStep, (u64, f64, BuyRule))> + '_ {
+        self.demands
+            .iter()
+            .map(move |d| (d.arrival, (d.slack, d.weight, rule)))
+    }
 }
 
 /// How [`FirstFitOnline`] picks the lease type when a new copy is needed.
@@ -145,8 +157,6 @@ pub struct FirstFitOnline<'a> {
     copies: Vec<CopyState>,
     /// `(copy index, service day)` per demand, in serve order.
     assignments: Vec<(usize, TimeStep)>,
-    /// Decision ledger backing the deprecated `serve` entry point.
-    ledger: Ledger,
 }
 
 impl<'a> FirstFitOnline<'a> {
@@ -156,11 +166,10 @@ impl<'a> FirstFitOnline<'a> {
             instance,
             copies: Vec::new(),
             assignments: Vec::new(),
-            ledger: Ledger::new(instance.structure.clone()),
         }
     }
 
-    /// Core first-fit step, recording purchases into `ledger`.
+    /// Core first-fit step, recording purchases into `books`.
     fn serve_with(&mut self, demand: WeightedDemand, rule: BuyRule, books: &mut Books<'_>) {
         let s = &self.instance.structure;
         let cap = self.instance.capacity;
@@ -201,30 +210,6 @@ impl<'a> FirstFitOnline<'a> {
         });
         self.assignments
             .push((self.copies.len() - 1, demand.arrival));
-    }
-
-    /// Runs the whole instance under `rule` and returns the final cost.
-    pub fn run(&mut self, rule: BuyRule) -> f64 {
-        let mut ledger = std::mem::take(&mut self.ledger);
-        for d in self.instance.demands.clone() {
-            ledger.advance(d.arrival);
-            self.serve_with(d, rule, &mut Books::new(&mut ledger));
-        }
-        self.ledger = ledger;
-        self.ledger.total_cost()
-    }
-
-    /// Total cost of the copies bought so far.
-    /// Reports the internal legacy-path ledger; when driving through a
-    /// [`Driver`](leasing_core::engine::Driver), read the driver's ledger
-    /// (or [`Report`](leasing_core::engine::Report)) instead.
-    pub fn total_cost(&self) -> f64 {
-        self.ledger.total_cost()
-    }
-
-    /// The internal decision ledger backing the legacy serve path.
-    pub fn ledger(&self) -> &Ledger {
-        &self.ledger
     }
 
     /// The purchased lease copies in buy order.
@@ -361,9 +346,18 @@ pub fn optimal_cost(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use leasing_core::engine::{Driver, Ledger};
     use leasing_core::lease::LeaseType;
     use leasing_core::rng::seeded;
     use rand::RngExt;
+
+    /// Serves every demand of `inst` by `rule` and returns the algorithm
+    /// with its ledger.
+    fn run(inst: &CapacitatedOldInstance, rule: BuyRule) -> (FirstFitOnline<'_>, Ledger) {
+        let mut driver = Driver::new(FirstFitOnline::new(inst), inst.structure.clone());
+        driver.submit_batch(inst.requests(rule)).unwrap();
+        driver.into_parts()
+    }
 
     fn structure() -> LeaseStructure {
         LeaseStructure::new(vec![LeaseType::new(2, 1.0), LeaseType::new(8, 3.0)]).unwrap()
@@ -403,8 +397,8 @@ mod tests {
             ],
         )
         .unwrap();
-        let mut alg = FirstFitOnline::new(&inst);
-        let cost = alg.run(BuyRule::Cheapest);
+        let (alg, ledger) = run(&inst, BuyRule::Cheapest);
+        let cost = ledger.total_cost();
         assert!(
             (cost - 1.0).abs() < 1e-9,
             "one short copy suffices, got {cost}"
@@ -423,8 +417,8 @@ mod tests {
             ],
         )
         .unwrap();
-        let mut alg = FirstFitOnline::new(&inst);
-        let cost = alg.run(BuyRule::Cheapest);
+        let (alg, ledger) = run(&inst, BuyRule::Cheapest);
+        let cost = ledger.total_cost();
         assert!((cost - 2.0).abs() < 1e-9, "two copies needed, got {cost}");
         assert!(is_feasible(&inst, &alg.purchases(), alg.assignments()));
     }
@@ -442,8 +436,8 @@ mod tests {
             ],
         )
         .unwrap();
-        let mut alg = FirstFitOnline::new(&inst);
-        let cost = alg.run(BuyRule::Cheapest);
+        let (alg, ledger) = run(&inst, BuyRule::Cheapest);
+        let cost = ledger.total_cost();
         assert!(
             (cost - 1.0).abs() < 1e-9,
             "the copy's second day has room, got {cost}"
@@ -500,8 +494,8 @@ mod tests {
                 ));
             }
             let inst = CapacitatedOldInstance::new(structure(), 1.0, demands).unwrap();
-            let mut alg = FirstFitOnline::new(&inst);
-            let online = alg.run(BuyRule::Cheapest);
+            let (alg, ledger) = run(&inst, BuyRule::Cheapest);
+            let online = ledger.total_cost();
             assert!(is_feasible(&inst, &alg.purchases(), alg.assignments()));
             let opt = optimal_cost(&inst, 3, 400_000).expect("tiny instance solves");
             assert!(online >= opt - 1e-6, "online {online} vs opt {opt}");

@@ -31,6 +31,7 @@
 //! # Example
 //!
 //! ```
+//! use leasing_core::engine::Driver;
 //! use leasing_core::lease::{LeaseStructure, LeaseType};
 //! use leasing_deadlines::old::{OldClient, OldInstance, OldPrimalDual};
 //!
@@ -44,9 +45,9 @@
 //!     OldClient::new(0, 6),
 //!     OldClient::new(3, 6),
 //! ])?;
-//! let mut alg = OldPrimalDual::new(&instance);
-//! let cost = alg.run();
-//! assert!(cost > 0.0);
+//! let mut driver = Driver::new(OldPrimalDual::new(&instance), instance.structure.clone());
+//! driver.submit_batch(instance.requests())?;
+//! assert!(driver.cost() > 0.0);
 //! # Ok(())
 //! # }
 //! ```

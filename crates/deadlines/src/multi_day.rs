@@ -118,6 +118,14 @@ impl MultiDayInstance {
         Ok(MultiDayInstance { structure, clients })
     }
 
+    /// The clients as `(arrival, (slack, duration))` requests for a
+    /// [`Driver`](leasing_core::engine::Driver) over [`MultiDayOnline`].
+    pub fn requests(&self) -> impl Iterator<Item = (TimeStep, (u64, u64))> + '_ {
+        self.clients
+            .iter()
+            .map(|c| (c.arrival, (c.slack, c.duration)))
+    }
+
     /// Largest required duration over all clients.
     pub fn s_max(&self) -> u64 {
         self.clients.iter().map(|c| c.duration).max().unwrap_or(0)
@@ -136,8 +144,6 @@ pub struct MultiDayOnline<'a> {
     owned: HashSet<Lease>,
     /// Chosen service block start per served client (in client order).
     service_starts: Vec<TimeStep>,
-    /// Decision ledger backing the deprecated `serve` entry point.
-    ledger: Ledger,
 }
 
 impl<'a> MultiDayOnline<'a> {
@@ -148,15 +154,7 @@ impl<'a> MultiDayOnline<'a> {
             contributions: HashMap::new(),
             owned: HashSet::new(),
             service_starts: Vec::new(),
-            ledger: Ledger::new(instance.structure.clone()),
         }
-    }
-
-    /// Whether day `t` is covered by an owned lease (on the internal
-    /// legacy-path ledger; when driving through a
-    /// [`Driver`](leasing_core::engine::Driver), query the driver's ledger).
-    pub fn is_covered(&self, t: TimeStep) -> bool {
-        self.ledger.covered(0, t)
     }
 
     /// Number of days of `window` not covered according to `ledger`.
@@ -206,30 +204,6 @@ impl<'a> MultiDayOnline<'a> {
             }
         }
         debug_assert!(books.covered(0, t));
-    }
-
-    /// Runs the whole instance and returns the final cost.
-    pub fn run(&mut self) -> f64 {
-        let mut ledger = std::mem::take(&mut self.ledger);
-        for c in self.instance.clients.clone() {
-            ledger.advance(c.arrival);
-            self.serve_with(c, &mut Books::new(&mut ledger));
-        }
-        self.ledger = ledger;
-        self.ledger.total_cost()
-    }
-
-    /// Total leasing cost paid so far.
-    /// Reports the internal legacy-path ledger; when driving through a
-    /// [`Driver`](leasing_core::engine::Driver), read the driver's ledger
-    /// (or [`Report`](leasing_core::engine::Report)) instead.
-    pub fn total_cost(&self) -> f64 {
-        self.ledger.total_cost()
-    }
-
-    /// The internal decision ledger backing the legacy serve path.
-    pub fn ledger(&self) -> &Ledger {
-        &self.ledger
     }
 
     /// The chosen service-block start of each served client.
@@ -332,6 +306,7 @@ mod tests {
     use super::*;
     use crate::offline::old_optimal_cost;
     use crate::old::{OldClient, OldInstance};
+    use leasing_core::engine::{Driver, Ledger};
     use leasing_core::lease::LeaseType;
     use leasing_core::rng::seeded;
     use proptest::prelude::*;
@@ -339,6 +314,14 @@ mod tests {
 
     fn structure() -> LeaseStructure {
         LeaseStructure::new(vec![LeaseType::new(2, 1.0), LeaseType::new(8, 3.0)]).unwrap()
+    }
+
+    /// Serves every client of `inst` and returns the algorithm with its
+    /// ledger.
+    fn run(inst: &MultiDayInstance) -> (MultiDayOnline<'_>, Ledger) {
+        let mut driver = Driver::new(MultiDayOnline::new(inst), inst.structure.clone());
+        driver.submit_batch(inst.requests()).unwrap();
+        driver.into_parts()
     }
 
     #[test]
@@ -364,8 +347,8 @@ mod tests {
     #[test]
     fn single_client_is_served_and_covered() {
         let inst = MultiDayInstance::new(structure(), vec![MultiDayClient::new(0, 3, 3)]).unwrap();
-        let mut alg = MultiDayOnline::new(&inst);
-        let cost = alg.run();
+        let (alg, ledger) = run(&inst);
+        let cost = ledger.total_cost();
         assert!(cost > 0.0);
         let leases: Vec<Lease> = alg.owned().copied().collect();
         assert!(is_feasible(&inst, &leases));
@@ -378,7 +361,7 @@ mod tests {
             vec![MultiDayClient::new(0, 1, 2), MultiDayClient::new(0, 1, 2)],
         )
         .unwrap();
-        let mut driver = leasing_core::engine::Driver::with_ledger(
+        let mut driver = Driver::with_ledger(
             MultiDayOnline::new(&inst),
             Ledger::new(inst.structure.clone()),
         );
@@ -402,7 +385,7 @@ mod tests {
             vec![MultiDayClient::new(4, 1, 2), MultiDayClient::new(4, 2, 2)],
         )
         .unwrap();
-        let mut driver = leasing_core::engine::Driver::with_ledger(
+        let mut driver = Driver::with_ledger(
             MultiDayOnline::new(&inst),
             Ledger::new(inst.structure.clone()),
         );
@@ -465,8 +448,8 @@ mod tests {
                 clients.push(MultiDayClient::new(t, slack, duration));
             }
             let inst = MultiDayInstance::new(structure(), clients).unwrap();
-            let mut alg = MultiDayOnline::new(&inst);
-            let online = alg.run();
+            let (alg, ledger) = run(&inst);
+            let online = ledger.total_cost();
             let leases: Vec<Lease> = alg.owned().copied().collect();
             assert!(is_feasible(&inst, &leases));
             let opt = optimal_cost(&inst, 300_000).unwrap();
@@ -490,8 +473,7 @@ mod tests {
                 clients.push(MultiDayClient::new(t, slack, duration));
             }
             let inst = MultiDayInstance::new(structure(), clients).unwrap();
-            let mut alg = MultiDayOnline::new(&inst);
-            let _ = alg.run();
+            let (alg, _) = run(&inst);
             let leases: Vec<Lease> = alg.owned().copied().collect();
             prop_assert!(is_feasible(&inst, &leases));
             // Every chosen block lies inside its client's window.

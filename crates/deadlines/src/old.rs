@@ -10,7 +10,7 @@
 //! optimal `O(K)` ratio; general windows give `Θ(K + d_max/l_min)`
 //! (Theorem 5.3).
 
-use leasing_core::engine::{Books, LeasingAlgorithm, Ledger};
+use leasing_core::engine::{Books, LeasingAlgorithm};
 use leasing_core::framework::Triple;
 use leasing_core::interval::{candidates_covering, candidates_intersecting};
 use leasing_core::lease::{Lease, LeaseStructure};
@@ -103,6 +103,12 @@ impl OldInstance {
     pub fn d_max(&self) -> u64 {
         self.clients.iter().map(|c| c.slack).max().unwrap_or(0)
     }
+
+    /// The clients as `(arrival, slack)` requests for a
+    /// [`Driver`](leasing_core::engine::Driver) over [`OldPrimalDual`].
+    pub fn requests(&self) -> impl Iterator<Item = (TimeStep, u64)> + '_ {
+        self.clients.iter().map(|c| (c.arrival, c.slack))
+    }
 }
 
 /// The deterministic primal-dual OLD algorithm of §5.3.
@@ -114,10 +120,7 @@ pub struct OldPrimalDual<'a> {
     /// Clients with a strictly positive dual variable, with their dual.
     positive_clients: Vec<(OldClient, f64)>,
     dual_value: f64,
-    next_client: usize,
     purchases: Vec<Lease>,
-    /// Decision ledger backing the deprecated `serve` entry point.
-    ledger: Ledger,
 }
 
 /// The single leased resource of the OLD problem; its element id in the
@@ -132,36 +135,8 @@ impl<'a> OldPrimalDual<'a> {
             contributions: HashMap::new(),
             positive_clients: Vec::new(),
             dual_value: 0.0,
-            next_client: 0,
             purchases: Vec::new(),
-            ledger: Ledger::new(instance.structure.clone()),
         }
-    }
-
-    /// Serves all remaining clients and returns the total cost.
-    pub fn run(&mut self) -> f64 {
-        let mut ledger = std::mem::take(&mut self.ledger);
-        while self.next_client < self.instance.clients.len() {
-            let c = self.instance.clients[self.next_client];
-            self.next_client += 1;
-            ledger.advance(c.arrival);
-            self.serve_with(c, &mut Books::new(&mut ledger));
-        }
-        self.ledger = ledger;
-        self.ledger.total_cost()
-    }
-
-    /// Total cost paid so far.
-    /// Reports the internal legacy-path ledger; when driving through a
-    /// [`Driver`](leasing_core::engine::Driver), read the driver's ledger
-    /// (or [`Report`](leasing_core::engine::Report)) instead.
-    pub fn total_cost(&self) -> f64 {
-        self.ledger.total_cost()
-    }
-
-    /// The internal decision ledger backing the legacy serve path.
-    pub fn ledger(&self) -> &Ledger {
-        &self.ledger
     }
 
     /// Total dual value raised (a lower bound on the optimum by weak
@@ -173,14 +148,6 @@ impl<'a> OldPrimalDual<'a> {
     /// The leases bought, in purchase order.
     pub fn purchases(&self) -> &[Lease] {
         &self.purchases
-    }
-
-    /// Whether `client`'s window currently holds an owned lease (on the
-    /// internal legacy-path ledger; when driving through a
-    /// [`Driver`](leasing_core::engine::Driver), query the driver's ledger
-    /// via [`Ledger::covered_during`]).
-    pub fn is_served(&self, client: &OldClient) -> bool {
-        self.ledger.covered_during(OLD_ELEMENT, client.window())
     }
 
     /// Core primal-dual step for one client, recording purchases into
@@ -280,7 +247,16 @@ pub fn is_feasible(instance: &OldInstance, owned: &[Lease]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use leasing_core::engine::{Driver, Ledger};
     use leasing_core::lease::LeaseType;
+
+    /// Serves every client of `inst` and returns the algorithm with its
+    /// ledger.
+    fn run(inst: &OldInstance) -> (OldPrimalDual<'_>, Ledger) {
+        let mut driver = Driver::new(OldPrimalDual::new(inst), inst.structure.clone());
+        driver.submit_batch(inst.requests()).unwrap();
+        driver.into_parts()
+    }
 
     fn structure() -> LeaseStructure {
         LeaseStructure::new(vec![LeaseType::new(2, 1.0), LeaseType::new(16, 3.0)]).unwrap()
@@ -300,8 +276,8 @@ mod tests {
             vec![OldClient::new(0, 0), OldClient::new(1, 0)],
         )
         .unwrap();
-        let mut alg = OldPrimalDual::new(&inst);
-        let cost = alg.run();
+        let (alg, ledger) = run(&inst);
+        let cost = ledger.total_cost();
         assert!(cost > 0.0);
         assert!(is_feasible(&inst, alg.purchases()));
         // With zero slack, Step 2 buys nothing extra: every purchase covers
@@ -328,11 +304,10 @@ mod tests {
             ],
         )
         .unwrap();
-        let mut alg = OldPrimalDual::new(&inst);
-        alg.run();
+        let (alg, ledger) = run(&inst);
         assert!(is_feasible(&inst, alg.purchases()));
         for c in &inst.clients {
-            assert!(alg.is_served(c));
+            assert!(ledger.covered_during(OLD_ELEMENT, c.window()));
         }
     }
 
@@ -345,7 +320,7 @@ mod tests {
             vec![OldClient::new(0, 4), OldClient::new(2, 4)],
         )
         .unwrap();
-        let mut driver = leasing_core::engine::Driver::with_ledger(
+        let mut driver = Driver::with_ledger(
             OldPrimalDual::new(&inst),
             Ledger::new(inst.structure.clone()),
         );
@@ -400,8 +375,8 @@ mod tests {
             ],
         )
         .unwrap();
-        let mut alg = OldPrimalDual::new(&inst);
-        let cost = alg.run();
+        let (alg, ledger) = run(&inst);
+        let cost = ledger.total_cost();
         // Theorem 5.3 (uniform): cost <= 2K * dual.
         let k = inst.structure.num_types() as f64;
         assert!(

@@ -21,6 +21,7 @@
 
 use crate::old::OldInstance;
 use crate::scld::{ScldArrival, ScldInstance, ScldOnline};
+use leasing_core::engine::Driver;
 use leasing_core::lease::Lease;
 use set_cover_leasing::system::SetSystem;
 
@@ -70,9 +71,13 @@ pub struct RandomizedOldRun {
 /// ```
 pub fn randomized_old(instance: &OldInstance, seed: u64) -> RandomizedOldRun {
     let scld = singleton_scld(instance);
-    let mut alg = ScldOnline::new(&scld, seed);
-    let cost = alg.run();
-    let purchases: Vec<Lease> = alg
+    let mut driver = Driver::new(ScldOnline::new(&scld, seed), scld.structure.clone());
+    // Validated instances arrive in time order, so every arrival is served.
+    let served = driver.submit_batch(scld.requests());
+    debug_assert!(served.is_ok(), "sorted arrivals never travel back in time");
+    let cost = driver.cost();
+    let purchases: Vec<Lease> = driver
+        .algorithm()
         .owned()
         .map(|t| Lease::new(t.type_index, t.start))
         .collect();
@@ -130,7 +135,9 @@ mod tests {
         // Figure 5.3 forces the deterministic algorithm to ≈ d_max/l_min;
         // the randomized algorithm's expected factor is logarithmic there.
         let inst = tight_example(64, 2, 0.01);
-        let det = OldPrimalDual::new(&inst).run();
+        let mut det = Driver::new(OldPrimalDual::new(&inst), inst.structure.clone());
+        det.submit_batch(inst.requests()).unwrap();
+        let det = det.cost();
         let mean_rand = (0..20u64)
             .map(|s| randomized_old(&inst, s).cost)
             .sum::<f64>()

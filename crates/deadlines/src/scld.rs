@@ -9,7 +9,7 @@
 //! of time* (Theorem 5.7). With `d_max = 0` this improves SetCoverLeasing
 //! to `O(log(mK) · log l_max)` (Corollary 5.8).
 
-use leasing_core::engine::{Books, LeasingAlgorithm, Ledger};
+use leasing_core::engine::{Books, LeasingAlgorithm};
 use leasing_core::framework::Triple;
 use leasing_core::interval::candidates_intersecting;
 use leasing_core::lease::LeaseStructure;
@@ -159,6 +159,12 @@ impl ScldInstance {
         self.costs[s][k]
     }
 
+    /// The arrivals as `(time, (slack, element))` requests for a
+    /// [`Driver`](leasing_core::engine::Driver) over [`ScldOnline`].
+    pub fn requests(&self) -> impl Iterator<Item = (TimeStep, (u64, usize))> + '_ {
+        self.arrivals.iter().map(|a| (a.time, (a.slack, a.element)))
+    }
+
     /// Largest slack `d_max`.
     pub fn d_max(&self) -> u64 {
         self.arrivals.iter().map(|a| a.slack).max().unwrap_or(0)
@@ -199,13 +205,11 @@ pub struct ScldOnline<'a> {
     thresholds: HashMap<Triple, f64>,
     q: u32,
     /// Purchase mirror for the [`owned`](ScldOnline::owned) diagnostics
-    /// accessor; the serve path queries [`Ledger::owns`].
+    /// accessor; the serve path queries
+    /// [`Ledger::owns`](leasing_core::engine::Ledger::owns).
     owned: HashSet<Triple>,
     stats: ScldStats,
     rng: StdRng,
-    next_arrival: usize,
-    /// Decision ledger backing the deprecated `serve` entry point.
-    ledger: Ledger,
 }
 
 impl<'a> ScldOnline<'a> {
@@ -232,35 +236,7 @@ impl<'a> ScldOnline<'a> {
             owned: HashSet::new(),
             stats: ScldStats::default(),
             rng: StdRng::seed_from_u64(seed),
-            next_arrival: 0,
-            ledger: Ledger::new(instance.structure.clone()),
         }
-    }
-
-    /// Serves all remaining arrivals; returns the total cost.
-    pub fn run(&mut self) -> f64 {
-        let mut ledger = std::mem::take(&mut self.ledger);
-        while self.next_arrival < self.instance.arrivals.len() {
-            let a = self.instance.arrivals[self.next_arrival];
-            self.next_arrival += 1;
-            ledger.advance(a.time);
-            self.serve_with(&a, &mut Books::new(&mut ledger));
-        }
-        self.ledger = ledger;
-        self.ledger.total_cost()
-    }
-
-    /// Total cost paid so far.
-    /// Reports the internal legacy-path ledger; when driving through a
-    /// [`Driver`](leasing_core::engine::Driver), read the driver's ledger
-    /// (or [`Report`](leasing_core::engine::Report)) instead.
-    pub fn total_cost(&self) -> f64 {
-        self.ledger.total_cost()
-    }
-
-    /// The internal decision ledger backing the legacy serve path.
-    pub fn ledger(&self) -> &Ledger {
-        &self.ledger
     }
 
     /// Instrumentation counters.
@@ -367,7 +343,16 @@ impl<'a> LeasingAlgorithm for ScldOnline<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use leasing_core::engine::{Driver, Ledger};
     use leasing_core::lease::LeaseType;
+
+    /// Serves every arrival of `inst` and returns the algorithm with its
+    /// ledger.
+    fn run(inst: &ScldInstance, seed: u64) -> (ScldOnline<'_>, Ledger) {
+        let mut driver = Driver::new(ScldOnline::new(inst, seed), inst.structure.clone());
+        driver.submit_batch(inst.requests()).unwrap();
+        driver.into_parts()
+    }
 
     fn system() -> SetSystem {
         SetSystem::new(3, vec![vec![0, 1], vec![1, 2], vec![0, 2]]).unwrap()
@@ -390,8 +375,8 @@ mod tests {
         )
         .unwrap();
         for seed in 0..10 {
-            let mut alg = ScldOnline::new(&inst, seed);
-            let cost = alg.run();
+            let (alg, ledger) = run(&inst, seed);
+            let cost = ledger.total_cost();
             assert!(cost > 0.0);
             let owned: HashSet<Triple> = alg.owned().copied().collect();
             assert!(is_feasible(&inst, &owned), "seed {seed}");
@@ -416,8 +401,7 @@ mod tests {
         let cands = inst.candidates(&inst.arrivals[0]);
         // Exactly K candidates per containing set.
         assert_eq!(cands.len(), 2 * inst.structure.num_types());
-        let mut alg = ScldOnline::new(&inst, 1);
-        alg.run();
+        let (alg, _) = run(&inst, 1);
         let owned: HashSet<Triple> = alg.owned().copied().collect();
         assert!(is_feasible(&inst, &owned));
     }
@@ -447,11 +431,8 @@ mod tests {
             vec![ScldArrival::new(0, 0, 2), ScldArrival::new(4, 2, 6)],
         )
         .unwrap();
-        let run = |seed| {
-            let mut alg = ScldOnline::new(&inst, seed);
-            alg.run()
-        };
-        assert_eq!(run(9).to_bits(), run(9).to_bits());
+        let cost = |seed| run(&inst, seed).1.total_cost();
+        assert_eq!(cost(9).to_bits(), cost(9).to_bits());
     }
 
     #[test]
@@ -462,8 +443,8 @@ mod tests {
             vec![ScldArrival::new(0, 0, 0), ScldArrival::new(1, 1, 3)],
         )
         .unwrap();
-        let mut alg = ScldOnline::new(&inst, 4);
-        let cost = alg.run();
+        let (alg, ledger) = run(&inst, 4);
+        let cost = ledger.total_cost();
         let stats = alg.stats();
         assert!((stats.rounded_cost + stats.fallback_cost - cost).abs() < 1e-9);
         assert!(stats.fractional_cost > 0.0);

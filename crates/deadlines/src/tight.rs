@@ -46,15 +46,23 @@ mod tests {
     use super::*;
     use crate::offline;
     use crate::old::{is_feasible, OldPrimalDual};
+    use leasing_core::engine::Driver;
+
+    /// Serves every client of `inst`, returning the driven algorithm.
+    fn run(inst: &OldInstance) -> Driver<OldPrimalDual<'_>> {
+        let mut driver = Driver::new(OldPrimalDual::new(inst), inst.structure.clone());
+        driver.submit_batch(inst.requests()).unwrap();
+        driver
+    }
 
     #[test]
     fn algorithm_pays_theta_dmax_over_lmin() {
         let d_max = 32;
         let l_min = 2;
         let inst = tight_example(d_max, l_min, 0.01);
-        let mut alg = OldPrimalDual::new(&inst);
-        let cost = alg.run();
-        assert!(is_feasible(&inst, alg.purchases()));
+        let driver = run(&inst);
+        let cost = driver.cost();
+        assert!(is_feasible(&inst, driver.algorithm().purchases()));
         let opt = tight_example_optimum(0.01);
         let ratio = cost / opt;
         let lower = (d_max / l_min) as f64 / 2.0;
@@ -79,8 +87,7 @@ mod tests {
         let mut ratios = Vec::new();
         for d_max in [8u64, 16, 32, 64] {
             let inst = tight_example(d_max, 2, 0.01);
-            let mut alg = OldPrimalDual::new(&inst);
-            let cost = alg.run();
+            let cost = run(&inst).cost();
             ratios.push(cost / tight_example_optimum(0.01));
         }
         // Doubling d_max should (roughly) double the ratio.

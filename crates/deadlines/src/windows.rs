@@ -178,6 +178,12 @@ impl WindowInstance {
         Ok(WindowInstance { structure, clients })
     }
 
+    /// The clients as `(arrival, client)` requests for a
+    /// [`Driver`](leasing_core::engine::Driver) over [`WindowPrimalDual`].
+    pub fn requests(&self) -> impl Iterator<Item = (TimeStep, WindowClient)> + '_ {
+        self.clients.iter().map(|c| (c.arrival, c.clone()))
+    }
+
     /// Largest span `max F − a` over all clients (the `d_max` of the
     /// Theorem 5.3-shaped reference bound).
     pub fn max_span(&self) -> u64 {
@@ -200,6 +206,7 @@ impl WindowInstance {
 /// The primal-dual online algorithm for service windows.
 ///
 /// ```
+/// use leasing_core::engine::Driver;
 /// use leasing_core::lease::{LeaseStructure, LeaseType};
 /// use leasing_deadlines::windows::{WindowClient, WindowInstance, WindowPrimalDual};
 ///
@@ -213,10 +220,13 @@ impl WindowInstance {
 ///     WindowClient::specific(2, vec![3, 9])?,   // day 3 or day 9
 ///     WindowClient::interval(5, 4),             // any day of [5, 9]
 /// ])?;
-/// let mut alg = WindowPrimalDual::new(&instance);
-/// let cost = alg.run();
-/// assert!(cost > 0.0);
-/// assert!(instance.clients.iter().all(|c| alg.is_served(c)));
+/// let mut driver = Driver::new(WindowPrimalDual::new(&instance), instance.structure.clone());
+/// driver.submit_batch(instance.requests())?;
+/// assert!(driver.cost() > 0.0);
+/// assert!(instance
+///     .clients
+///     .iter()
+///     .all(|c| WindowPrimalDual::is_served(driver.ledger(), c)));
 /// # Ok(())
 /// # }
 /// ```
@@ -225,10 +235,7 @@ pub struct WindowPrimalDual<'a> {
     instance: &'a WindowInstance,
     contributions: HashMap<Lease, f64>,
     dual_value: f64,
-    next_client: usize,
     purchases: Vec<Lease>,
-    /// Decision ledger backing the deprecated `serve` entry point.
-    ledger: Ledger,
 }
 
 impl<'a> WindowPrimalDual<'a> {
@@ -238,36 +245,8 @@ impl<'a> WindowPrimalDual<'a> {
             instance,
             contributions: HashMap::new(),
             dual_value: 0.0,
-            next_client: 0,
             purchases: Vec::new(),
-            ledger: Ledger::new(instance.structure.clone()),
         }
-    }
-
-    /// Serves all remaining clients and returns the total cost.
-    pub fn run(&mut self) -> f64 {
-        let mut ledger = std::mem::take(&mut self.ledger);
-        while self.next_client < self.instance.clients.len() {
-            let c = self.instance.clients[self.next_client].clone();
-            self.next_client += 1;
-            ledger.advance(c.arrival);
-            self.serve_with(&c, &mut Books::new(&mut ledger));
-        }
-        self.ledger = ledger;
-        self.ledger.total_cost()
-    }
-
-    /// Total cost paid so far.
-    /// Reports the internal legacy-path ledger; when driving through a
-    /// [`Driver`](leasing_core::engine::Driver), read the driver's ledger
-    /// (or [`Report`](leasing_core::engine::Report)) instead.
-    pub fn total_cost(&self) -> f64 {
-        self.ledger.total_cost()
-    }
-
-    /// The internal decision ledger backing the legacy serve path.
-    pub fn ledger(&self) -> &Ledger {
-        &self.ledger
     }
 
     /// Total dual value raised — a lower bound on the optimum by weak
@@ -281,24 +260,16 @@ impl<'a> WindowPrimalDual<'a> {
         &self.purchases
     }
 
-    /// Whether some owned lease covers one of `client`'s allowed days (on
-    /// the internal legacy-path ledger; when driving through a
-    /// [`Driver`](leasing_core::engine::Driver), query the driver's
-    /// ledger).
-    pub fn is_served(&self, client: &WindowClient) -> bool {
-        Self::served_in(&self.ledger, client)
-    }
-
-    /// Whether `ledger` holds a lease covering one of the allowed days —
-    /// one `O(K log n)` point query per allowed day.
-    fn served_in(ledger: &Ledger, client: &WindowClient) -> bool {
+    /// Whether `ledger` holds a lease covering one of `client`'s allowed
+    /// days — one `O(K log n)` point query per allowed day.
+    pub fn is_served(ledger: &Ledger, client: &WindowClient) -> bool {
         client.allowed_days().iter().any(|&d| ledger.covered(0, d))
     }
 
     /// Core primal-dual step for one window client, recording purchases
     /// into `ledger`.
     fn serve_with(&mut self, client: &WindowClient, books: &mut Books<'_>) {
-        if Self::served_in(books, client) {
+        if Self::is_served(books, client) {
             return;
         }
         let candidates = self.instance.candidates(client);
@@ -357,7 +328,7 @@ impl<'a> WindowPrimalDual<'a> {
             );
         }
         debug_assert!(
-            Self::served_in(books, client),
+            Self::is_served(books, client),
             "a bought candidate serves the client"
         );
     }
@@ -442,7 +413,16 @@ pub fn window_lp_lower_bound(instance: &WindowInstance) -> f64 {
 mod tests {
     use super::*;
     use crate::old::{OldClient, OldInstance, OldPrimalDual};
+    use leasing_core::engine::Driver;
     use leasing_core::lease::LeaseType;
+
+    /// Serves every client of `inst` and returns the algorithm with its
+    /// ledger.
+    fn run(inst: &WindowInstance) -> (WindowPrimalDual<'_>, Ledger) {
+        let mut driver = Driver::new(WindowPrimalDual::new(inst), inst.structure.clone());
+        driver.submit_batch(inst.requests()).unwrap();
+        driver.into_parts()
+    }
 
     fn structure() -> LeaseStructure {
         LeaseStructure::new(vec![LeaseType::new(2, 1.0), LeaseType::new(16, 3.0)]).unwrap()
@@ -518,8 +498,8 @@ mod tests {
             ],
         )
         .unwrap();
-        let mut alg = WindowPrimalDual::new(&inst);
-        let cost = alg.run();
+        let (alg, ledger) = run(&inst);
+        let cost = ledger.total_cost();
         assert!(cost > 0.0);
         assert!(is_feasible(&inst, alg.purchases()));
     }
@@ -535,7 +515,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let mut driver = leasing_core::engine::Driver::with_ledger(
+        let mut driver = Driver::with_ledger(
             WindowPrimalDual::new(&inst),
             Ledger::new(inst.structure.clone()),
         );
@@ -560,8 +540,10 @@ mod tests {
             days.iter().map(|&t| OldClient::new(t, 0)).collect(),
         )
         .unwrap();
-        let w_cost = WindowPrimalDual::new(&w_inst).run();
-        let o_cost = OldPrimalDual::new(&o_inst).run();
+        let w_cost = run(&w_inst).1.total_cost();
+        let mut old = Driver::new(OldPrimalDual::new(&o_inst), o_inst.structure.clone());
+        old.submit_batch(o_inst.requests()).unwrap();
+        let o_cost = old.cost();
         assert!(
             (w_cost - o_cost).abs() < 1e-9,
             "window {w_cost} vs old {o_cost}"
@@ -580,8 +562,8 @@ mod tests {
         let opt = window_optimal_cost(&inst, 10_000).unwrap();
         // A single short lease at day 40 serves everybody.
         assert!((opt - 1.0).abs() < 1e-9, "opt {opt}");
-        let mut alg = WindowPrimalDual::new(&inst);
-        let cost = alg.run();
+        let (alg, ledger) = run(&inst);
+        let cost = ledger.total_cost();
         assert!(is_feasible(&inst, alg.purchases()));
         assert!(cost >= opt - 1e-9);
     }
@@ -597,8 +579,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let mut alg = WindowPrimalDual::new(&inst);
-        alg.run();
+        let (alg, _) = run(&inst);
         let opt = window_optimal_cost(&inst, 10_000).unwrap();
         assert!(
             alg.dual_value() <= opt + 1e-9,

@@ -1,8 +1,10 @@
 //! Property tests for the deadline models: OLD primal-dual feasibility and
 //! guarantee, SCLD feasibility, and the capacitated first-fit invariants.
 
+use leasing_core::engine::{Driver, LeasingAlgorithm};
 use leasing_core::lease::{LeaseStructure, LeaseType};
 use leasing_core::rng::seeded;
+use leasing_core::time::TimeStep;
 use leasing_deadlines::capacitated::{
     is_feasible as cap_feasible, BuyRule, CapacitatedOldInstance, FirstFitOnline, WeightedDemand,
 };
@@ -19,6 +21,19 @@ use set_cover_leasing::system::SetSystem;
 
 fn structure() -> LeaseStructure {
     LeaseStructure::new(vec![LeaseType::new(2, 1.0), LeaseType::new(8, 3.0)]).unwrap()
+}
+
+/// Serves `requests` through a fresh driver over `structure`, returning the
+/// algorithm and the cost its driver recorded.
+fn run<A: LeasingAlgorithm>(
+    alg: A,
+    structure: &LeaseStructure,
+    requests: impl IntoIterator<Item = (TimeStep, A::Request)>,
+) -> (A, f64) {
+    let mut driver = Driver::new(alg, structure.clone());
+    driver.submit_batch(requests).unwrap();
+    let cost = driver.cost();
+    (driver.into_parts().0, cost)
 }
 
 fn random_clients(seed: u64, count: usize, max_slack: u64) -> Vec<OldClient> {
@@ -41,8 +56,7 @@ proptest! {
     fn old_primal_dual_is_feasible_with_valid_dual(seed in 0u64..300) {
         let clients = random_clients(seed, 6, 5);
         let inst = OldInstance::new(structure(), clients).unwrap();
-        let mut alg = OldPrimalDual::new(&inst);
-        let cost = alg.run();
+        let (alg, cost) = run(OldPrimalDual::new(&inst), &inst.structure, inst.requests());
         prop_assert!(old_feasible(&inst, alg.purchases()));
         let Some(opt) = offline::old_optimal_cost(&inst, 300_000) else {
             return Ok(());
@@ -65,8 +79,7 @@ proptest! {
             clients.push(OldClient::new(t, slack)); // uniform slack
         }
         let inst = OldInstance::new(structure(), clients).unwrap();
-        let mut alg = OldPrimalDual::new(&inst);
-        let cost = alg.run();
+        let (_, cost) = run(OldPrimalDual::new(&inst), &inst.structure, inst.requests());
         let Some(opt) = offline::old_optimal_cost(&inst, 300_000) else {
             return Ok(());
         };
@@ -90,8 +103,7 @@ proptest! {
             arrivals.push(ScldArrival::new(t, rng.random_range(0..4), rng.random_range(0..4)));
         }
         let inst = ScldInstance::uniform(system, structure(), arrivals).unwrap();
-        let mut alg = ScldOnline::new(&inst, alg_seed);
-        let cost = alg.run();
+        let (alg, cost) = run(ScldOnline::new(&inst, alg_seed), &inst.structure, inst.requests());
         prop_assert!(cost > 0.0);
         let owned: std::collections::HashSet<_> = alg.owned().copied().collect();
         prop_assert!(leasing_deadlines::scld::is_feasible(&inst, &owned));
@@ -117,8 +129,7 @@ proptest! {
             clients.push(WindowClient::specific(t, days).unwrap());
         }
         let inst = WindowInstance::new(structure(), clients).unwrap();
-        let mut alg = WindowPrimalDual::new(&inst);
-        let cost = alg.run();
+        let (alg, cost) = run(WindowPrimalDual::new(&inst), &inst.structure, inst.requests());
         prop_assert!(win_feasible(&inst, alg.purchases()));
         let k = inst.structure.num_types();
         prop_assert!(alg.purchases().len() <= 2 * k * inst.clients.len(),
@@ -167,8 +178,7 @@ proptest! {
         }
         let inst = CapacitatedOldInstance::new(structure(), 1.0, demands).unwrap();
         for rule in [BuyRule::Cheapest, BuyRule::BestRate] {
-            let mut alg = FirstFitOnline::new(&inst);
-            let cost = alg.run(rule);
+            let (alg, cost) = run(FirstFitOnline::new(&inst), &inst.structure, inst.requests(rule));
             prop_assert!(cost > 0.0);
             prop_assert!(cap_feasible(&inst, &alg.purchases(), alg.assignments()),
                 "rule {rule:?} produced an infeasible packing");

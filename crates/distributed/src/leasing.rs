@@ -56,8 +56,6 @@ pub struct DistributedFacilityLeasing {
     /// `(client, facility)` assignments in service order.
     assignments: Vec<(usize, usize)>,
     stats: LeasingRunStats,
-    /// Decision ledger backing the legacy entry points.
-    ledger: Ledger,
 }
 
 impl DistributedFacilityLeasing {
@@ -80,7 +78,6 @@ impl DistributedFacilityLeasing {
     ) -> Result<Self, BiddingError> {
         // Validate via the substrate's constructor, then keep the raw data.
         let _ = BiddingInstance::new(base_prices.clone(), distances.clone())?;
-        let ledger = Ledger::new(structure.clone());
         let active_until = vec![0; base_prices.len()];
         Ok(DistributedFacilityLeasing {
             base_prices,
@@ -93,7 +90,6 @@ impl DistributedFacilityLeasing {
             active_until,
             assignments: Vec::new(),
             stats: LeasingRunStats::default(),
-            ledger,
         })
     }
 
@@ -134,21 +130,8 @@ impl DistributedFacilityLeasing {
         self.owned.iter()
     }
 
-    /// Total cost paid so far.
-    /// Reports the internal legacy-path ledger; when driving through a
-    /// [`Driver`](leasing_core::engine::Driver), read the driver's ledger
-    /// (or [`Report`](leasing_core::engine::Report)) instead.
-    pub fn total_cost(&self) -> f64 {
-        self.ledger.total_cost()
-    }
-
-    /// The internal decision ledger backing the deprecated serve path.
-    pub fn ledger(&self) -> &Ledger {
-        &self.ledger
-    }
-
     /// Core step: distributed bidding + MIS over effective prices, then
-    /// lease purchases and connection charges into `ledger`.
+    /// lease purchases and connection charges into `books`.
     fn serve_with(&mut self, t: TimeStep, clients: &[usize], books: &mut Books<'_>) {
         if clients.is_empty() {
             return;
@@ -221,9 +204,8 @@ impl LeasingAlgorithm for DistributedFacilityLeasing {
 
 /// Whether every recorded assignment used a facility whose lease covered
 /// the client's arrival step, checked against the decision trace in
-/// `ledger` — pass `alg.ledger()` for the legacy serve path or the
-/// driver's ledger when driven through a
-/// [`Driver`](leasing_core::engine::Driver).
+/// `ledger`, the ledger of the [`Driver`](leasing_core::engine::Driver)
+/// that served `alg`.
 pub fn is_feasible(_alg: &DistributedFacilityLeasing, ledger: &Ledger) -> bool {
     // Each connection charge must land at a time some lease of the same
     // facility covers — one coverage-index query per charge.

@@ -109,9 +109,15 @@ impl std::error::Error for FldError {}
 /// use facility_leasing::instance::FacilityInstance;
 /// use facility_leasing::metric::Point;
 /// use facility_leasing::online::PrimalDualFacility;
+/// use leasing_core::engine::Driver;
 /// use leasing_core::lease::{LeaseStructure, LeaseType};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let online = |inst: &FacilityInstance| -> Result<f64, Box<dyn std::error::Error>> {
+///     let mut driver = Driver::new(PrimalDualFacility::new(inst), inst.structure().clone());
+///     driver.submit_batch(inst.requests())?;
+///     Ok(driver.cost())
+/// };
 /// let structure = LeaseStructure::new(vec![LeaseType::new(2, 2.0)])?;
 /// // Co-located clients in different lease windows, both fine with day 2.
 /// let base = FacilityInstance::euclidean(
@@ -122,8 +128,8 @@ impl std::error::Error for FldError {}
 /// let inst = FldInstance::new(base, vec![2, 0])?;
 /// // Deferring pools both clients onto day 2: one lease instead of two.
 /// let deferred = inst.defer_to_deadline()?;
-/// let defer = PrimalDualFacility::new(&deferred).run();
-/// let arrive = PrimalDualFacility::new(&inst.serve_on_arrival()).run();
+/// let defer = online(&deferred)?;
+/// let arrive = online(&inst.serve_on_arrival())?;
 /// assert!(defer < arrive);
 /// # Ok(())
 /// # }
@@ -388,7 +394,15 @@ mod tests {
     use crate::metric::Point;
     use crate::offline;
     use crate::online::PrimalDualFacility;
+    use leasing_core::engine::Driver;
     use leasing_core::lease::{LeaseStructure, LeaseType};
+
+    /// The primal-dual's cost on every batch of `inst`.
+    fn online_cost(inst: &FacilityInstance) -> f64 {
+        let mut driver = Driver::new(PrimalDualFacility::new(inst), inst.structure().clone());
+        driver.submit_batch(inst.requests()).unwrap();
+        driver.cost()
+    }
 
     fn lengths() -> LeaseStructure {
         LeaseStructure::new(vec![LeaseType::new(2, 2.0), LeaseType::new(16, 6.0)]).unwrap()
@@ -466,9 +480,9 @@ mod tests {
         // Short lease covers 2 days: serving on arrival needs ~3 leases;
         // deferring pools all five clients into one day and one lease.
         let inst = staggered_same_site();
-        let arrive = PrimalDualFacility::new(&inst.serve_on_arrival()).run();
+        let arrive = online_cost(&inst.serve_on_arrival());
         let deferred_inst = inst.defer_to_deadline().unwrap();
-        let defer = PrimalDualFacility::new(&deferred_inst).run();
+        let defer = online_cost(&deferred_inst);
         assert!(
             defer < arrive - 1.0,
             "defer {defer} should beat serve-on-arrival {arrive}"
@@ -491,9 +505,9 @@ mod tests {
     fn online_reductions_dominate_the_fld_optimum() {
         let inst = staggered_same_site();
         let opt = optimal_cost(&inst, 100_000).unwrap();
-        let arrive = PrimalDualFacility::new(&inst.serve_on_arrival()).run();
+        let arrive = online_cost(&inst.serve_on_arrival());
         let deferred_inst = inst.defer_to_deadline().unwrap();
-        let defer = PrimalDualFacility::new(&deferred_inst).run();
+        let defer = online_cost(&deferred_inst);
         assert!(arrive >= opt - 1e-9);
         assert!(defer >= opt - 1e-9);
     }

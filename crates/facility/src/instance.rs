@@ -252,6 +252,12 @@ impl FacilityInstance {
         &self.batches
     }
 
+    /// The batches as `(time, client ids)` requests for a
+    /// [`Driver`](leasing_core::engine::Driver) over an online algorithm.
+    pub fn requests(&self) -> impl Iterator<Item = (TimeStep, Vec<usize>)> + '_ {
+        self.batches.iter().map(|b| (b.time, b.clients.clone()))
+    }
+
     /// The batch sizes `|D_t|` in order (input to the `H_q` series of
     /// Equation 4.3).
     pub fn batch_sizes(&self) -> Vec<usize> {

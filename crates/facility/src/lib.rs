@@ -29,6 +29,7 @@
 //! use facility_leasing::instance::FacilityInstance;
 //! use facility_leasing::metric::Point;
 //! use facility_leasing::online::PrimalDualFacility;
+//! use leasing_core::engine::Driver;
 //! use leasing_core::lease::{LeaseStructure, LeaseType};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -41,10 +42,10 @@
 //!         (5, vec![Point::new(9.0, 0.0), Point::new(11.0, 0.0)]),
 //!     ],
 //! )?;
-//! let mut alg = PrimalDualFacility::new(&instance);
-//! let cost = alg.run();
-//! assert!(cost > 0.0);
-//! assert_eq!(alg.assignments().len(), 3); // every client connected
+//! let mut driver = Driver::new(PrimalDualFacility::new(&instance), instance.structure().clone());
+//! driver.submit_batch(instance.requests())?;
+//! assert!(driver.cost() > 0.0);
+//! assert_eq!(driver.algorithm().assignments().len(), 3); // every client connected
 //! # Ok(())
 //! # }
 //! ```

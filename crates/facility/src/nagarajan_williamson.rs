@@ -34,7 +34,7 @@
 //! independent of `n`.
 
 use crate::instance::FacilityInstance;
-use leasing_core::engine::{Books, LeasingAlgorithm, Ledger, CATEGORY_CONNECTION, CATEGORY_LEASE};
+use leasing_core::engine::{Books, LeasingAlgorithm, CATEGORY_CONNECTION, CATEGORY_LEASE};
 use leasing_core::framework::Triple;
 use leasing_core::interval::aligned_start;
 use leasing_core::time::TimeStep;
@@ -46,6 +46,7 @@ use std::collections::HashSet;
 /// use facility_leasing::instance::FacilityInstance;
 /// use facility_leasing::metric::Point;
 /// use facility_leasing::nagarajan_williamson::NagarajanWilliamson;
+/// use leasing_core::engine::Driver;
 /// use leasing_core::lease::{LeaseStructure, LeaseType};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -55,8 +56,9 @@ use std::collections::HashSet;
 ///     lengths,
 ///     vec![(0, vec![Point::new(1.0, 0.0)])],
 /// )?;
-/// let mut alg = NagarajanWilliamson::new(&instance);
-/// let cost = alg.run();
+/// let mut driver = Driver::new(NagarajanWilliamson::new(&instance), instance.structure().clone());
+/// driver.submit_batch(instance.requests())?;
+/// let cost = driver.cost();
 /// assert!((cost - 3.0).abs() < 1e-9); // lease 2 + connect 1
 /// # Ok(())
 /// # }
@@ -73,9 +75,6 @@ pub struct NagarajanWilliamson<'a> {
     /// Arrival time per served client (bids are window-gated on it).
     arrival: Vec<Option<TimeStep>>,
     assignments: Vec<Option<(usize, usize)>>,
-    next_batch: usize,
-    /// Decision ledger backing the `step`/`run` entry points.
-    ledger: Ledger,
 }
 
 impl<'a> NagarajanWilliamson<'a> {
@@ -87,62 +86,7 @@ impl<'a> NagarajanWilliamson<'a> {
             alpha_hat: vec![0.0; instance.num_clients()],
             arrival: vec![None; instance.num_clients()],
             assignments: vec![None; instance.num_clients()],
-            next_batch: 0,
-            ledger: Ledger::new(instance.structure().clone()),
         }
-    }
-
-    /// Processes all remaining batches and returns the total cost.
-    pub fn run(&mut self) -> f64 {
-        while self.step() {}
-        self.total_cost()
-    }
-
-    /// Processes the next batch, serving its clients one after the other in
-    /// global id order. Returns `false` when no batches remain.
-    pub fn step(&mut self) -> bool {
-        if self.next_batch >= self.instance.batches().len() {
-            return false;
-        }
-        let batch = &self.instance.batches()[self.next_batch];
-        self.next_batch += 1;
-        let time = batch.time;
-        let mut ledger = std::mem::take(&mut self.ledger);
-        ledger.advance(time);
-        for &j in &batch.clients.clone() {
-            self.serve_client(j, time, &mut Books::new(&mut ledger));
-        }
-        self.ledger = ledger;
-        true
-    }
-
-    /// Total (lease + connection) cost paid so far.
-    /// Reports the internal legacy-path ledger; when driving through a
-    /// [`Driver`](leasing_core::engine::Driver), read the driver's ledger
-    /// (or [`Report`](leasing_core::engine::Report)) instead.
-    pub fn total_cost(&self) -> f64 {
-        self.ledger.total_cost()
-    }
-
-    /// Lease cost paid so far.
-    /// Reports the internal legacy-path ledger; when driving through a
-    /// [`Driver`](leasing_core::engine::Driver), read the driver's ledger
-    /// (or [`Report`](leasing_core::engine::Report)) instead.
-    pub fn lease_cost(&self) -> f64 {
-        self.ledger.category_cost(CATEGORY_LEASE)
-    }
-
-    /// Connection cost paid so far.
-    /// Reports the internal legacy-path ledger; when driving through a
-    /// [`Driver`](leasing_core::engine::Driver), read the driver's ledger
-    /// (or [`Report`](leasing_core::engine::Report)) instead.
-    pub fn connection_cost(&self) -> f64 {
-        self.ledger.category_cost(CATEGORY_CONNECTION)
-    }
-
-    /// The internal decision ledger backing the step/run path.
-    pub fn ledger(&self) -> &Ledger {
-        &self.ledger
     }
 
     /// The frozen dual values `α̂_j` of all clients served so far.
@@ -279,7 +223,16 @@ mod tests {
     use super::*;
     use crate::metric::Point;
     use crate::online::is_feasible;
+    use leasing_core::engine::{Driver, Ledger};
     use leasing_core::lease::{LeaseStructure, LeaseType};
+
+    /// Serves every batch of `inst` and returns the algorithm with its
+    /// ledger.
+    fn run<'a>(inst: &'a FacilityInstance) -> (NagarajanWilliamson<'a>, Ledger) {
+        let mut driver = Driver::new(NagarajanWilliamson::new(inst), inst.structure().clone());
+        driver.submit_batch(inst.requests()).unwrap();
+        driver.into_parts()
+    }
 
     fn lengths() -> LeaseStructure {
         LeaseStructure::new(vec![LeaseType::new(4, 2.0), LeaseType::new(16, 6.0)]).unwrap()
@@ -293,10 +246,10 @@ mod tests {
             vec![(0, vec![Point::new(3.0, 0.0)])],
         )
         .unwrap();
-        let mut alg = NagarajanWilliamson::new(&inst);
-        let cost = alg.run();
-        assert!((alg.lease_cost() - 2.0).abs() < 1e-9);
-        assert!((alg.connection_cost() - 3.0).abs() < 1e-9);
+        let (alg, ledger) = run(&inst);
+        let cost = ledger.total_cost();
+        assert!((ledger.category_cost(CATEGORY_LEASE) - 2.0).abs() < 1e-9);
+        assert!((ledger.category_cost(CATEGORY_CONNECTION) - 3.0).abs() < 1e-9);
         assert!((cost - 5.0).abs() < 1e-9);
         // The dual pays distance plus the full remaining price.
         assert!((alg.alpha_hat()[0] - 5.0).abs() < 1e-9);
@@ -313,8 +266,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let mut alg = NagarajanWilliamson::new(&inst);
-        alg.run();
+        let (alg, _) = run(&inst);
         let owned: HashSet<Triple> = alg.owned_leases().copied().collect();
         assert!(is_feasible(&inst, &owned, &alg.assignments()));
     }
@@ -330,8 +282,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let mut alg = NagarajanWilliamson::new(&inst);
-        alg.run();
+        let (alg, _) = run(&inst);
         assert_eq!(
             alg.owned_leases().count(),
             1,
@@ -354,8 +305,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let mut alg = NagarajanWilliamson::new(&inst);
-        alg.run();
+        let (alg, _) = run(&inst);
         assert!(alg.owned_leases().count() >= 2);
     }
 
@@ -379,8 +329,7 @@ mod tests {
             batches,
         )
         .unwrap();
-        let mut alg = NagarajanWilliamson::new(&inst);
-        alg.run();
+        let (alg, _) = run(&inst);
         let opened: HashSet<usize> = alg.owned_leases().map(|t| t.element).collect();
         assert!(
             opened.contains(&1),
@@ -411,8 +360,7 @@ mod tests {
             batches,
         )
         .unwrap();
-        let mut alg = NagarajanWilliamson::new(&inst);
-        alg.run();
+        let (alg, _) = run(&inst);
         let opened: HashSet<usize> = alg.owned_leases().map(|t| t.element).collect();
         assert!(
             !opened.contains(&1),
@@ -428,8 +376,12 @@ mod tests {
             vec![(0, vec![Point::new(1.0, 0.0)])],
         )
         .unwrap();
-        let mut alg = NagarajanWilliamson::new(&inst);
-        assert!(alg.step());
-        assert!(!alg.step());
+        let mut driver = Driver::new(NagarajanWilliamson::new(&inst), inst.structure().clone());
+        let mut batches = inst.requests();
+        for (time, clients) in batches.by_ref().take(1) {
+            driver.submit(time, clients).unwrap();
+        }
+        assert_eq!(driver.requests(), 1);
+        assert!(batches.next().is_none());
     }
 }

@@ -19,7 +19,7 @@
 //! Competitive ratio: `4(3 + K) · H_{l_max}` (Theorem 4.5).
 
 use crate::instance::FacilityInstance;
-use leasing_core::engine::{Books, LeasingAlgorithm, Ledger, CATEGORY_CONNECTION, CATEGORY_LEASE};
+use leasing_core::engine::{Books, LeasingAlgorithm, CATEGORY_CONNECTION, CATEGORY_LEASE};
 use leasing_core::framework::Triple;
 use leasing_core::interval::aligned_start;
 use leasing_core::time::TimeStep;
@@ -42,9 +42,6 @@ pub struct PrimalDualFacility<'a> {
     alpha_hat: Vec<f64>,
     /// Final `(facility, lease type)` per client.
     assignments: Vec<Option<(usize, usize)>>,
-    /// Decision ledger backing the deprecated `step`/`run` entry points.
-    ledger: Ledger,
-    next_batch: usize,
     /// Global ids of all clients that have arrived so far.
     arrived: Vec<usize>,
 }
@@ -57,65 +54,8 @@ impl<'a> PrimalDualFacility<'a> {
             owned: HashSet::new(),
             alpha_hat: vec![0.0; instance.num_clients()],
             assignments: vec![None; instance.num_clients()],
-            ledger: Ledger::new(instance.structure().clone()),
-            next_batch: 0,
             arrived: Vec::new(),
         }
-    }
-
-    /// Processes all remaining batches and returns the total cost.
-    pub fn run(&mut self) -> f64 {
-        while self.next_batch < self.instance.batches().len() {
-            self.step();
-        }
-        self.total_cost()
-    }
-
-    /// Processes the next batch (one time step). Returns `false` when no
-    /// batches remain.
-    pub fn step(&mut self) -> bool {
-        if self.next_batch >= self.instance.batches().len() {
-            return false;
-        }
-        let batch = &self.instance.batches()[self.next_batch];
-        self.next_batch += 1;
-        let time = batch.time;
-        let new_clients: Vec<usize> = batch.clients.clone();
-        self.arrived.extend(new_clients.iter().copied());
-        let mut ledger = std::mem::take(&mut self.ledger);
-        ledger.advance(time);
-        self.process_round(time, &new_clients, &mut Books::new(&mut ledger));
-        self.ledger = ledger;
-        true
-    }
-
-    /// Total (lease + connection) cost paid so far.
-    /// Reports the internal legacy-path ledger; when driving through a
-    /// [`Driver`](leasing_core::engine::Driver), read the driver's ledger
-    /// (or [`Report`](leasing_core::engine::Report)) instead.
-    pub fn total_cost(&self) -> f64 {
-        self.ledger.total_cost()
-    }
-
-    /// Lease cost paid so far.
-    /// Reports the internal legacy-path ledger; when driving through a
-    /// [`Driver`](leasing_core::engine::Driver), read the driver's ledger
-    /// (or [`Report`](leasing_core::engine::Report)) instead.
-    pub fn lease_cost(&self) -> f64 {
-        self.ledger.category_cost(CATEGORY_LEASE)
-    }
-
-    /// Connection cost paid so far.
-    /// Reports the internal legacy-path ledger; when driving through a
-    /// [`Driver`](leasing_core::engine::Driver), read the driver's ledger
-    /// (or [`Report`](leasing_core::engine::Report)) instead.
-    pub fn connection_cost(&self) -> f64 {
-        self.ledger.category_cost(CATEGORY_CONNECTION)
-    }
-
-    /// The internal decision ledger backing the deprecated serve path.
-    pub fn ledger(&self) -> &Ledger {
-        &self.ledger
     }
 
     /// The dual values `α̂_j` of all clients processed so far.
@@ -486,7 +426,16 @@ pub fn is_feasible(
 mod tests {
     use super::*;
     use crate::metric::Point;
+    use leasing_core::engine::{Driver, Ledger};
     use leasing_core::lease::{LeaseStructure, LeaseType};
+
+    /// Serves every batch of `inst` and returns the algorithm with its
+    /// ledger.
+    fn run<'a>(inst: &'a FacilityInstance) -> (PrimalDualFacility<'a>, Ledger) {
+        let mut driver = Driver::new(PrimalDualFacility::new(inst), inst.structure().clone());
+        driver.submit_batch(inst.requests()).unwrap();
+        driver.into_parts()
+    }
 
     fn lengths() -> LeaseStructure {
         LeaseStructure::new(vec![LeaseType::new(4, 2.0), LeaseType::new(16, 6.0)]).unwrap()
@@ -507,8 +456,8 @@ mod tests {
     #[test]
     fn all_clients_end_up_feasibly_connected() {
         let inst = simple_instance();
-        let mut alg = PrimalDualFacility::new(&inst);
-        let cost = alg.run();
+        let (alg, ledger) = run(&inst);
+        let cost = ledger.total_cost();
         assert!(cost > 0.0);
         let owned: HashSet<Triple> = alg.owned_leases().copied().collect();
         assert!(is_feasible(&inst, &owned, &alg.assignments()));
@@ -522,16 +471,16 @@ mod tests {
             vec![(0, vec![Point::new(3.0, 0.0)])],
         )
         .unwrap();
-        let mut alg = PrimalDualFacility::new(&inst);
-        let cost = alg.run();
+        let (alg, ledger) = run(&inst);
+        let cost = ledger.total_cost();
         // One facility, one client: the algorithm opens the facility with
         // the cheaper lease (cost 2) and connects over distance 3.
         assert!(
-            (alg.lease_cost() - 2.0).abs() < 1e-6,
+            (ledger.category_cost(CATEGORY_LEASE) - 2.0).abs() < 1e-6,
             "lease {}",
-            alg.lease_cost()
+            ledger.category_cost(CATEGORY_LEASE)
         );
-        assert!((alg.connection_cost() - 3.0).abs() < 1e-6);
+        assert!((ledger.category_cost(CATEGORY_CONNECTION) - 3.0).abs() < 1e-6);
         assert!((cost - 5.0).abs() < 1e-6);
         // α̂ = d + c (the client pays the whole opening bid).
         assert!((alg.alpha_hat()[0] - 5.0).abs() < 1e-6);
@@ -552,8 +501,7 @@ mod tests {
             )],
         )
         .unwrap();
-        let mut alg = PrimalDualFacility::new(&inst);
-        alg.run();
+        let (alg, _) = run(&inst);
         let assignments = alg.assignments();
         assert!(
             assignments.iter().all(|&(_, i, _)| i == 0),
@@ -577,8 +525,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let mut alg = PrimalDualFacility::new(&inst);
-        alg.run();
+        let (alg, _) = run(&inst);
         assert_eq!(
             alg.owned_leases().count(),
             1,
@@ -601,8 +548,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let mut alg = PrimalDualFacility::new(&inst);
-        alg.run();
+        let (alg, _) = run(&inst);
         assert!(
             alg.owned_leases().count() >= 2,
             "lease must be bought twice"
@@ -612,17 +558,20 @@ mod tests {
     #[test]
     fn step_reports_exhaustion() {
         let inst = simple_instance();
-        let mut alg = PrimalDualFacility::new(&inst);
-        assert!(alg.step());
-        assert!(alg.step());
-        assert!(!alg.step());
+        let mut driver = Driver::new(PrimalDualFacility::new(&inst), inst.structure().clone());
+        let mut batches = inst.requests();
+        for (time, clients) in batches.by_ref().take(2) {
+            driver.submit(time, clients).unwrap();
+        }
+        assert_eq!(driver.requests(), 2);
+        assert!(batches.next().is_none());
     }
 
     #[test]
     fn lemma_4_1_cost_bounded_by_3_plus_k_times_duals() {
         let inst = simple_instance();
-        let mut alg = PrimalDualFacility::new(&inst);
-        let cost = alg.run();
+        let (alg, ledger) = run(&inst);
+        let cost = ledger.total_cost();
         let dual_sum: f64 = alg.alpha_hat().iter().sum();
         let k = inst.structure().num_types() as f64;
         assert!(
@@ -640,8 +589,7 @@ mod tests {
             vec![(0, vec![Point::new(1.0, 0.0), Point::new(99.0, 0.0)])],
         )
         .unwrap();
-        let mut alg = PrimalDualFacility::new(&inst);
-        alg.run();
+        let (alg, _) = run(&inst);
         let facilities: HashSet<usize> = alg.assignments().iter().map(|&(_, i, _)| i).collect();
         assert_eq!(
             facilities.len(),

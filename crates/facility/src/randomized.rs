@@ -12,27 +12,21 @@
 //! algorithm and against exact optima on small instances.
 
 use crate::instance::FacilityInstance;
-use leasing_core::engine::{Books, LeasingAlgorithm, Ledger, CATEGORY_CONNECTION, CATEGORY_LEASE};
-use leasing_core::framework::Triple;
+use leasing_core::engine::{Books, LeasingAlgorithm, CATEGORY_CONNECTION};
 use leasing_core::lease::{LeaseStructure, LeaseType};
 use leasing_core::time::TimeStep;
 use parking_permit::rand_alg::RandomizedPermit;
-use parking_permit::PermitOnline;
 use rand::Rng;
 
 /// Randomized facility leasing: myopic assignment + per-facility randomized
-/// permits.
+/// permits, each priced by its facility's lease costs and buying straight
+/// into the engine's books with the facility id as the element.
 #[derive(Clone, Debug)]
 pub struct RandomizedFacility<'a> {
     instance: &'a FacilityInstance,
     permits: Vec<RandomizedPermit>,
-    /// How many purchases of each facility's permit have been mirrored
-    /// into the ledger.
-    mirrored: Vec<usize>,
     /// `(client, facility)` assignments in service order.
     assignments: Vec<(usize, usize)>,
-    /// Decision ledger backing the legacy `run` entry point.
-    ledger: Ledger,
 }
 
 impl<'a> RandomizedFacility<'a> {
@@ -52,23 +46,18 @@ impl<'a> RandomizedFacility<'a> {
                 RandomizedPermit::new(s, rng)
             })
             .collect();
-        let mirrored = vec![0; instance.num_facilities()];
         RandomizedFacility {
             instance,
             permits,
-            mirrored,
             assignments: Vec::new(),
-            ledger: Ledger::new(instance.structure().clone()),
         }
     }
 
     /// Core assignment + per-facility permit step, recording purchases and
-    /// connection charges into `ledger`.
+    /// connection charges into `books`.
     ///
-    /// Facility activity is read from the ledger's coverage index — the
-    /// per-facility permits are consulted only to decide *which* lease to
-    /// buy, and every permit purchase is mirrored into the ledger
-    /// immediately, so the two views never diverge.
+    /// Facility activity is read from the books' coverage index — the
+    /// per-facility permits only decide *which* lease to buy.
     fn serve_with(&mut self, t: TimeStep, clients: &[usize], books: &mut Books<'_>) {
         let inst = self.instance;
         for &j in clients {
@@ -89,74 +78,11 @@ impl<'a> RandomizedFacility<'a> {
             }
             let (_, i) = best.expect("validated instances have facilities");
             if !books.covered(i, t) {
-                self.permits[i].serve_demand(t);
-                self.mirror_purchases(t, i, books);
+                self.permits[i].serve_element(t, i, books);
             }
             books.charge(t, i, inst.distance(i, j), CATEGORY_CONNECTION);
             self.assignments.push((j, i));
         }
-    }
-
-    /// Copies the permit subroutine's new purchases into the ledger at
-    /// their per-facility scaled prices.
-    fn mirror_purchases(&mut self, t: TimeStep, i: usize, books: &mut Books<'_>) {
-        let permit = &self.permits[i];
-        let fresh = &permit.purchases()[self.mirrored[i]..];
-        for lease in fresh {
-            let cost = permit.structure().cost(lease.type_index);
-            books.buy_priced(
-                t,
-                Triple::new(i, lease.type_index, lease.start),
-                cost,
-                CATEGORY_LEASE,
-            );
-        }
-        self.mirrored[i] = permit.purchases().len();
-    }
-
-    /// Whether facility `i` holds an active lease at time `t`.
-    pub fn is_active(&self, i: usize, t: TimeStep) -> bool {
-        self.permits[i].is_covered(t)
-    }
-
-    /// Runs the whole instance and returns the final total cost.
-    pub fn run(&mut self) -> f64 {
-        let mut ledger = std::mem::take(&mut self.ledger);
-        for batch in self.instance.batches().to_vec() {
-            ledger.advance(batch.time);
-            self.serve_with(batch.time, &batch.clients, &mut Books::new(&mut ledger));
-        }
-        self.ledger = ledger;
-        self.total_cost()
-    }
-
-    /// Lease cost paid so far (sum over the per-facility permits).
-    /// Reports the internal legacy-path ledger; when driving through a
-    /// [`Driver`](leasing_core::engine::Driver), read the driver's ledger
-    /// (or [`Report`](leasing_core::engine::Report)) instead.
-    pub fn lease_cost(&self) -> f64 {
-        self.ledger.category_cost(CATEGORY_LEASE)
-    }
-
-    /// Connection cost paid so far.
-    /// Reports the internal legacy-path ledger; when driving through a
-    /// [`Driver`](leasing_core::engine::Driver), read the driver's ledger
-    /// (or [`Report`](leasing_core::engine::Report)) instead.
-    pub fn connection_cost(&self) -> f64 {
-        self.ledger.category_cost(CATEGORY_CONNECTION)
-    }
-
-    /// Lease plus connection cost.
-    /// Reports the internal legacy-path ledger; when driving through a
-    /// [`Driver`](leasing_core::engine::Driver), read the driver's ledger
-    /// (or [`Report`](leasing_core::engine::Report)) instead.
-    pub fn total_cost(&self) -> f64 {
-        self.ledger.total_cost()
-    }
-
-    /// The internal decision ledger backing the deprecated serve path.
-    pub fn ledger(&self) -> &Ledger {
-        &self.ledger
     }
 
     /// `(client, facility)` assignments in service order.
@@ -171,10 +97,17 @@ impl<'a> RandomizedFacility<'a> {
         for &(j, i) in &self.assignments {
             assigned[j] = Some(i);
         }
+        let active = |i: usize, t: TimeStep| {
+            let permit = &self.permits[i];
+            permit
+                .purchases()
+                .iter()
+                .any(|l| l.window(permit.structure()).contains(t))
+        };
         self.instance.batches().iter().all(|b| {
             b.clients
                 .iter()
-                .all(|&j| assigned[j].is_some_and(|i| self.permits[i].is_covered(b.time)))
+                .all(|&j| assigned[j].is_some_and(|i| active(i, b.time)))
         })
     }
 }
@@ -195,6 +128,7 @@ mod tests {
     use crate::metric::Point;
     use crate::offline;
     use crate::online::PrimalDualFacility;
+    use leasing_core::engine::{Driver, LeasingAlgorithm, Ledger};
     use leasing_core::lease::LeaseStructure;
     use leasing_core::rng::seeded;
     use rand::RngExt;
@@ -212,6 +146,17 @@ mod tests {
         .unwrap()
     }
 
+    /// Serves every batch of `inst` and returns the algorithm with its
+    /// ledger.
+    fn run<A: LeasingAlgorithm<Request = Vec<usize>>>(
+        alg: A,
+        inst: &FacilityInstance,
+    ) -> (A, Ledger) {
+        let mut driver = Driver::new(alg, inst.structure().clone());
+        driver.submit_batch(inst.requests()).unwrap();
+        driver.into_parts()
+    }
+
     #[test]
     fn serves_all_clients_feasibly() {
         let inst = two_site_instance(vec![
@@ -220,8 +165,8 @@ mod tests {
             (11, vec![Point::new(4.1, 0.0)]),
         ]);
         let mut rng = seeded(5);
-        let mut alg = RandomizedFacility::new(&inst, &mut rng);
-        let cost = alg.run();
+        let (alg, ledger) = run(RandomizedFacility::new(&inst, &mut rng), &inst);
+        let cost = ledger.total_cost();
         assert!(cost > 0.0);
         assert!(alg.is_feasible());
         assert_eq!(alg.assignments().len(), 4);
@@ -231,8 +176,7 @@ mod tests {
     fn clients_prefer_the_near_facility() {
         let inst = two_site_instance(vec![(0, vec![Point::new(0.1, 0.0)])]);
         let mut rng = seeded(6);
-        let mut alg = RandomizedFacility::new(&inst, &mut rng);
-        let _ = alg.run();
+        let (alg, _) = run(RandomizedFacility::new(&inst, &mut rng), &inst);
         assert_eq!(alg.assignments()[0].1, 0, "the co-located site must win");
     }
 
@@ -242,9 +186,9 @@ mod tests {
             (0, vec![Point::new(0.1, 0.0)]),
             (5, vec![Point::new(0.3, 0.0)]),
         ]);
-        let mut a = RandomizedFacility::new(&inst, &mut seeded(9));
-        let mut b = RandomizedFacility::new(&inst, &mut seeded(9));
-        assert_eq!(a.run(), b.run());
+        let (_, a) = run(RandomizedFacility::new(&inst, &mut seeded(9)), &inst);
+        let (_, b) = run(RandomizedFacility::new(&inst, &mut seeded(9)), &inst);
+        assert_eq!(a.total_cost(), b.total_cost());
     }
 
     #[test]
@@ -261,8 +205,11 @@ mod tests {
                 .collect();
             let inst = two_site_instance(batches);
             let opt = offline::optimal_cost(&inst, 400_000).expect("small instance");
-            let mut alg = RandomizedFacility::new(&inst, &mut seeded(100 + trial));
-            let cost = alg.run();
+            let (_, ledger) = run(
+                RandomizedFacility::new(&inst, &mut seeded(100 + trial)),
+                &inst,
+            );
+            let cost = ledger.total_cost();
             assert!(cost >= opt - 1e-6, "trial {trial}: {cost} < opt {opt}");
         }
     }
@@ -278,8 +225,8 @@ mod tests {
         let mut total = 0.0;
         let runs = 20;
         for seed in 0..runs {
-            let mut alg = RandomizedFacility::new(&inst, &mut seeded(seed));
-            total += alg.run();
+            let (_, ledger) = run(RandomizedFacility::new(&inst, &mut seeded(seed)), &inst);
+            total += ledger.total_cost();
         }
         let mean = total / runs as f64;
         assert!(mean < 8.0, "mean {mean} should beat the all-short cost 8");
@@ -294,11 +241,13 @@ mod tests {
             .map(|t| (2 * t, vec![Point::new(0.1, 0.0), Point::new(3.9, 0.1)]))
             .collect();
         let inst = two_site_instance(batches);
-        let det = PrimalDualFacility::new(&inst).run();
+        let det = run(PrimalDualFacility::new(&inst), &inst).1.total_cost();
         let mut sum = 0.0;
         let runs = 10;
         for seed in 0..runs {
-            sum += RandomizedFacility::new(&inst, &mut seeded(seed)).run();
+            sum += run(RandomizedFacility::new(&inst, &mut seeded(seed)), &inst)
+                .1
+                .total_cost();
         }
         let mean = sum / runs as f64;
         assert!(

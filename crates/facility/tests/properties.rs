@@ -11,6 +11,7 @@ use facility_leasing::offline;
 use facility_leasing::online::{is_feasible, PrimalDualFacility};
 use facility_leasing::randomized::RandomizedFacility;
 use facility_leasing::series::h_series;
+use leasing_core::engine::{Driver, LeasingAlgorithm, Ledger, CATEGORY_CONNECTION, CATEGORY_LEASE};
 use leasing_core::framework::Triple;
 use leasing_core::lease::{LeaseStructure, LeaseType};
 use leasing_core::rng::seeded;
@@ -42,6 +43,18 @@ fn random_instance(seed: u64, facilities: usize, batches: usize) -> FacilityInst
     FacilityInstance::euclidean(sites, structure(), point_batches).unwrap()
 }
 
+/// Serves every batch of `inst` and returns the algorithm with its ledger.
+fn run<A: LeasingAlgorithm<Request = Vec<usize>>>(alg: A, inst: &FacilityInstance) -> (A, Ledger) {
+    let mut driver = Driver::new(alg, inst.structure().clone());
+    driver.submit_batch(inst.requests()).unwrap();
+    driver.into_parts()
+}
+
+/// The lease plus connection split of `ledger`'s cost.
+fn split_cost(ledger: &Ledger) -> f64 {
+    ledger.category_cost(CATEGORY_LEASE) + ledger.category_cost(CATEGORY_CONNECTION)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(30))]
 
@@ -50,9 +63,9 @@ proptest! {
     #[test]
     fn primal_dual_dominates_the_optimum(seed in 0u64..200) {
         let inst = random_instance(seed, 2, 3);
-        let mut alg = PrimalDualFacility::new(&inst);
-        let cost = alg.run();
-        prop_assert!((alg.lease_cost() + alg.connection_cost() - cost).abs() < 1e-9);
+        let (alg, ledger) = run(PrimalDualFacility::new(&inst), &inst);
+        let cost = ledger.total_cost();
+        prop_assert!((split_cost(&ledger) - cost).abs() < 1e-9);
         let Some(opt) = offline::optimal_cost(&inst, 300_000) else {
             return Ok(());
         };
@@ -67,10 +80,10 @@ proptest! {
     fn all_algorithms_respect_the_lp_bound(seed in 0u64..200, rng_seed in 0u64..20) {
         let inst = random_instance(seed, 3, 3);
         let lb = offline::lp_lower_bound(&inst);
-        let pd = PrimalDualFacility::new(&inst).run();
+        let pd = run(PrimalDualFacility::new(&inst), &inst).1.total_cost();
         let greedy = GreedyLease::new(&inst).run();
-        let mut rnd_alg = RandomizedFacility::new(&inst, &mut seeded(rng_seed));
-        let rnd = rnd_alg.run();
+        let (rnd_alg, rnd_ledger) = run(RandomizedFacility::new(&inst, &mut seeded(rng_seed)), &inst);
+        let rnd = rnd_ledger.total_cost();
         prop_assert!(rnd_alg.is_feasible());
         for (name, cost) in [("pd", pd), ("greedy", greedy), ("rnd", rnd)] {
             prop_assert!(cost >= lb - 1e-6, "{name} cost {cost} below LP bound {lb}");
@@ -94,9 +107,9 @@ proptest! {
     #[test]
     fn nagarajan_williamson_is_feasible_and_dominates_opt(seed in 0u64..200) {
         let inst = random_instance(seed, 3, 3);
-        let mut alg = NagarajanWilliamson::new(&inst);
-        let cost = alg.run();
-        prop_assert!((alg.lease_cost() + alg.connection_cost() - cost).abs() < 1e-9);
+        let (alg, ledger) = run(NagarajanWilliamson::new(&inst), &inst);
+        let cost = ledger.total_cost();
+        prop_assert!((split_cost(&ledger) - cost).abs() < 1e-9);
         prop_assert_eq!(alg.assignments().len(), inst.num_clients());
         let owned: HashSet<Triple> = alg.owned_leases().copied().collect();
         prop_assert!(is_feasible(&inst, &owned, &alg.assignments()));
@@ -139,11 +152,11 @@ proptest! {
         let Ok(opt) = fld::optimal_cost(&inst, 300_000) else {
             return Ok(());
         };
-        let arrive = PrimalDualFacility::new(inst.base()).run();
+        let arrive = run(PrimalDualFacility::new(inst.base()), inst.base()).1.total_cost();
         let by_deadline = inst.defer_to_deadline().unwrap();
-        let deadline = PrimalDualFacility::new(&by_deadline).run();
+        let deadline = run(PrimalDualFacility::new(&by_deadline), &by_deadline).1.total_cost();
         let by_aligned = inst.defer_to_aligned().unwrap();
-        let aligned = PrimalDualFacility::new(&by_aligned).run();
+        let aligned = run(PrimalDualFacility::new(&by_aligned), &by_aligned).1.total_cost();
         for (name, cost) in [("arrive", arrive), ("deadline", deadline), ("aligned", aligned)] {
             prop_assert!(cost >= opt - 1e-6, "{name} {cost} below FLD opt {opt}");
         }
@@ -163,8 +176,7 @@ proptest! {
     #[test]
     fn lemma_4_4_scaled_duals_are_dual_feasible(seed in 0u64..200) {
         let inst = random_instance(seed, 3, 3);
-        let mut alg = PrimalDualFacility::new(&inst);
-        alg.run();
+        let (alg, _) = run(PrimalDualFacility::new(&inst), &inst);
         let alpha = alg.alpha_hat();
         let h = h_series(&inst.batch_sizes()).max(1.0);
         let structure = inst.structure();

@@ -17,6 +17,7 @@
 //!
 //! ```
 //! use graph_cover_leasing::reduction::vertex_cover_instance;
+//! use leasing_core::engine::Driver;
 //! use leasing_core::lease::{LeaseStructure, LeaseType};
 //! use leasing_graph::graph::Graph;
 //! use set_cover_leasing::online::SmclOnline;
@@ -29,8 +30,9 @@
 //! ])?;
 //! // Edges 0 and 1 arrive on consecutive days.
 //! let instance = vertex_cover_instance(&graph, leases, &[(0, 0), (1, 1)], None)?;
-//! let cost = SmclOnline::new(&instance, 7).run();
-//! assert!(cost > 0.0);
+//! let mut driver = Driver::new(SmclOnline::new(&instance, 7), instance.structure.clone());
+//! driver.submit_batch(instance.requests())?;
+//! assert!(driver.cost() > 0.0);
 //! # Ok(())
 //! # }
 //! ```

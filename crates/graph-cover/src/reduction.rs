@@ -154,6 +154,7 @@ pub fn dominating_set_instance(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use leasing_core::engine::Driver;
     use leasing_core::lease::LeaseType;
     use set_cover_leasing::online::{is_feasible_cover, SmclOnline};
 
@@ -237,10 +238,11 @@ mod tests {
             edge_cover_instance(&star(), structure(), &[(0, 1), (2, 2)], true).unwrap(),
             dominating_set_instance(&star(), structure(), &[(0, 1, 1), (1, 2, 2)]).unwrap(),
         ] {
-            let mut alg = SmclOnline::new(&inst, 42);
-            let cost = alg.run();
+            let mut driver = Driver::new(SmclOnline::new(&inst, 42), inst.structure.clone());
+            driver.submit_batch(inst.requests()).unwrap();
+            let cost = driver.cost();
             assert!(cost > 0.0);
-            let owned: std::collections::HashSet<_> = alg.owned().copied().collect();
+            let owned: std::collections::HashSet<_> = driver.algorithm().owned().copied().collect();
             assert!(is_feasible_cover(&inst, &owned));
         }
     }

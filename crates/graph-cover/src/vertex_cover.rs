@@ -124,6 +124,12 @@ impl VcLeasingInstance {
     pub fn lease_cost(&self, v: usize, k: usize) -> f64 {
         self.vertex_weights[v] * self.structure.cost(k)
     }
+
+    /// The arrivals as `(time, edge)` requests for a
+    /// [`Driver`](leasing_core::engine::Driver) over [`VcPrimalDual`].
+    pub fn requests(&self) -> impl Iterator<Item = (TimeStep, usize)> + '_ {
+        self.arrivals.iter().copied()
+    }
 }
 
 /// The deterministic primal-dual algorithm for vertex cover leasing.
@@ -137,8 +143,6 @@ pub struct VcPrimalDual<'a> {
     contributions: HashMap<(usize, Lease), f64>,
     dual_value: f64,
     purchases: Vec<(usize, Lease)>,
-    /// Decision ledger backing the legacy `run` entry point.
-    ledger: Ledger,
 }
 
 impl<'a> VcPrimalDual<'a> {
@@ -149,19 +153,7 @@ impl<'a> VcPrimalDual<'a> {
             contributions: HashMap::new(),
             dual_value: 0.0,
             purchases: Vec::new(),
-            ledger: Ledger::new(instance.structure.clone()),
         }
-    }
-
-    /// Whether edge `e` has an endpoint with an active lease at time `t`
-    /// (on the internal legacy-path ledger; when driving through a
-    /// [`Driver`](leasing_core::engine::Driver), query the driver's ledger).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `e` is out of range.
-    pub fn is_covered(&self, e: usize, t: TimeStep) -> bool {
-        Self::covered_in(self.instance, &self.ledger, e, t)
     }
 
     /// Whether edge `e` has a covered endpoint at `t` according to `ledger`.
@@ -171,7 +163,7 @@ impl<'a> VcPrimalDual<'a> {
     }
 
     /// Core primal-dual step for one edge arrival, recording purchases into
-    /// `ledger`.
+    /// `books`.
     fn serve_with(&mut self, t: TimeStep, e: usize, books: &mut Books<'_>) {
         if Self::covered_in(self.instance, books, e, t) {
             return;
@@ -209,30 +201,6 @@ impl<'a> VcPrimalDual<'a> {
         );
     }
 
-    /// Runs the whole instance and returns the final cost.
-    pub fn run(&mut self) -> f64 {
-        let mut ledger = std::mem::take(&mut self.ledger);
-        for &(t, e) in &self.instance.arrivals.clone() {
-            ledger.advance(t);
-            self.serve_with(t, e, &mut Books::new(&mut ledger));
-        }
-        self.ledger = ledger;
-        self.ledger.total_cost()
-    }
-
-    /// Total primal cost paid so far.
-    /// Reports the internal legacy-path ledger; when driving through a
-    /// [`Driver`](leasing_core::engine::Driver), read the driver's ledger
-    /// (or [`Report`](leasing_core::engine::Report)) instead.
-    pub fn total_cost(&self) -> f64 {
-        self.ledger.total_cost()
-    }
-
-    /// The internal decision ledger backing the deprecated serve path.
-    pub fn ledger(&self) -> &Ledger {
-        &self.ledger
-    }
-
     /// Total dual value raised so far — by weak duality a lower bound on the
     /// interval-model optimum.
     pub fn dual_value(&self) -> f64 {
@@ -268,6 +236,7 @@ pub fn is_feasible(instance: &VcLeasingInstance, purchases: &[(usize, Lease)]) -
 mod tests {
     use super::*;
     use crate::reduction::vertex_cover_instance;
+    use leasing_core::engine::Driver;
     use leasing_core::lease::LeaseType;
     use leasing_core::rng::seeded;
     use leasing_graph::generators::connected_erdos_renyi;
@@ -284,14 +253,22 @@ mod tests {
         VcLeasingInstance::unweighted(g, structure(), arrivals).unwrap()
     }
 
+    /// Serves every arrival of `inst` and returns the algorithm with its
+    /// ledger.
+    fn run(inst: &VcLeasingInstance) -> (VcPrimalDual<'_>, Ledger) {
+        let mut driver = Driver::new(VcPrimalDual::new(inst), inst.structure.clone());
+        driver.submit_batch(inst.requests()).unwrap();
+        driver.into_parts()
+    }
+
     #[test]
     fn single_edge_tightens_both_cheap_endpoint_leases() {
         // With equal endpoint prices both short-lease candidates become
         // tight at δ = 1 simultaneously, and Algorithm 1 semantics buys
         // every tight candidate.
         let inst = path_instance(vec![(0, 0)]);
-        let mut alg = VcPrimalDual::new(&inst);
-        let cost = alg.run();
+        let (alg, ledger) = run(&inst);
+        let cost = ledger.total_cost();
         assert!((cost - 2.0).abs() < 1e-9);
         assert_eq!(alg.purchases().len(), 2);
         assert!(alg.purchases().iter().all(|&(_, l)| l.type_index == 0));
@@ -304,8 +281,8 @@ mod tests {
         // Both edges of the path share vertex 1; after the first edge's dual
         // tightens vertex-1 candidates, the second edge can reuse them.
         let inst = path_instance(vec![(0, 0), (0, 1)]);
-        let mut alg = VcPrimalDual::new(&inst);
-        let cost = alg.run();
+        let (alg, ledger) = run(&inst);
+        let cost = ledger.total_cost();
         assert!(is_feasible(&inst, alg.purchases()));
         // Never worse than covering each edge separately.
         assert!(cost <= 2.0 + 1e-9, "cost {cost}");
@@ -328,8 +305,8 @@ mod tests {
     fn weighted_vertices_steer_purchases() {
         let g = leasing_graph::graph::Graph::new(2, vec![(0, 1, 1.0)]).unwrap();
         let inst = VcLeasingInstance::new(g, structure(), vec![100.0, 1.0], vec![(0, 0)]).unwrap();
-        let mut alg = VcPrimalDual::new(&inst);
-        let cost = alg.run();
+        let (alg, ledger) = run(&inst);
+        let cost = ledger.total_cost();
         // The cheap endpoint must be bought, not the expensive one.
         assert!((cost - 1.0).abs() < 1e-9);
         assert!(alg.purchases().iter().all(|&(v, _)| v == 1));
@@ -347,8 +324,8 @@ mod tests {
                 arrivals.push((t, rng.random_range(0..g.num_edges())));
             }
             let inst = VcLeasingInstance::unweighted(g, structure(), arrivals).unwrap();
-            let mut alg = VcPrimalDual::new(&inst);
-            let cost = alg.run();
+            let (alg, ledger) = run(&inst);
+            let cost = ledger.total_cost();
             let bound = 2.0 * inst.structure.num_types() as f64 * alg.dual_value();
             assert!(cost <= bound + 1e-6, "cost {cost} vs 2K·dual {bound}");
         }
@@ -362,8 +339,8 @@ mod tests {
             .map(|t| (t, rng.random_range(0..g.num_edges())))
             .collect();
         let inst = VcLeasingInstance::unweighted(g.clone(), structure(), arrivals.clone()).unwrap();
-        let mut alg = VcPrimalDual::new(&inst);
-        let cost = alg.run();
+        let (alg, ledger) = run(&inst);
+        let cost = ledger.total_cost();
         let reduced = vertex_cover_instance(&g, structure(), &arrivals, None).unwrap();
         let opt = offline::optimal_cost(&reduced, 200_000).expect("tiny instance solves");
         assert!(
@@ -391,8 +368,8 @@ mod tests {
                 arrivals.push((t, rng.random_range(0..g.num_edges())));
             }
             let inst = VcLeasingInstance::unweighted(g, structure(), arrivals).unwrap();
-            let mut alg = VcPrimalDual::new(&inst);
-            let cost = alg.run();
+            let (alg, ledger) = run(&inst);
+            let cost = ledger.total_cost();
             prop_assert!(is_feasible(&inst, alg.purchases()));
             let bound = 2.0 * inst.structure.num_types() as f64 * alg.dual_value();
             prop_assert!(cost <= bound + 1e-6);

@@ -5,6 +5,7 @@
 use graph_cover_leasing::reduction::{
     dominating_set_instance, edge_cover_instance, vertex_cover_instance,
 };
+use leasing_core::engine::Driver;
 use leasing_core::lease::{LeaseStructure, LeaseType};
 use leasing_core::rng::seeded;
 use leasing_graph::generators::connected_erdos_renyi;
@@ -82,9 +83,9 @@ proptest! {
             edge_cover_instance(&g, structure(), &node_arrivals, true).unwrap(),
         ];
         for inst in instances {
-            let mut alg = SmclOnline::new(&inst, seed ^ 0xC0FFEE);
-            let _ = alg.run();
-            let owned: std::collections::HashSet<_> = alg.owned().copied().collect();
+            let mut alg = Driver::new(SmclOnline::new(&inst, seed ^ 0xC0FFEE), inst.structure.clone());
+            alg.submit_batch(inst.requests()).unwrap();
+            let owned: std::collections::HashSet<_> = alg.algorithm().owned().copied().collect();
             prop_assert!(is_feasible_cover(&inst, &owned));
         }
     }

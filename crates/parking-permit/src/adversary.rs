@@ -11,22 +11,27 @@
 //!   one demand. Against it every online algorithm pays `Ω(log K)` in
 //!   expectation.
 
-use crate::PermitOnline;
+use crate::PERMIT_ELEMENT;
+use leasing_core::engine::{Driver, LeasingAlgorithm};
 use leasing_core::lease::LeaseStructure;
 use leasing_core::time::TimeStep;
 use rand::{Rng, RngExt};
 
-/// Runs `alg` against the adaptive adversary of Theorem 2.8 over
-/// `[0, horizon)`: whenever the current leases do not cover the current day,
-/// a demand is issued there.
+/// Runs the permit algorithm in `driver` against the adaptive adversary of
+/// Theorem 2.8 over `[0, horizon)`: whenever the driver's ledger does not
+/// cover the current day, a demand is issued there.
 ///
 /// Returns the demand days the adversary issued (which an offline optimum
-/// can then be computed on).
-pub fn run_adaptive_adversary<A: PermitOnline>(alg: &mut A, horizon: TimeStep) -> Vec<TimeStep> {
+/// can then be computed on). A driver whose clock is already past `0`
+/// rejects the earlier days; the adversary then issues demands only from
+/// the clock onwards.
+pub fn run_adaptive_adversary<A: LeasingAlgorithm<Request = ()>>(
+    driver: &mut Driver<A>,
+    horizon: TimeStep,
+) -> Vec<TimeStep> {
     let mut demands = Vec::new();
     for t in 0..horizon {
-        if !alg.is_covered(t) {
-            alg.serve_demand(t);
+        if !driver.ledger().covered(PERMIT_ELEMENT, t) && driver.submit(t, ()).is_ok() {
             demands.push(t);
         }
     }
@@ -114,13 +119,13 @@ mod tests {
     #[test]
     fn adversary_only_issues_uncovered_days() {
         let s = LeaseStructure::meyerson_adversarial(2);
-        let mut alg = DeterministicPrimalDual::new(s.clone());
+        let mut driver = Driver::new(DeterministicPrimalDual::new(s.clone()), s.clone());
         let horizon = s.l_max();
-        let demands = run_adaptive_adversary(&mut alg, horizon);
+        let demands = run_adaptive_adversary(&mut driver, horizon);
         assert!(!demands.is_empty());
         // After the run every demand day is covered.
         for &d in &demands {
-            assert!(alg.is_covered(d));
+            assert!(driver.ledger().covered(PERMIT_ELEMENT, d));
         }
         // Demands are strictly increasing.
         assert!(demands.windows(2).all(|w| w[0] < w[1]));
@@ -133,10 +138,10 @@ mod tests {
         let mut ratios = Vec::new();
         for k in 1..=4usize {
             let s = LeaseStructure::meyerson_adversarial(k);
-            let mut alg = DeterministicPrimalDual::new(s.clone());
-            let demands = run_adaptive_adversary(&mut alg, s.l_max());
+            let mut driver = Driver::new(DeterministicPrimalDual::new(s.clone()), s.clone());
+            let demands = run_adaptive_adversary(&mut driver, s.l_max());
             let opt = offline::optimal_cost_interval_model(&s, &demands);
-            let outcome = CompetitiveOutcome::new(alg.total_cost(), opt);
+            let outcome = CompetitiveOutcome::new(driver.cost(), opt);
             ratios.push(outcome.ratio());
         }
         // Monotone growth (allowing small numeric slack) and a K=4 ratio
@@ -182,11 +187,11 @@ mod tests {
             let mut rng = seeded(seed);
             let demands = gen.sample(&mut rng);
             let opt = offline::optimal_cost_interval_model(&s, &demands);
-            let mut alg = RandomizedPermit::new(s.clone(), &mut rng);
-            for &d in &demands {
-                alg.serve_demand(d);
-            }
-            ratio_sum += alg.total_cost() / opt;
+            let mut driver = Driver::new(RandomizedPermit::new(s.clone(), &mut rng), s.clone());
+            driver
+                .submit_batch(demands.iter().map(|&d| (d, ())))
+                .unwrap();
+            ratio_sum += driver.cost() / opt;
         }
         let mean = ratio_sum / trials as f64;
         assert!(

@@ -7,9 +7,9 @@
 //! `K` times the dual value and yields the `O(K)` competitive ratio of
 //! Theorem 2.7.
 
-use crate::{PermitOnline, PurchaseLog, PERMIT_ELEMENT};
-use leasing_core::engine::{Books, LeasingAlgorithm, Ledger};
-use leasing_core::framework::{OnlineAlgorithm, Triple};
+use crate::PERMIT_ELEMENT;
+use leasing_core::engine::{Books, LeasingAlgorithm, CATEGORY_LEASE};
+use leasing_core::framework::Triple;
 use leasing_core::interval::dual_step;
 use leasing_core::lease::{Lease, LeaseStructure};
 use leasing_core::time::TimeStep;
@@ -36,9 +36,6 @@ pub struct DeterministicPrimalDual {
     dual_value: f64,
     /// Purchase log in buy order.
     purchases: Vec<Lease>,
-    /// Decision ledger backing the deprecated [`PermitOnline`] entry point;
-    /// the single source of truth for cost on that path.
-    ledger: Ledger,
 }
 
 impl DeterministicPrimalDual {
@@ -49,7 +46,6 @@ impl DeterministicPrimalDual {
     /// 2.5. Lengths need not be powers of two; alignment alone guarantees
     /// the "exactly `K` candidates per day" property the analysis needs.
     pub fn new(structure: LeaseStructure) -> Self {
-        let ledger = Ledger::new(structure.clone());
         // Sentinel start: no aligned window starts at `u64::MAX`.
         let contributions = vec![(TimeStep::MAX, 0.0); structure.num_types()];
         DeterministicPrimalDual {
@@ -57,27 +53,29 @@ impl DeterministicPrimalDual {
             contributions,
             dual_value: 0.0,
             purchases: Vec::new(),
-            ledger,
         }
     }
 
-    /// Core primal-dual step, recording purchases into the books: the
-    /// shared [`dual_step`] over the `K` live accumulators, buying every
-    /// tight candidate the ledger does not already own.
-    fn serve_with(&mut self, t: TimeStep, books: &mut Books<'_>) {
-        if books.covered(PERMIT_ELEMENT, t) {
+    /// Core primal-dual step for a demand on `element` at `t`: the shared
+    /// [`dual_step`] over the `K` live accumulators, buying every tight
+    /// candidate the books do not already own at this permit's own prices.
+    /// A composite algorithm (Steiner leasing's per-edge permits) runs one
+    /// permit per element over its shared books.
+    pub fn serve_element(&mut self, t: TimeStep, element: usize, books: &mut Books<'_>) {
+        if books.covered(element, t) {
             return;
         }
+        let structure = &self.structure;
         let purchases = &mut self.purchases;
-        self.dual_value += dual_step(&self.structure, &mut self.contributions, t, |k, start| {
-            let triple = Triple::new(PERMIT_ELEMENT, k, start);
+        self.dual_value += dual_step(structure, &mut self.contributions, t, |k, start| {
+            let triple = Triple::new(element, k, start);
             if !books.owns(triple) {
-                books.buy(t, triple);
+                books.buy_priced(t, triple, structure.cost(k), CATEGORY_LEASE);
                 purchases.push(Lease::new(k, start));
             }
         });
         debug_assert!(
-            books.covered(PERMIT_ELEMENT, t),
+            books.covered(element, t),
             "primal-dual step must cover the demand"
         );
     }
@@ -97,63 +95,13 @@ impl DeterministicPrimalDual {
     pub fn dual_value(&self) -> f64 {
         self.dual_value
     }
-
-    /// Total primal cost paid so far (inherent mirror of the trait methods,
-    /// so callers need not disambiguate between [`PermitOnline`] and
-    /// [`OnlineAlgorithm`]).
-    /// Reports the internal legacy-path ledger; when driving through a
-    /// [`Driver`](leasing_core::engine::Driver), read the driver's ledger
-    /// (or [`Report`](leasing_core::engine::Report)) instead.
-    pub fn total_cost(&self) -> f64 {
-        self.ledger.total_cost()
-    }
-
-    /// The internal decision ledger backing the deprecated serve path.
-    pub fn ledger(&self) -> &Ledger {
-        &self.ledger
-    }
 }
 
 impl LeasingAlgorithm for DeterministicPrimalDual {
     type Request = ();
 
     fn on_request(&mut self, time: TimeStep, _request: (), mut books: Books<'_>) {
-        self.serve_with(time, &mut books);
-    }
-}
-
-impl PurchaseLog for DeterministicPrimalDual {
-    fn purchases(&self) -> &[Lease] {
-        &self.purchases
-    }
-}
-
-impl PermitOnline for DeterministicPrimalDual {
-    fn serve_demand(&mut self, t: TimeStep) {
-        let mut ledger = std::mem::take(&mut self.ledger);
-        ledger.advance(t);
-        self.serve_with(t, &mut Books::new(&mut ledger));
-        self.ledger = ledger;
-    }
-
-    fn is_covered(&self, t: TimeStep) -> bool {
-        self.ledger.covered(PERMIT_ELEMENT, t)
-    }
-
-    fn total_cost(&self) -> f64 {
-        self.ledger.total_cost()
-    }
-}
-
-impl OnlineAlgorithm for DeterministicPrimalDual {
-    type Request = ();
-
-    fn serve(&mut self, time: TimeStep, _request: ()) {
-        self.serve_demand(time);
-    }
-
-    fn total_cost(&self) -> f64 {
-        self.ledger.total_cost()
+        self.serve_element(time, PERMIT_ELEMENT, &mut books);
     }
 }
 
@@ -161,6 +109,7 @@ impl OnlineAlgorithm for DeterministicPrimalDual {
 mod tests {
     use super::*;
     use crate::offline;
+    use leasing_core::engine::Driver;
     use leasing_core::lease::LeaseType;
     use leasing_core::rng::seeded;
     use rand::RngExt;
@@ -169,39 +118,47 @@ mod tests {
         LeaseStructure::new(vec![LeaseType::new(1, 1.0), LeaseType::new(4, 3.0)]).unwrap()
     }
 
+    /// Serves `days` through a fresh driver over `s`.
+    fn driven(s: &LeaseStructure, days: &[u64]) -> Driver<DeterministicPrimalDual> {
+        let mut driver = Driver::new(DeterministicPrimalDual::new(s.clone()), s.clone());
+        driver.submit_batch(days.iter().map(|&t| (t, ()))).unwrap();
+        driver
+    }
+
     #[test]
     fn single_demand_buys_cheapest_tight_candidate() {
-        let mut alg = DeterministicPrimalDual::new(two_type());
-        alg.serve_demand(5);
+        let driver = driven(&two_type(), &[5]);
+        let alg = driver.algorithm();
         // y = 1 makes the day lease tight first; only it is bought.
         assert_eq!(alg.purchases(), &[Lease::new(0, 5)]);
-        assert!((alg.total_cost() - 1.0).abs() < 1e-9);
+        assert!((driver.cost() - 1.0).abs() < 1e-9);
         assert!((alg.dual_value() - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn repeated_demands_in_same_window_trigger_longer_lease() {
-        let mut alg = DeterministicPrimalDual::new(two_type());
         // Days 0..3 all live in the aligned window [0,4) of the long lease.
-        for t in 0..4 {
-            alg.serve_demand(t);
-        }
+        let driver = driven(&two_type(), &[0, 1, 2, 3]);
         // Day 0: y=1, buy day lease (long gets 1). Day 1: y=1, buy day lease
         // (long gets 2). Day 2: y=1 makes long tight as well -> buy day + long.
         // Day 3: covered by the long lease, no purchase.
-        assert!(alg.is_covered(3));
-        let bought_types: Vec<usize> = alg.purchases().iter().map(|l| l.type_index).collect();
+        assert!(driver.ledger().covered(PERMIT_ELEMENT, 3));
+        let bought_types: Vec<usize> = driver
+            .algorithm()
+            .purchases()
+            .iter()
+            .map(|l| l.type_index)
+            .collect();
         assert_eq!(bought_types, vec![0, 0, 0, 1]);
-        assert!((alg.total_cost() - 6.0).abs() < 1e-9);
+        assert!((driver.cost() - 6.0).abs() < 1e-9);
     }
 
     #[test]
     fn covered_demand_is_free() {
-        let mut alg = DeterministicPrimalDual::new(two_type());
-        alg.serve_demand(0);
-        let cost = alg.total_cost();
-        alg.serve_demand(0);
-        assert_eq!(alg.total_cost(), cost);
+        let mut driver = driven(&two_type(), &[0]);
+        let cost = driver.cost();
+        driver.submit(0, ()).unwrap();
+        assert_eq!(driver.cost(), cost);
     }
 
     #[test]
@@ -221,10 +178,8 @@ mod tests {
                 }
                 d
             };
-            let mut alg = DeterministicPrimalDual::new(s.clone());
-            for &t in &demands {
-                alg.serve_demand(t);
-            }
+            let driver = driven(&s, &demands);
+            let alg = driver.algorithm();
             let opt = offline::optimal_cost_interval_model(&s, &demands);
             assert!(
                 alg.dual_value() <= opt + 1e-6,
@@ -234,9 +189,9 @@ mod tests {
             );
             // Theorem 2.7: primal <= K * dual.
             assert!(
-                alg.total_cost() <= s.num_types() as f64 * alg.dual_value() + 1e-6,
+                driver.cost() <= s.num_types() as f64 * alg.dual_value() + 1e-6,
                 "primal {} vs K*dual {}",
-                alg.total_cost(),
+                driver.cost(),
                 s.num_types() as f64 * alg.dual_value()
             );
         }
@@ -258,24 +213,21 @@ mod tests {
             if demands.is_empty() {
                 continue;
             }
-            let mut alg = DeterministicPrimalDual::new(s.clone());
-            for &t in &demands {
-                alg.serve_demand(t);
-            }
+            let driver = driven(&s, &demands);
             let opt = offline::optimal_cost_interval_model(&s, &demands);
             assert!(
-                alg.total_cost() <= k * opt + 1e-6,
+                driver.cost() <= k * opt + 1e-6,
                 "trial {trial}: alg {} opt {opt}",
-                alg.total_cost()
+                driver.cost()
             );
         }
     }
 
     #[test]
     fn online_algorithm_trait_delegates() {
-        use leasing_core::framework::run_online;
-        let mut alg = DeterministicPrimalDual::new(two_type());
-        let cost = run_online(&mut alg, vec![(0, ()), (1, ())]).unwrap();
+        let mut driver = Driver::new(DeterministicPrimalDual::new(two_type()), two_type());
+        driver.submit_batch(vec![(0, ()), (1, ())]).unwrap();
+        let cost = driver.cost();
         assert!(cost > 0.0);
     }
 }

@@ -24,22 +24,22 @@
 //! # Example
 //!
 //! ```
+//! use leasing_core::engine::Driver;
 //! use leasing_core::lease::{LeaseStructure, LeaseType};
-//! use parking_permit::{det::DeterministicPrimalDual, offline, PermitOnline};
+//! use parking_permit::{det::DeterministicPrimalDual, offline, PermitInstance};
 //!
-//! # fn main() -> Result<(), leasing_core::lease::LeaseStructureError> {
+//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let permits = LeaseStructure::new(vec![
 //!     LeaseType::new(1, 1.0),
 //!     LeaseType::new(4, 3.0),
 //! ])?;
-//! let mut alg = DeterministicPrimalDual::new(permits.clone());
-//! for day in [0u64, 1, 2, 3] {
-//!     alg.serve_demand(day);
-//! }
+//! let inst = PermitInstance::new(permits.clone(), vec![0, 1, 2, 3]);
+//! let mut driver = Driver::new(DeterministicPrimalDual::new(permits.clone()), permits.clone());
+//! driver.submit_batch(inst.requests())?;
 //! // Four consecutive rainy days: the optimum is a single 4-day permit.
-//! let opt = offline::optimal_cost_interval_model(&permits, &[0, 1, 2, 3]);
+//! let opt = offline::optimal_cost_interval_model(&permits, &inst.demands);
 //! assert!((opt - 3.0).abs() < 1e-9);
-//! assert!(alg.total_cost() <= 2.0 * opt * 2.0); // well within the O(K) bound
+//! assert!(driver.cost() <= 2.0 * opt * 2.0); // well within the O(K) bound
 //! # Ok(())
 //! # }
 //! ```
@@ -56,34 +56,6 @@ use leasing_core::time::TimeStep;
 /// is one parking lot); its id in [`Triple`](leasing_core::framework::Triple)
 /// decisions recorded by the permit algorithms.
 pub const PERMIT_ELEMENT: usize = 0;
-
-/// Access to the ordered purchase log of a permit algorithm — the hook
-/// composite algorithms (e.g. Steiner leasing's per-edge permits) use to
-/// mirror subroutine purchases into their own
-/// [`Ledger`](leasing_core::engine::Ledger).
-pub trait PurchaseLog {
-    /// Leases bought so far, in purchase order.
-    fn purchases(&self) -> &[leasing_core::lease::Lease];
-}
-
-/// Common interface of the online parking-permit algorithms, rich enough for
-/// the adaptive adversary of Theorem 2.8 (which must observe coverage).
-///
-/// This is the legacy entry point kept for the adversary and the
-/// prediction-policy combiners; new drivers should use
-/// [`LeasingAlgorithm`](leasing_core::engine::LeasingAlgorithm) through a
-/// [`Driver`](leasing_core::engine::Driver) instead.
-pub trait PermitOnline {
-    /// Serves a demand (a rainy day) at time `t`. Days must be served in
-    /// non-decreasing order.
-    fn serve_demand(&mut self, t: TimeStep);
-
-    /// Whether the permits bought so far cover day `t`.
-    fn is_covered(&self, t: TimeStep) -> bool;
-
-    /// Total price paid so far.
-    fn total_cost(&self) -> f64;
-}
 
 /// A complete problem instance: the permit structure plus the sorted list of
 /// rainy days.
@@ -104,13 +76,10 @@ impl PermitInstance {
         PermitInstance { structure, demands }
     }
 
-    /// Runs any [`PermitOnline`] algorithm over the instance and returns its
-    /// final cost.
-    pub fn run<A: PermitOnline>(&self, alg: &mut A) -> f64 {
-        for &d in &self.demands {
-            alg.serve_demand(d);
-        }
-        alg.total_cost()
+    /// The demand days as `(day, ())` requests for a
+    /// [`Driver`](leasing_core::engine::Driver) over any permit algorithm.
+    pub fn requests(&self) -> impl Iterator<Item = (TimeStep, ())> + '_ {
+        self.demands.iter().map(|&d| (d, ()))
     }
 }
 

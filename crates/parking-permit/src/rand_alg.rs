@@ -7,9 +7,9 @@
 //! candidate type at which the suffix sums of the fractions cross `τ`.
 //! Expected competitive ratio: `O(log K)` — optimal by Theorem 2.9.
 
-use crate::{PermitOnline, PurchaseLog, PERMIT_ELEMENT};
-use leasing_core::engine::{Books, LeasingAlgorithm, Ledger};
-use leasing_core::framework::{OnlineAlgorithm, Triple};
+use crate::PERMIT_ELEMENT;
+use leasing_core::engine::{Books, LeasingAlgorithm, CATEGORY_LEASE};
+use leasing_core::framework::Triple;
 use leasing_core::interval::candidates_covering;
 use leasing_core::lease::{Lease, LeaseStructure};
 use leasing_core::time::TimeStep;
@@ -37,8 +37,6 @@ pub struct RandomizedPermit {
     /// instrumentation: fractional cost ≤ O(log K)·Opt).
     fractional_cost: f64,
     purchases: Vec<Lease>,
-    /// Decision ledger backing the deprecated [`PermitOnline`] entry point.
-    ledger: Ledger,
 }
 
 impl RandomizedPermit {
@@ -56,20 +54,20 @@ impl RandomizedPermit {
     /// Panics unless `0.0 < tau <= 1.0`.
     pub fn with_threshold(structure: LeaseStructure, tau: f64) -> Self {
         assert!(tau > 0.0 && tau <= 1.0, "threshold must lie in (0, 1]");
-        let ledger = Ledger::new(structure.clone());
         RandomizedPermit {
             fractions: vec![(TimeStep::MAX, 0.0); structure.num_types()],
             structure,
             tau,
             fractional_cost: 0.0,
             purchases: Vec::new(),
-            ledger,
         }
     }
 
-    /// Core fractional-growth + threshold-rounding step, recording the
-    /// purchase into the books.
-    fn serve_with(&mut self, t: TimeStep, books: &mut Books<'_>) {
+    /// Core fractional-growth + threshold-rounding step for a demand on
+    /// `element` at `t`, buying the rounded candidate into the books at
+    /// this permit's own prices (see
+    /// [`DeterministicPrimalDual::serve_element`](crate::det::DeterministicPrimalDual::serve_element)).
+    pub fn serve_element(&mut self, t: TimeStep, element: usize, books: &mut Books<'_>) {
         let candidates = candidates_covering(&self.structure, t);
         let q = candidates.len() as f64;
 
@@ -115,12 +113,12 @@ impl RandomizedPermit {
         // Σ f >= 1 >= τ guarantees a crossing; fall back to the shortest
         // candidate against numerical loss.
         let lease = chosen.unwrap_or(candidates[0]);
-        let triple = Triple::new(PERMIT_ELEMENT, lease.type_index, lease.start);
+        let triple = Triple::new(element, lease.type_index, lease.start);
         if !books.owns(triple) {
-            books.buy(t, triple);
+            books.buy_priced(t, triple, lease.cost(&self.structure), CATEGORY_LEASE);
             self.purchases.push(lease);
         }
-        debug_assert!(books.covered(PERMIT_ELEMENT, t));
+        debug_assert!(books.covered(element, t));
     }
 
     /// The permit structure this algorithm leases from.
@@ -139,21 +137,6 @@ impl RandomizedPermit {
         &self.purchases
     }
 
-    /// Total cost paid so far (inherent mirror of the trait methods, so
-    /// callers need not disambiguate between [`PermitOnline`] and
-    /// [`OnlineAlgorithm`]).
-    /// Reports the internal legacy-path ledger; when driving through a
-    /// [`Driver`](leasing_core::engine::Driver), read the driver's ledger
-    /// (or [`Report`](leasing_core::engine::Report)) instead.
-    pub fn total_cost(&self) -> f64 {
-        self.ledger.total_cost()
-    }
-
-    /// The internal decision ledger backing the deprecated serve path.
-    pub fn ledger(&self) -> &Ledger {
-        &self.ledger
-    }
-
     fn fraction(&self, lease: &Lease) -> f64 {
         self.fractions
             .get(lease.type_index)
@@ -167,42 +150,7 @@ impl LeasingAlgorithm for RandomizedPermit {
     type Request = ();
 
     fn on_request(&mut self, time: TimeStep, _request: (), mut books: Books<'_>) {
-        self.serve_with(time, &mut books);
-    }
-}
-
-impl PurchaseLog for RandomizedPermit {
-    fn purchases(&self) -> &[Lease] {
-        &self.purchases
-    }
-}
-
-impl PermitOnline for RandomizedPermit {
-    fn serve_demand(&mut self, t: TimeStep) {
-        let mut ledger = std::mem::take(&mut self.ledger);
-        ledger.advance(t);
-        self.serve_with(t, &mut Books::new(&mut ledger));
-        self.ledger = ledger;
-    }
-
-    fn is_covered(&self, t: TimeStep) -> bool {
-        self.ledger.covered(PERMIT_ELEMENT, t)
-    }
-
-    fn total_cost(&self) -> f64 {
-        self.ledger.total_cost()
-    }
-}
-
-impl OnlineAlgorithm for RandomizedPermit {
-    type Request = ();
-
-    fn serve(&mut self, time: TimeStep, _request: ()) {
-        self.serve_demand(time);
-    }
-
-    fn total_cost(&self) -> f64 {
-        self.ledger.total_cost()
+        self.serve_element(time, PERMIT_ELEMENT, &mut books);
     }
 }
 
@@ -210,6 +158,7 @@ impl OnlineAlgorithm for RandomizedPermit {
 mod tests {
     use super::*;
     use crate::offline;
+    use leasing_core::engine::Driver;
     use leasing_core::lease::LeaseType;
     use leasing_core::rng::seeded;
 
@@ -222,15 +171,19 @@ mod tests {
         .unwrap()
     }
 
+    fn driver(alg: RandomizedPermit) -> Driver<RandomizedPermit> {
+        Driver::new(alg, structure())
+    }
+
     #[test]
     fn every_demand_ends_up_covered() {
         let mut rng = seeded(1);
-        let mut alg = RandomizedPermit::new(structure(), &mut rng);
+        let mut alg = driver(RandomizedPermit::new(structure(), &mut rng));
         for t in [0u64, 1, 5, 6, 7, 20, 40, 41] {
-            alg.serve_demand(t);
-            assert!(alg.is_covered(t));
+            alg.submit(t, ()).unwrap();
+            assert!(alg.ledger().covered(PERMIT_ELEMENT, t));
         }
-        assert!(alg.total_cost() > 0.0);
+        assert!(alg.cost() > 0.0);
     }
 
     #[test]
@@ -239,18 +192,21 @@ mod tests {
         // shortest type only after all fractions are accumulated; with a
         // fresh instance the crossing index is the first type whose suffix
         // reaches 1, i.e. scanning from the longest type downward.
-        let mut alg = RandomizedPermit::with_threshold(structure(), 1.0);
-        alg.serve_demand(0);
-        assert_eq!(alg.purchases().len(), 1);
-        assert!(alg.is_covered(0));
+        let mut alg = driver(RandomizedPermit::with_threshold(structure(), 1.0));
+        alg.submit(0, ()).unwrap();
+        assert_eq!(alg.algorithm().purchases().len(), 1);
+        assert!(alg.ledger().covered(PERMIT_ELEMENT, 0));
     }
 
     #[test]
     fn tiny_threshold_prefers_long_leases() {
         // τ -> 0 crosses at the longest type with non-zero fraction.
-        let mut alg = RandomizedPermit::with_threshold(structure(), 1e-12_f64.max(0.001));
-        alg.serve_demand(0);
-        assert_eq!(alg.purchases()[0].type_index, 2);
+        let mut alg = driver(RandomizedPermit::with_threshold(
+            structure(),
+            1e-12_f64.max(0.001),
+        ));
+        alg.submit(0, ()).unwrap();
+        assert_eq!(alg.algorithm().purchases()[0].type_index, 2);
     }
 
     #[test]
@@ -261,16 +217,16 @@ mod tests {
 
     #[test]
     fn fractional_cost_grows_by_at_most_two_per_loop() {
-        let mut alg = RandomizedPermit::with_threshold(structure(), 0.5);
-        alg.serve_demand(0);
-        let after_first = alg.fractional_cost();
+        let mut alg = driver(RandomizedPermit::with_threshold(structure(), 0.5));
+        alg.submit(0, ()).unwrap();
+        let after_first = alg.algorithm().fractional_cost();
         // Each while-loop iteration adds Σ f + 1 < 2 to the fractional cost.
         // The number of iterations for a fresh day is bounded; just sanity
         // check the invariant indirectly: fractional cost is positive, finite.
         assert!(after_first > 0.0 && after_first.is_finite());
         // Serving the same day again adds nothing (sum already >= 1).
-        alg.serve_demand(0);
-        assert!((alg.fractional_cost() - after_first).abs() < 1e-12);
+        alg.submit(0, ()).unwrap();
+        assert!((alg.algorithm().fractional_cost() - after_first).abs() < 1e-12);
     }
 
     #[test]
@@ -285,11 +241,9 @@ mod tests {
         let mut total = 0.0;
         for seed in 0..trials {
             let mut rng = seeded(seed);
-            let mut alg = RandomizedPermit::new(s.clone(), &mut rng);
-            for &t in &demands {
-                alg.serve_demand(t);
-            }
-            total += alg.total_cost();
+            let mut alg = driver(RandomizedPermit::new(s.clone(), &mut rng));
+            alg.submit_batch(demands.iter().map(|&t| (t, ()))).unwrap();
+            total += alg.cost();
         }
         let mean = total / trials as f64;
         let ratio = mean / opt;
@@ -303,11 +257,9 @@ mod tests {
         let s = structure();
         let run = |seed: u64| {
             let mut rng = seeded(seed);
-            let mut alg = RandomizedPermit::new(s.clone(), &mut rng);
-            for t in [0u64, 3, 9, 27] {
-                alg.serve_demand(t);
-            }
-            (alg.total_cost(), alg.purchases().to_vec())
+            let mut alg = driver(RandomizedPermit::new(s.clone(), &mut rng));
+            alg.submit_batch([0u64, 3, 9, 27].map(|t| (t, ()))).unwrap();
+            (alg.cost(), alg.algorithm().purchases().to_vec())
         };
         assert_eq!(run(42), run(42));
     }

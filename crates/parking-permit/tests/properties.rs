@@ -2,11 +2,12 @@
 //! guarantee on arbitrary demand sequences, feasibility of the randomized
 //! algorithm under any threshold, and DP/ILP agreement.
 
+use leasing_core::engine::Driver;
 use leasing_core::lease::LeaseStructure;
 use leasing_core::rng::seeded;
 use parking_permit::det::DeterministicPrimalDual;
 use parking_permit::rand_alg::RandomizedPermit;
-use parking_permit::{ilp, offline, PermitInstance, PermitOnline};
+use parking_permit::{ilp, offline, PermitInstance, PERMIT_ELEMENT};
 use proptest::prelude::*;
 
 fn structure() -> LeaseStructure {
@@ -37,16 +38,17 @@ proptest! {
         if days.is_empty() {
             return Ok(());
         }
-        let mut alg = DeterministicPrimalDual::new(s.clone());
+        let mut driver = Driver::new(DeterministicPrimalDual::new(s.clone()), s.clone());
         for &t in &days {
-            alg.serve_demand(t);
-            prop_assert!(alg.is_covered(t));
+            driver.submit(t, ()).unwrap();
+            prop_assert!(driver.ledger().covered(PERMIT_ELEMENT, t));
         }
+        let alg = driver.algorithm();
         let opt = offline::optimal_cost_interval_model(&s, &days);
         let k = s.num_types() as f64;
         prop_assert!(alg.dual_value() <= opt + 1e-6);
-        prop_assert!(PermitOnline::total_cost(&alg) <= k * alg.dual_value() + 1e-6);
-        prop_assert!(PermitOnline::total_cost(&alg) <= k * opt + 1e-6);
+        prop_assert!(driver.cost() <= k * alg.dual_value() + 1e-6);
+        prop_assert!(driver.cost() <= k * opt + 1e-6);
     }
 
     /// The randomized algorithm is feasible for *every* threshold value
@@ -57,13 +59,16 @@ proptest! {
     ) {
         let s = structure();
         let days = demand_days(seed, 64, 0.4);
-        let mut alg = RandomizedPermit::with_threshold(s, tau);
+        let mut driver = Driver::new(RandomizedPermit::with_threshold(s.clone(), tau), s);
         for &t in &days {
-            alg.serve_demand(t);
-            prop_assert!(alg.is_covered(t), "threshold {tau} left day {t} uncovered");
+            driver.submit(t, ()).unwrap();
+            prop_assert!(
+                driver.ledger().covered(PERMIT_ELEMENT, t),
+                "threshold {tau} left day {t} uncovered"
+            );
         }
         // The integer cost is never below the fractional mass it rounds.
-        prop_assert!(alg.total_cost() >= 0.0);
+        prop_assert!(driver.cost() >= 0.0);
     }
 
     /// The interval DP and the literal Figure 2.2 ILP agree exactly.

@@ -186,6 +186,15 @@ impl SmclInstance {
             .max()
             .unwrap_or(0)
     }
+
+    /// The arrivals as `(time, (element, multiplicity))` requests for a
+    /// [`Driver`](leasing_core::engine::Driver) over
+    /// [`SmclOnline`](crate::online::SmclOnline).
+    pub fn requests(&self) -> impl Iterator<Item = (TimeStep, (usize, usize))> + '_ {
+        self.arrivals
+            .iter()
+            .map(|a| (a.time, (a.element, a.multiplicity)))
+    }
 }
 
 #[cfg(test)]

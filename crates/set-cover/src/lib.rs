@@ -32,6 +32,7 @@
 //! use set_cover_leasing::system::SetSystem;
 //! use set_cover_leasing::instance::{Arrival, SmclInstance};
 //! use set_cover_leasing::online::SmclOnline;
+//! use leasing_core::engine::Driver;
 //! use leasing_core::lease::{LeaseStructure, LeaseType};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -41,9 +42,9 @@
 //!     Arrival::new(0, 1, 2), // element 1 wants 2 different sets at time 0
 //!     Arrival::new(5, 0, 1),
 //! ])?;
-//! let mut alg = SmclOnline::new(&instance, 42);
-//! let cost = alg.run();
-//! assert!(cost > 0.0);
+//! let mut driver = Driver::new(SmclOnline::new(&instance, 42), instance.structure.clone());
+//! driver.submit_batch(instance.requests())?;
+//! assert!(driver.cost() > 0.0);
 //! # Ok(())
 //! # }
 //! ```

@@ -29,9 +29,9 @@
 use crate::instance::{Arrival, SmclInstance};
 use crate::online::SmclOnline;
 use crate::system::SetSystem;
+use leasing_core::engine::Driver;
 use leasing_core::lease::LeaseStructure;
 use leasing_core::time::TimeStep;
-use std::collections::HashSet;
 
 /// The set system whose universe is every non-empty subset of the `m` sets:
 /// element `e` (encoding mask `e + 1`) belongs to set `j` iff bit `j` of the
@@ -113,17 +113,16 @@ pub fn drive_ppp_embedding(
     let system = SetSystem::new(1, vec![vec![0]]).expect("one set over one element");
     let template = SmclInstance::uniform(system, structure.clone(), Vec::new())
         .expect("empty arrival list is valid");
-    let mut alg = SmclOnline::new(&template, seed);
+    let mut alg = Driver::new(SmclOnline::new(&template, seed), structure.clone());
     let mut arrivals = Vec::new();
     for t in 0..horizon {
-        if !alg.set_active_at(0, t) {
-            alg.cover_once(t, 0, &HashSet::new());
+        if !alg.algorithm().set_active_at(0, t) && alg.submit(t, (0, 1)).is_ok() {
             arrivals.push(Arrival::new(t, 0, 1));
         }
     }
     let outcome = DrivenOutcome {
         arrivals,
-        algorithm_cost: alg.total_cost(),
+        algorithm_cost: alg.cost(),
     };
     (template, outcome)
 }
@@ -153,7 +152,7 @@ pub fn drive_halving_adversary(
     let system = power_set_system(m);
     let template = SmclInstance::uniform(system, structure.clone(), Vec::new())
         .expect("empty arrival list is valid");
-    let mut alg = SmclOnline::new(&template, seed);
+    let mut alg = Driver::new(SmclOnline::new(&template, seed), structure.clone());
     let mut arrivals = Vec::new();
     for r in 0..sequences {
         let t = r as TimeStep * structure.l_max();
@@ -161,21 +160,26 @@ pub fn drive_halving_adversary(
         while candidates.len() > 1 {
             let mid = candidates.len() / 2;
             let (first, second) = candidates.split_at(mid);
-            let active = |half: &[usize]| half.iter().filter(|&&s| alg.set_active_at(s, t)).count();
+            let active = |half: &[usize]| {
+                half.iter()
+                    .filter(|&&s| alg.algorithm().set_active_at(s, t))
+                    .count()
+            };
             let chosen: Vec<usize> = if active(first) <= active(second) {
                 first.to_vec()
             } else {
                 second.to_vec()
             };
             let element = element_for_sets(&chosen);
-            alg.cover_once(t, element, &HashSet::new());
-            arrivals.push(Arrival::new(t, element, 1));
+            if alg.submit(t, (element, 1)).is_ok() {
+                arrivals.push(Arrival::new(t, element, 1));
+            }
             candidates = chosen;
         }
     }
     let outcome = DrivenOutcome {
         arrivals,
-        algorithm_cost: alg.total_cost(),
+        algorithm_cost: alg.cost(),
     };
     (template, outcome)
 }

@@ -11,7 +11,7 @@
 //! Expected competitive ratio: `O(log(δK) · log n)` (Theorem 3.3).
 
 use crate::instance::SmclInstance;
-use leasing_core::engine::{Books, LeasingAlgorithm, Ledger};
+use leasing_core::engine::{Books, LeasingAlgorithm};
 use leasing_core::framework::Triple;
 use leasing_core::interval::aligned_start;
 use leasing_core::rng::{min_of_uniforms, threshold_count};
@@ -54,14 +54,11 @@ pub struct SmclOnline<'a> {
     q: u32,
     /// Purchase mirror for the diagnostics accessors
     /// ([`owned`](SmclOnline::owned)/[`set_active_at`](SmclOnline::set_active_at));
-    /// the serve path itself queries [`Ledger::owns`].
+    /// the serve path itself queries
+    /// [`Ledger::owns`](leasing_core::engine::Ledger::owns).
     owned: HashSet<Triple>,
     stats: SmclStats,
     rng: StdRng,
-    /// Decision ledger backing the legacy `run`/`cover_once` entry points.
-    ledger: Ledger,
-    /// Next arrival index expected by [`run`](SmclOnline::run)-style drivers.
-    cursor: usize,
 }
 
 impl<'a> SmclOnline<'a> {
@@ -88,28 +85,10 @@ impl<'a> SmclOnline<'a> {
             owned: HashSet::new(),
             stats: SmclStats::default(),
             rng: StdRng::seed_from_u64(seed),
-            ledger: Ledger::new(instance.structure.clone()),
-            cursor: 0,
         }
     }
 
-    /// Total cost paid so far.
-    /// Reports the internal legacy-path ledger; when driving through a
-    /// [`Driver`](leasing_core::engine::Driver), read the driver's ledger
-    /// (or [`Report`](leasing_core::engine::Report)) instead.
-    pub fn total_cost(&self) -> f64 {
-        self.ledger.total_cost()
-    }
-
-    /// The internal decision ledger backing the legacy serve path.
-    pub fn ledger(&self) -> &Ledger {
-        &self.ledger
-    }
-
     /// Instrumentation counters.
-    /// Reports the internal legacy-path ledger; when driving through a
-    /// [`Driver`](leasing_core::engine::Driver), read the driver's ledger
-    /// (or [`Report`](leasing_core::engine::Report)) instead.
     pub fn stats(&self) -> SmclStats {
         self.stats
     }
@@ -127,25 +106,6 @@ impl<'a> SmclOnline<'a> {
         })
     }
 
-    /// Runs the algorithm over all arrivals of the instance and returns the
-    /// total cost.
-    pub fn run(&mut self) -> f64 {
-        let mut ledger = std::mem::take(&mut self.ledger);
-        while self.cursor < self.instance.arrivals.len() {
-            let a = self.instance.arrivals[self.cursor];
-            self.cursor += 1;
-            ledger.advance(a.time);
-            self.serve_with(
-                a.time,
-                a.element,
-                a.multiplicity,
-                &mut Books::new(&mut ledger),
-            );
-        }
-        self.ledger = ledger;
-        self.ledger.total_cost()
-    }
-
     /// Serves one demand, recording purchases into the books.
     fn serve_with(
         &mut self,
@@ -156,27 +116,19 @@ impl<'a> SmclOnline<'a> {
     ) {
         let mut used_sets: HashSet<usize> = HashSet::new();
         for _layer in 0..multiplicity {
-            let covering = self.cover_once_with(t, element, &used_sets, books);
+            let covering = self.cover_once(t, element, &used_sets, books);
             used_sets.insert(covering);
         }
     }
 
     /// One round of *i-Cover* (Algorithm 3): covers `(element, t)` by one
-    /// set not in `excluded`, returning the chosen set id.
+    /// set not in `excluded`, recording purchases into `books`, and returns
+    /// the chosen set id.
     ///
     /// # Panics
     ///
     /// Panics if every set containing the element is excluded.
-    pub fn cover_once(&mut self, t: TimeStep, element: usize, excluded: &HashSet<usize>) -> usize {
-        let mut ledger = std::mem::take(&mut self.ledger);
-        ledger.advance(t);
-        let covering = self.cover_once_with(t, element, excluded, &mut Books::new(&mut ledger));
-        self.ledger = ledger;
-        covering
-    }
-
-    /// One round of *i-Cover*, recording purchases into `ledger`.
-    pub(crate) fn cover_once_with(
+    pub fn cover_once(
         &mut self,
         t: TimeStep,
         element: usize,
@@ -308,7 +260,16 @@ mod tests {
     use super::*;
     use crate::instance::Arrival;
     use crate::system::SetSystem;
+    use leasing_core::engine::{Driver, Ledger};
     use leasing_core::lease::{LeaseStructure, LeaseType};
+
+    /// Serves every arrival of `inst` and returns the algorithm with its
+    /// ledger.
+    fn run<'a>(inst: &'a SmclInstance, seed: u64) -> (SmclOnline<'a>, Ledger) {
+        let mut driver = Driver::new(SmclOnline::new(inst, seed), inst.structure.clone());
+        driver.submit_batch(inst.requests()).unwrap();
+        driver.into_parts()
+    }
 
     fn lengths() -> LeaseStructure {
         LeaseStructure::new(vec![LeaseType::new(4, 1.0), LeaseType::new(16, 3.0)]).unwrap()
@@ -328,8 +289,8 @@ mod tests {
         ];
         let inst = SmclInstance::uniform(triangle_system(), lengths(), arrivals).unwrap();
         for seed in 0..10 {
-            let mut alg = SmclOnline::new(&inst, seed);
-            let cost = alg.run();
+            let (alg, ledger) = run(&inst, seed);
+            let cost = ledger.total_cost();
             assert!(cost > 0.0);
             let owned: HashSet<Triple> = alg.owned().copied().collect();
             assert!(is_feasible_cover(&inst, &owned), "seed {seed} infeasible");
@@ -340,8 +301,7 @@ mod tests {
     fn multiplicity_uses_distinct_sets() {
         let system = SetSystem::new(1, vec![vec![0], vec![0], vec![0]]).unwrap();
         let inst = SmclInstance::uniform(system, lengths(), vec![Arrival::new(0, 0, 3)]).unwrap();
-        let mut alg = SmclOnline::new(&inst, 3);
-        alg.run();
+        let (alg, _) = run(&inst, 3);
         let sets: HashSet<usize> = alg.owned().map(|tr| tr.element).collect();
         assert_eq!(sets.len(), 3, "three distinct sets must hold leases");
     }
@@ -357,11 +317,10 @@ mod tests {
             vec![Arrival::new(0, 0, 1), Arrival::new(1, 0, 1)],
         )
         .unwrap();
-        let mut alg = SmclOnline::new(&inst, 1);
-        alg.run();
+        let (_, ledger) = run(&inst, 1);
         // At most one extra purchase can happen (rounding may buy the other
         // candidate); cost is bounded by two cheap leases + one long.
-        assert!(alg.total_cost() <= 2.0 * 3.0 + 2.0);
+        assert!(ledger.total_cost() <= 2.0 * 3.0 + 2.0);
     }
 
     #[test]
@@ -369,10 +328,11 @@ mod tests {
         let system = SetSystem::new(1, vec![vec![0]]).unwrap();
         let inst = SmclInstance::uniform(system, lengths(), vec![]).unwrap();
         let mut alg = SmclOnline::new(&inst, 1);
+        let mut ledger = Ledger::new(inst.structure.clone());
         let mut excluded = HashSet::new();
         excluded.insert(0usize);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            alg.cover_once(0, 0, &excluded)
+            alg.cover_once(0, 0, &excluded, &mut Books::new(&mut ledger))
         }));
         assert!(result.is_err());
     }
@@ -385,8 +345,7 @@ mod tests {
             vec![Arrival::new(0, 0, 2), Arrival::new(3, 1, 2)],
         )
         .unwrap();
-        let mut alg = SmclOnline::new(&inst, 5);
-        alg.run();
+        let (alg, _) = run(&inst, 5);
         let stats = alg.stats();
         assert!(stats.fractional_cost > 0.0 && stats.fractional_cost.is_finite());
         assert!(stats.increments > 0);
@@ -408,19 +367,15 @@ mod tests {
             vec![Arrival::new(0, 0, 2), Arrival::new(9, 2, 1)],
         )
         .unwrap();
-        let run = |seed| {
-            let mut alg = SmclOnline::new(&inst, seed);
-            alg.run()
-        };
-        assert_eq!(run(11).to_bits(), run(11).to_bits());
+        let cost = |seed| run(&inst, seed).1.total_cost();
+        assert_eq!(cost(11).to_bits(), cost(11).to_bits());
     }
 
     #[test]
     fn set_active_at_reflects_ownership_windows() {
         let inst = SmclInstance::uniform(triangle_system(), lengths(), vec![Arrival::new(0, 0, 1)])
             .unwrap();
-        let mut alg = SmclOnline::new(&inst, 2);
-        alg.run();
+        let (alg, _) = run(&inst, 2);
         // Some set covering element 0 is active at time 0.
         assert!(alg.set_active_at(0, 0) || alg.set_active_at(2, 0));
     }

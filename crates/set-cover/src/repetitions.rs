@@ -8,7 +8,7 @@
 //! `2⌈log₂(δn+1)⌉` uniforms instead of `2⌈log₂(n+1)⌉`.
 
 use crate::instance::{Arrival, InstanceError, SmclInstance};
-use crate::online::SmclOnline;
+use crate::online::{SmclOnline, SmclStats};
 use crate::system::SetSystem;
 use leasing_core::engine::{Books, LeasingAlgorithm};
 use leasing_core::lease::{LeaseStructure, LeaseType};
@@ -30,10 +30,8 @@ pub fn buy_forever_structure(cost: f64) -> LeaseStructure {
 /// The repetition-aware online set cover algorithm of Corollary 3.5.
 pub struct RepetitionsOnline<'a> {
     inner: SmclOnline<'a>,
-    instance: &'a SmclInstance,
     /// Sets already used for each element across *all* its past arrivals.
     used: HashMap<usize, HashSet<usize>>,
-    arrivals_served: usize,
 }
 
 impl<'a> RepetitionsOnline<'a> {
@@ -46,39 +44,36 @@ impl<'a> RepetitionsOnline<'a> {
     /// Panics if the instance has more than one lease type (repetitions are
     /// defined for the buy-forever setting).
     pub fn new(instance: &'a SmclInstance, seed: u64) -> Self {
+        let delta = instance.system.delta() as u64;
+        let n = instance.system.num_elements() as u64;
+        RepetitionsOnline::with_threshold_count(
+            instance,
+            seed,
+            threshold_count(delta.saturating_mul(n)),
+        )
+    }
+
+    /// Creates the algorithm with an explicit threshold count `q` (the
+    /// ablation against Chapter 3's plain `2⌈log₂(n+1)⌉` uniforms).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the instance has more than one lease type or `q == 0`.
+    pub fn with_threshold_count(instance: &'a SmclInstance, seed: u64, q: u32) -> Self {
         assert_eq!(
             instance.structure.num_types(),
             1,
             "OnlineSetCoverWithRepetitions is a K = 1 problem"
         );
-        let delta = instance.system.delta() as u64;
-        let n = instance.system.num_elements() as u64;
-        let q = threshold_count(delta.saturating_mul(n));
         RepetitionsOnline {
             inner: SmclOnline::with_threshold_count(instance, seed, q),
-            instance,
             used: HashMap::new(),
-            arrivals_served: 0,
         }
     }
 
-    /// Runs over all instance arrivals (multiplicities are interpreted as
-    /// repeated arrivals at the same time step).
-    pub fn run(&mut self) -> f64 {
-        for a in &self.instance.arrivals {
-            for _ in 0..a.multiplicity {
-                let excluded = self.used.entry(a.element).or_default().clone();
-                let chosen = self.inner.cover_once(a.time, a.element, &excluded);
-                self.used.entry(a.element).or_default().insert(chosen);
-                self.arrivals_served += 1;
-            }
-        }
-        self.inner.total_cost()
-    }
-
-    /// Total cost paid so far.
-    pub fn total_cost(&self) -> f64 {
-        self.inner.total_cost()
+    /// Instrumentation counters of the underlying *i-Cover* rounds.
+    pub fn stats(&self) -> SmclStats {
+        self.inner.stats()
     }
 
     /// The distinct sets used for `element` so far.
@@ -93,11 +88,8 @@ impl<'a> LeasingAlgorithm for RepetitionsOnline<'a> {
 
     fn on_request(&mut self, time: TimeStep, element: usize, mut books: Books<'_>) {
         let excluded = self.used.entry(element).or_default().clone();
-        let chosen = self
-            .inner
-            .cover_once_with(time, element, &excluded, &mut books);
+        let chosen = self.inner.cover_once(time, element, &excluded, &mut books);
         self.used.entry(element).or_default().insert(chosen);
-        self.arrivals_served += 1;
     }
 }
 
@@ -149,13 +141,14 @@ mod tests {
             vec![(0, 0), (1, 0), (2, 0)],
         )
         .unwrap();
-        let mut alg = RepetitionsOnline::new(&inst, 7);
-        alg.run();
-        assert_eq!(alg.sets_used_for(0), 3);
-        assert!(
-            alg.total_cost() >= 3.0 - 1e-9,
-            "three distinct sets cost >= 3"
+        let mut alg = leasing_core::engine::Driver::new(
+            RepetitionsOnline::new(&inst, 7),
+            inst.structure.clone(),
         );
+        alg.submit_batch(inst.requests().map(|(t, (e, _))| (t, e)))
+            .unwrap();
+        assert_eq!(alg.algorithm().sets_used_for(0), 3);
+        assert!(alg.cost() >= 3.0 - 1e-9, "three distinct sets cost >= 3");
     }
 
     #[test]

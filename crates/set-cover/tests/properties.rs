@@ -2,6 +2,7 @@
 //! randomized algorithm, LP/ILP ordering, and layering invariants on
 //! random instances.
 
+use leasing_core::engine::Driver;
 use leasing_core::lease::{LeaseStructure, LeaseType};
 use leasing_core::rng::seeded;
 use proptest::prelude::*;
@@ -55,10 +56,11 @@ proptest! {
     #[test]
     fn online_cover_is_always_feasible(seed in 0u64..500, alg_seed in 0u64..50) {
         let inst = random_instance(seed, 6, 4, 8);
-        let mut alg = SmclOnline::new(&inst, alg_seed);
-        let cost = alg.run();
+        let mut alg = Driver::new(SmclOnline::new(&inst, alg_seed), inst.structure.clone());
+        alg.submit_batch(inst.requests()).unwrap();
+        let cost = alg.cost();
         prop_assert!(cost >= 0.0);
-        let owned: std::collections::HashSet<_> = alg.owned().copied().collect();
+        let owned: std::collections::HashSet<_> = alg.algorithm().owned().copied().collect();
         prop_assert!(is_feasible_cover(&inst, &owned));
     }
 
@@ -74,7 +76,9 @@ proptest! {
         let (greedy, _) = offline::greedy(&inst);
         prop_assert!(lp <= ilp + 1e-6, "LP {lp} above ILP {ilp}");
         prop_assert!(greedy >= ilp - 1e-6, "greedy {greedy} below ILP {ilp}");
-        let online = SmclOnline::new(&inst, seed).run();
+        let mut online = Driver::new(SmclOnline::new(&inst, seed), inst.structure.clone());
+        online.submit_batch(inst.requests()).unwrap();
+        let online = online.cost();
         prop_assert!(online >= ilp - 1e-6, "online {online} below ILP {ilp}");
     }
 

@@ -401,15 +401,10 @@ fn set_cover_cell(trace: &Trace, ctx: &RunContext) -> Result<CellOutcome, SimErr
     let inst = set_cover_instance(trace, ctx)?;
     let opt = ctx.resolve_oracle(|| Ok(SetCoverLpOracle::new().optimum(&inst)?))?;
     let alg_seed = ctx.rng(0x5e7d).random::<u64>();
-    let requests: Vec<(TimeStep, (usize, usize))> = inst
-        .arrivals
-        .iter()
-        .map(|a| (a.time, (a.element, a.multiplicity)))
-        .collect();
     drive(
         SmclOnline::new(&inst, alg_seed),
         ctx,
-        requests,
+        inst.requests(),
         opt,
         trace.horizon,
     )
@@ -430,11 +425,11 @@ fn vertex_cover_cell(trace: &Trace, ctx: &RunContext) -> Result<CellOutcome, Sim
         .iter()
         .map(|ev| (ev.time, ev.element % num_edges))
         .collect();
-    let inst = VcLeasingInstance::unweighted(g, ctx.structure.clone(), arrivals.clone())
-        .map_err(instance_err)?;
+    let inst =
+        VcLeasingInstance::unweighted(g, ctx.structure.clone(), arrivals).map_err(instance_err)?;
     let mut alg = VcPrimalDual::new(&inst);
     let mut engine = crate::arena::take_handle(&mut alg, &ctx.structure);
-    engine.submit_batch(arrivals)?;
+    engine.submit_batch(inst.requests())?;
     let requests = engine.requests();
     let (active_peak, active_mean) = ActiveSampler::new(trace.horizon).finish(engine.ledger());
     let ledger = engine.into_ledger();
@@ -500,12 +495,7 @@ where
     F: FnOnce(&'a FacilityInstance) -> A,
 {
     let opt = ctx.resolve_oracle(|| Ok(FacilityLpOracle.optimum(inst)?))?;
-    let requests: Vec<(TimeStep, Vec<usize>)> = inst
-        .batches()
-        .iter()
-        .map(|b| (b.time, b.clients.clone()))
-        .collect();
-    drive(make(inst), ctx, requests, opt, trace.horizon)
+    drive(make(inst), ctx, inst.requests(), opt, trace.horizon)
 }
 
 fn capacitated_instance(trace: &Trace, ctx: &RunContext) -> Result<CapacitatedInstance, SimError> {
@@ -520,16 +510,10 @@ fn capacitated_oracle(trace: &Trace, ctx: &RunContext) -> Result<OracleBound, Si
 fn capacitated_cell(trace: &Trace, ctx: &RunContext) -> Result<CellOutcome, SimError> {
     let inst = capacitated_instance(trace, ctx)?;
     let opt = ctx.resolve_oracle(|| Ok(CapacitatedLpOracle.optimum(&inst)?))?;
-    let requests: Vec<(TimeStep, Vec<usize>)> = inst
-        .base
-        .batches()
-        .iter()
-        .map(|b| (b.time, b.clients.clone()))
-        .collect();
     drive(
         CapacitatedGreedy::new(&inst, LeaseChoice::CheapestTotal),
         ctx,
-        requests,
+        inst.base.requests(),
         opt,
         trace.horizon,
     )
@@ -571,12 +555,10 @@ fn steiner_oracle(trace: &Trace, ctx: &RunContext) -> Result<OracleBound, SimErr
 fn steiner_cell(trace: &Trace, ctx: &RunContext) -> Result<CellOutcome, SimError> {
     let inst = steiner_instance(trace, ctx)?;
     let opt = ctx.resolve_oracle(|| Ok(SteinerLpOracle::default().optimum(&inst)?))?;
-    let pair_requests: Vec<(TimeStep, (usize, usize))> =
-        inst.requests.iter().map(|r| (r.time, (r.u, r.v))).collect();
     drive(
         SteinerLeasingOnline::new(&inst),
         ctx,
-        pair_requests,
+        inst.requests(),
         opt,
         trace.horizon,
     )
@@ -599,9 +581,13 @@ fn old_oracle(trace: &Trace, ctx: &RunContext) -> Result<OracleBound, SimError> 
 fn old_cell(trace: &Trace, ctx: &RunContext) -> Result<CellOutcome, SimError> {
     let inst = old_instance(trace, ctx)?;
     let opt = ctx.resolve_oracle(|| Ok(OldLpOracle.optimum(&inst)?))?;
-    let requests: Vec<(TimeStep, u64)> =
-        inst.clients.iter().map(|c| (c.arrival, c.slack)).collect();
-    drive(OldPrimalDual::new(&inst), ctx, requests, opt, trace.horizon)
+    drive(
+        OldPrimalDual::new(&inst),
+        ctx,
+        inst.requests(),
+        opt,
+        trace.horizon,
+    )
 }
 
 fn scld_instance(trace: &Trace, ctx: &RunContext) -> Result<ScldInstance, SimError> {
@@ -624,15 +610,10 @@ fn scld_cell(trace: &Trace, ctx: &RunContext) -> Result<CellOutcome, SimError> {
     let inst = scld_instance(trace, ctx)?;
     let opt = ctx.resolve_oracle(|| Ok(ScldLpOracle.optimum(&inst)?))?;
     let alg_seed = ctx.rng(0x5c1f).random::<u64>();
-    let requests: Vec<(TimeStep, (u64, usize))> = inst
-        .arrivals
-        .iter()
-        .map(|a| (a.time, (a.slack, a.element)))
-        .collect();
     drive(
         ScldOnline::new(&inst, alg_seed),
         ctx,
-        requests,
+        inst.requests(),
         opt,
         trace.horizon,
     )

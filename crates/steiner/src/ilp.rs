@@ -239,6 +239,7 @@ mod tests {
     use crate::instance::{PairRequest, SteinerInstance};
     use crate::offline::route_then_lease;
     use crate::online::SteinerLeasingOnline;
+    use leasing_core::engine::Driver;
     use leasing_core::lease::{LeaseStructure, LeaseType};
     use leasing_graph::graph::Graph;
 
@@ -362,8 +363,9 @@ mod tests {
         .unwrap();
         let opt = steiner_optimal_cost(&inst, 100, 100_000).unwrap();
         let offline = route_then_lease(&inst).cost;
-        let mut online = SteinerLeasingOnline::new(&inst);
-        let online_cost = online.run();
+        let mut online = Driver::new(SteinerLeasingOnline::new(&inst), inst.structure.clone());
+        online.submit_batch(inst.requests()).unwrap();
+        let online_cost = online.cost();
         assert!(offline >= opt - 1e-6, "offline {offline} vs opt {opt}");
         assert!(
             online_cost >= opt - 1e-6,

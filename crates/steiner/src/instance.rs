@@ -108,6 +108,12 @@ impl SteinerInstance {
         })
     }
 
+    /// The requests as `(time, (u, v))` pairs for a
+    /// [`Driver`](leasing_core::engine::Driver) over an online algorithm.
+    pub fn requests(&self) -> impl Iterator<Item = (TimeStep, (usize, usize))> + '_ {
+        self.requests.iter().map(|r| (r.time, (r.u, r.v)))
+    }
+
     /// Cost of leasing edge `e` with type `k`: `w_e · c_k`.
     ///
     /// # Panics

@@ -22,6 +22,7 @@
 //! # Example
 //!
 //! ```
+//! use leasing_core::engine::Driver;
 //! use leasing_core::lease::{LeaseStructure, LeaseType};
 //! use leasing_graph::graph::Graph;
 //! use steiner_leasing::instance::{PairRequest, SteinerInstance};
@@ -38,8 +39,9 @@
 //!     leases,
 //!     vec![PairRequest::new(0, 0, 2), PairRequest::new(1, 0, 2)],
 //! )?;
-//! let mut alg = SteinerLeasingOnline::new(&instance);
-//! let cost = alg.run();
+//! let mut driver = Driver::new(SteinerLeasingOnline::new(&instance), instance.structure.clone());
+//! driver.submit_batch(instance.requests())?;
+//! let cost = driver.cost();
 //! // Both requests ride the cheap two-edge route; the second reuses the
 //! // leases bought for the first.
 //! assert!((cost - 2.0).abs() < 1e-9);

@@ -12,14 +12,12 @@
 //!   Meyerson's headline bound for `SteinerTreeLeasing`.
 
 use crate::instance::{PairRequest, SteinerInstance};
-use leasing_core::engine::{Books, LeasingAlgorithm, Ledger, CATEGORY_LEASE};
-use leasing_core::framework::{OnlineAlgorithm, Triple};
+use leasing_core::engine::{Books, LeasingAlgorithm};
 use leasing_core::lease::Lease;
 use leasing_core::time::TimeStep;
 use leasing_graph::paths::dijkstra_with;
 use parking_permit::det::DeterministicPrimalDual;
 use parking_permit::rand_alg::RandomizedPermit;
-use parking_permit::{PermitOnline, PurchaseLog};
 use rand::Rng;
 
 /// Counters exposed by the online algorithms for the experiments.
@@ -33,21 +31,24 @@ pub struct SteinerStats {
     pub permit_demands: usize,
 }
 
-/// Online Steiner leasing with one [`PermitOnline`] subroutine per edge.
+/// A permit's step for a demand on one element: serve the element at a
+/// time, buying straight into the shared books at the permit's own prices.
+type PermitStep<P> = fn(&mut P, TimeStep, usize, &mut Books<'_>);
+
+/// Online Steiner leasing with one parking-permit subroutine per edge.
 ///
-/// Generic over the permit flavour; use [`SteinerLeasingOnline`] for the
-/// deterministic and [`RandomizedSteinerLeasing`] for the randomized
-/// instantiation.
+/// Each edge's permit is priced by the edge's scaled structure
+/// ([`SteinerInstance::scaled_structure`]) and buys directly into the
+/// engine's books with the edge id as the element, so the one ledger
+/// answers every edge-activity query. Generic over the permit flavour; use
+/// [`SteinerLeasingOnline`] for the deterministic and
+/// [`RandomizedSteinerLeasing`] for the randomized instantiation.
 #[derive(Clone, Debug)]
 pub struct GenericSteinerLeasing<'a, P> {
     instance: &'a SteinerInstance,
     permits: Vec<P>,
-    /// How many purchases of each edge's permit have been mirrored into
-    /// the ledger.
-    mirrored: Vec<usize>,
+    step: PermitStep<P>,
     stats: SteinerStats,
-    /// Decision ledger backing the legacy `run`/`OnlineAlgorithm` entry points.
-    ledger: Ledger,
 }
 
 /// Deterministic instantiation: per-edge primal-dual permits
@@ -61,16 +62,14 @@ pub type RandomizedSteinerLeasing<'a> = GenericSteinerLeasing<'a, RandomizedPerm
 impl<'a> SteinerLeasingOnline<'a> {
     /// Creates the deterministic algorithm for `instance`.
     pub fn new(instance: &'a SteinerInstance) -> Self {
-        let permits: Vec<DeterministicPrimalDual> = (0..instance.graph.num_edges())
+        let permits = (0..instance.graph.num_edges())
             .map(|e| DeterministicPrimalDual::new(instance.scaled_structure(e)))
             .collect();
-        let mirrored = vec![0; permits.len()];
         GenericSteinerLeasing {
             instance,
             permits,
-            mirrored,
+            step: DeterministicPrimalDual::serve_element,
             stats: SteinerStats::default(),
-            ledger: Ledger::new(instance.structure.clone()),
         }
     }
 }
@@ -79,33 +78,22 @@ impl<'a> RandomizedSteinerLeasing<'a> {
     /// Creates the randomized algorithm for `instance`, drawing each edge's
     /// rounding threshold from `rng`.
     pub fn new<R: Rng + ?Sized>(instance: &'a SteinerInstance, rng: &mut R) -> Self {
-        let permits: Vec<RandomizedPermit> = (0..instance.graph.num_edges())
+        let permits = (0..instance.graph.num_edges())
             .map(|e| RandomizedPermit::new(instance.scaled_structure(e), rng))
             .collect();
-        let mirrored = vec![0; permits.len()];
         GenericSteinerLeasing {
             instance,
             permits,
-            mirrored,
+            step: RandomizedPermit::serve_element,
             stats: SteinerStats::default(),
-            ledger: Ledger::new(instance.structure.clone()),
         }
     }
 }
 
-impl<'a, P: PermitOnline + PurchaseLog> GenericSteinerLeasing<'a, P> {
+impl<'a, P> GenericSteinerLeasing<'a, P> {
     /// The instance being served.
     pub fn instance(&self) -> &SteinerInstance {
         self.instance
-    }
-
-    /// Whether edge `e` holds an active lease at time `t`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `e` is out of range.
-    pub fn edge_active(&self, e: usize, t: TimeStep) -> bool {
-        self.permits[e].is_covered(t)
     }
 
     /// Experiment counters accumulated so far.
@@ -114,12 +102,10 @@ impl<'a, P: PermitOnline + PurchaseLog> GenericSteinerLeasing<'a, P> {
     }
 
     /// Core routing + per-edge permit step, recording purchases into
-    /// `ledger`.
+    /// `books`.
     ///
-    /// Edge activity is read from the ledger's coverage index (`element` =
-    /// edge id); the per-edge permits only decide *how long* to lease, and
-    /// every permit purchase is mirrored into the ledger immediately, so
-    /// the two views never diverge.
+    /// Edge activity is read from the books' coverage index (`element` =
+    /// edge id); the per-edge permits only decide *how long* to lease.
     fn serve_with(&mut self, req: PairRequest, books: &mut Books<'_>) {
         let g = &self.instance.graph;
         let t = req.time;
@@ -138,9 +124,8 @@ impl<'a, P: PermitOnline + PurchaseLog> GenericSteinerLeasing<'a, P> {
         self.stats.routed_edges += path.len();
         for e in path {
             if !books.covered(e, t) {
-                self.permits[e].serve_demand(t);
+                (self.step)(&mut self.permits[e], t, e, books);
                 self.stats.permit_demands += 1;
-                self.mirror_purchases(t, e, books);
             }
             debug_assert!(
                 books.covered(e, t),
@@ -148,72 +133,14 @@ impl<'a, P: PermitOnline + PurchaseLog> GenericSteinerLeasing<'a, P> {
             );
         }
     }
-
-    /// Copies the permit subroutine's new purchases into the ledger at the
-    /// edge's scaled lease prices.
-    fn mirror_purchases(&mut self, t: TimeStep, e: usize, books: &mut Books<'_>) {
-        let fresh = &self.permits[e].purchases()[self.mirrored[e]..];
-        for lease in fresh {
-            let cost = self.instance.lease_cost(e, lease.type_index);
-            books.buy_priced(
-                t,
-                Triple::new(e, lease.type_index, lease.start),
-                cost,
-                CATEGORY_LEASE,
-            );
-        }
-        self.mirrored[e] = self.permits[e].purchases().len();
-    }
-
-    /// Runs the whole instance and returns the final cost.
-    pub fn run(&mut self) -> f64 {
-        let mut ledger = std::mem::take(&mut self.ledger);
-        for req in self.instance.requests.clone() {
-            ledger.advance(req.time);
-            self.serve_with(req, &mut Books::new(&mut ledger));
-        }
-        self.ledger = ledger;
-        self.total_cost()
-    }
-
-    /// Total leasing cost paid so far.
-    /// Reports the internal legacy-path ledger; when driving through a
-    /// [`Driver`](leasing_core::engine::Driver), read the driver's ledger
-    /// (or [`Report`](leasing_core::engine::Report)) instead.
-    pub fn total_cost(&self) -> f64 {
-        self.ledger.total_cost()
-    }
-
-    /// The internal decision ledger backing the legacy serve path.
-    pub fn ledger(&self) -> &Ledger {
-        &self.ledger
-    }
 }
 
-impl<'a, P: PermitOnline + PurchaseLog> LeasingAlgorithm for GenericSteinerLeasing<'a, P> {
+impl<'a, P> LeasingAlgorithm for GenericSteinerLeasing<'a, P> {
     /// The `(u, v)` terminal pair to connect.
     type Request = (usize, usize);
 
     fn on_request(&mut self, time: TimeStep, request: (usize, usize), mut books: Books<'_>) {
         self.serve_with(PairRequest::new(time, request.0, request.1), &mut books);
-    }
-}
-
-impl<'a, P: PermitOnline + PurchaseLog> OnlineAlgorithm for GenericSteinerLeasing<'a, P> {
-    type Request = (usize, usize);
-
-    fn serve(&mut self, time: TimeStep, request: (usize, usize)) {
-        let mut ledger = std::mem::take(&mut self.ledger);
-        ledger.advance(time);
-        self.serve_with(
-            PairRequest::new(time, request.0, request.1),
-            &mut Books::new(&mut ledger),
-        );
-        self.ledger = ledger;
-    }
-
-    fn total_cost(&self) -> f64 {
-        GenericSteinerLeasing::total_cost(self)
     }
 }
 
@@ -249,6 +176,7 @@ pub fn solution_cost(instance: &SteinerInstance, solution: &[(usize, Lease)]) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use leasing_core::engine::Driver;
     use leasing_core::lease::{LeaseStructure, LeaseType};
     use leasing_core::rng::seeded;
     use leasing_graph::graph::Graph;
@@ -263,17 +191,27 @@ mod tests {
         SteinerInstance::new(g, structure(), requests).unwrap()
     }
 
+    /// Serves every request of `inst` through a fresh driver.
+    fn driven<'a, P>(
+        alg: GenericSteinerLeasing<'a, P>,
+        inst: &SteinerInstance,
+    ) -> Driver<GenericSteinerLeasing<'a, P>> {
+        let mut driver = Driver::new(alg, inst.structure.clone());
+        driver.submit_batch(inst.requests()).unwrap();
+        driver
+    }
+
     #[test]
     fn routes_along_the_cheap_path_and_leases_it() {
         let inst = diamond_instance(vec![PairRequest::new(0, 0, 3)]);
-        let mut alg = SteinerLeasingOnline::new(&inst);
-        let cost = alg.run();
+        let driver = driven(SteinerLeasingOnline::new(&inst), &inst);
+        let cost = driver.cost();
         // Cheap path 0-1-3 (weight 2), each edge gets a 2-day lease at rate 1.
         assert!((cost - 2.0).abs() < 1e-9);
-        assert!(alg.edge_active(0, 0));
-        assert!(alg.edge_active(1, 1));
-        assert!(!alg.edge_active(3, 0));
-        assert_eq!(alg.stats().routed_edges, 2);
+        assert!(driver.ledger().covered(0, 0));
+        assert!(driver.ledger().covered(1, 1));
+        assert!(!driver.ledger().covered(3, 0));
+        assert_eq!(driver.algorithm().stats().routed_edges, 2);
     }
 
     #[test]
@@ -282,13 +220,13 @@ mod tests {
             PairRequest::new(0, 0, 3),
             PairRequest::new(1, 0, 3), // same pair inside the lease window
         ]);
-        let mut alg = SteinerLeasingOnline::new(&inst);
-        let cost = alg.run();
+        let driver = driven(SteinerLeasingOnline::new(&inst), &inst);
+        let cost = driver.cost();
         assert!(
             (cost - 2.0).abs() < 1e-9,
             "second request must be free, got {cost}"
         );
-        assert_eq!(alg.stats().permit_demands, 2);
+        assert_eq!(driver.algorithm().stats().permit_demands, 2);
     }
 
     #[test]
@@ -298,9 +236,11 @@ mod tests {
         let requests: Vec<PairRequest> = (0..8u64).map(|i| PairRequest::new(i, 0, 1)).collect();
         let g = Graph::new(2, vec![(0, 1, 1.0)]).unwrap();
         let inst = SteinerInstance::new(g, structure(), requests).unwrap();
-        let mut alg = SteinerLeasingOnline::new(&inst);
-        let _ = alg.run();
-        let long_bought = alg.permits[0].purchases().iter().any(|l| l.type_index == 1);
+        let driver = driven(SteinerLeasingOnline::new(&inst), &inst);
+        let long_bought = driver.algorithm().permits[0]
+            .purchases()
+            .iter()
+            .any(|l| l.type_index == 1);
         assert!(long_bought, "sustained demand must trigger the long lease");
     }
 
@@ -310,8 +250,7 @@ mod tests {
             PairRequest::new(0, 0, 3),
             PairRequest::new(100, 0, 3), // far outside every lease window
         ]);
-        let mut alg = SteinerLeasingOnline::new(&inst);
-        let cost = alg.run();
+        let cost = driven(SteinerLeasingOnline::new(&inst), &inst).cost();
         assert!(cost > 3.9, "both requests must pay, got {cost}");
     }
 
@@ -322,17 +261,16 @@ mod tests {
             PairRequest::new(3, 2, 3),
             PairRequest::new(9, 0, 2),
         ]);
-        let mut alg = SteinerLeasingOnline::new(&inst);
-        let _ = alg.run();
+        let driver = driven(SteinerLeasingOnline::new(&inst), &inst);
         let mut solution: Vec<(usize, Lease)> = Vec::new();
-        for (e, permit) in alg.permits.iter().enumerate() {
+        for (e, permit) in driver.algorithm().permits.iter().enumerate() {
             for &lease in permit.purchases() {
                 solution.push((e, lease));
             }
         }
         assert!(is_feasible(&inst, &solution));
         assert!(
-            (solution_cost(&inst, &solution) - alg.total_cost()).abs() < 1e-9,
+            (solution_cost(&inst, &solution) - driver.cost()).abs() < 1e-9,
             "per-edge permit costs must match the scaled lease prices"
         );
     }
@@ -345,17 +283,16 @@ mod tests {
             PairRequest::new(11, 0, 3),
         ]);
         let mut rng_a = seeded(5);
-        let mut a = RandomizedSteinerLeasing::new(&inst, &mut rng_a);
-        let cost_a = a.run();
+        let a = driven(RandomizedSteinerLeasing::new(&inst, &mut rng_a), &inst);
+        let cost_a = a.cost();
         let mut rng_b = seeded(5);
-        let mut b = RandomizedSteinerLeasing::new(&inst, &mut rng_b);
-        let cost_b = b.run();
+        let cost_b = driven(RandomizedSteinerLeasing::new(&inst, &mut rng_b), &inst).cost();
         assert_eq!(cost_a, cost_b, "same seed must reproduce the run");
         for req in &inst.requests {
             // Every request must be connected through active edges.
             let g = &inst.graph;
             let sp = dijkstra_with(g, req.u, |e| {
-                if a.edge_active(e, req.time) {
+                if a.ledger().covered(e, req.time) {
                     0.0
                 } else {
                     f64::INFINITY
@@ -367,10 +304,12 @@ mod tests {
 
     #[test]
     fn online_algorithm_trait_serves_pairs() {
-        use leasing_core::framework::run_online;
         let inst = diamond_instance(vec![]);
-        let mut alg = SteinerLeasingOnline::new(&inst);
-        let cost = run_online(&mut alg, vec![(0u64, (0usize, 3usize)), (1, (2, 3))]).unwrap();
+        let mut driver = Driver::new(SteinerLeasingOnline::new(&inst), inst.structure.clone());
+        driver
+            .submit_batch(vec![(0u64, (0usize, 3usize)), (1, (2, 3))])
+            .unwrap();
+        let cost = driver.cost();
         assert!(cost > 0.0);
     }
 }

@@ -1,6 +1,7 @@
 //! Property tests for Steiner tree leasing: feasibility under every seed
 //! and topology, baseline ordering, and reuse economics.
 
+use leasing_core::engine::Driver;
 use leasing_core::lease::{Lease, LeaseStructure, LeaseType};
 use leasing_core::rng::seeded;
 use leasing_graph::generators::connected_erdos_renyi;
@@ -38,14 +39,15 @@ proptest! {
     #[test]
     fn deterministic_online_is_always_feasible(seed in 0u64..400, n in 2usize..10) {
         let inst = random_instance(seed, n, 6);
-        let mut alg = SteinerLeasingOnline::new(&inst);
-        let cost = alg.run();
+        let mut alg = Driver::new(SteinerLeasingOnline::new(&inst), inst.structure.clone());
+        alg.submit_batch(inst.requests()).unwrap();
+        let cost = alg.cost();
         prop_assert!(cost >= 0.0);
         for req in &inst.requests {
             // Each request must be connected through active edges.
             let g = &inst.graph;
             let sp = leasing_graph::paths::dijkstra_with(g, req.u, |e| {
-                if alg.edge_active(e, req.time) { 0.0 } else { f64::INFINITY }
+                if alg.ledger().covered(e, req.time) { 0.0 } else { f64::INFINITY }
             });
             prop_assert!(sp.is_reachable(req.v));
         }
@@ -56,12 +58,15 @@ proptest! {
     fn randomized_online_is_always_feasible(seed in 0u64..200, rng_seed in 0u64..20) {
         let inst = random_instance(seed, 6, 5);
         let mut rng = seeded(rng_seed);
-        let mut alg = RandomizedSteinerLeasing::new(&inst, &mut rng);
-        let _ = alg.run();
+        let mut alg = Driver::new(
+            RandomizedSteinerLeasing::new(&inst, &mut rng),
+            inst.structure.clone(),
+        );
+        alg.submit_batch(inst.requests()).unwrap();
         for req in &inst.requests {
             let g = &inst.graph;
             let sp = leasing_graph::paths::dijkstra_with(g, req.u, |e| {
-                if alg.edge_active(e, req.time) { 0.0 } else { f64::INFINITY }
+                if alg.ledger().covered(e, req.time) { 0.0 } else { f64::INFINITY }
             });
             prop_assert!(sp.is_reachable(req.v));
         }

@@ -17,9 +17,9 @@
 //! # Example
 //!
 //! ```
+//! use leasing_core::engine::Driver;
 //! use leasing_core::lease::{LeaseStructure, LeaseType};
 //! use leasing_core::rng::seeded;
-//! use parking_permit::PermitOnline;
 //! use stochastic_leasing::demand::{Bernoulli, DemandProcess};
 //! use stochastic_leasing::policies::RateThreshold;
 //!
@@ -31,11 +31,9 @@
 //! let process = Bernoulli::new(64, 0.8);
 //! let days = process.sample(&mut seeded(1));
 //! // The policy knows the rate is high and jumps straight to long leases.
-//! let mut policy = RateThreshold::new(structure, 0.8);
-//! for &t in &days {
-//!     policy.serve_demand(t);
-//! }
-//! assert!(policy.is_covered(days[0]));
+//! let mut policy = Driver::new(RateThreshold::new(structure.clone(), 0.8), structure);
+//! policy.submit_batch(days.iter().map(|&t| (t, ())))?;
+//! assert!(policy.ledger().covered(parking_permit::PERMIT_ELEMENT, days[0]));
 //! # Ok(())
 //! # }
 //! ```

@@ -12,12 +12,12 @@
 //!   policy and the worst-case primal-dual side by side and always *buys*
 //!   with the currently cheaper one, hedging bad predictions.
 
-use leasing_core::engine::{Books, LeasingAlgorithm, Ledger};
+use leasing_core::engine::{Books, Driver, LeasingAlgorithm, Ledger};
 use leasing_core::framework::Triple;
 use leasing_core::interval::candidates_covering;
 use leasing_core::lease::{Lease, LeaseStructure};
 use leasing_core::time::TimeStep;
-use parking_permit::{PermitOnline, PurchaseLog, PERMIT_ELEMENT};
+use parking_permit::PERMIT_ELEMENT;
 
 /// Expected number of demands a type-`k` lease covers when each of its
 /// `l_k` days demands independently with probability `p` (at least one,
@@ -40,19 +40,11 @@ fn best_type_for_rate(structure: &LeaseStructure, p: f64) -> usize {
 /// Policy that knows the daily demand rate `p`: on an uncovered demand it
 /// buys the aligned candidate of the type with the best expected price per
 /// served demand.
-///
-/// The [`PermitOnline`]/[`CoveringLease`] accessors (`is_covered`,
-/// `covering_lease_at`, `total_cost`) answer from the internal legacy-path
-/// ledger; when driving through a
-/// [`Driver`](leasing_core::engine::Driver), query the driver's ledger
-/// ([`Ledger::covered`]/[`Ledger::active_lease`]) instead.
 #[derive(Clone, Debug)]
 pub struct RateThreshold {
     structure: LeaseStructure,
     p: f64,
     purchases: Vec<Lease>,
-    /// Decision ledger backing the deprecated [`PermitOnline`] entry point.
-    ledger: Ledger,
 }
 
 impl RateThreshold {
@@ -63,16 +55,14 @@ impl RateThreshold {
     /// Panics unless `0.0 <= p <= 1.0`.
     pub fn new(structure: LeaseStructure, p: f64) -> Self {
         assert!((0.0..=1.0).contains(&p), "rate out of range");
-        let ledger = Ledger::new(structure.clone());
         RateThreshold {
             structure,
             p,
             purchases: Vec::new(),
-            ledger,
         }
     }
 
-    /// Core policy step, recording the purchase into `ledger`.
+    /// Core policy step, recording the purchase into `books`.
     fn serve_with(&mut self, t: TimeStep, books: &mut Books<'_>) {
         if books.covered(PERMIT_ELEMENT, t) {
             return;
@@ -98,28 +88,6 @@ impl RateThreshold {
     pub fn owned(&self) -> impl Iterator<Item = &Lease> {
         self.purchases.iter()
     }
-
-    /// The internal decision ledger backing the deprecated serve path.
-    pub fn ledger(&self) -> &Ledger {
-        &self.ledger
-    }
-}
-
-impl PermitOnline for RateThreshold {
-    fn serve_demand(&mut self, t: TimeStep) {
-        let mut ledger = std::mem::take(&mut self.ledger);
-        ledger.advance(t);
-        self.serve_with(t, &mut Books::new(&mut ledger));
-        self.ledger = ledger;
-    }
-
-    fn is_covered(&self, t: TimeStep) -> bool {
-        self.ledger.covered(PERMIT_ELEMENT, t)
-    }
-
-    fn total_cost(&self) -> f64 {
-        self.ledger.total_cost()
-    }
 }
 
 impl LeasingAlgorithm for RateThreshold {
@@ -130,20 +98,9 @@ impl LeasingAlgorithm for RateThreshold {
     }
 }
 
-impl PurchaseLog for RateThreshold {
-    fn purchases(&self) -> &[Lease] {
-        &self.purchases
-    }
-}
-
 /// Policy that estimates the rate online: after observing `d` demands over
 /// an elapsed horizon of `h` days it uses `p̂ = d / h` (Laplace-smoothed) in
 /// the same expected-price rule as [`RateThreshold`].
-///
-/// As with [`RateThreshold`], the `is_covered`/`covering_lease_at`/
-/// `total_cost` accessors answer from the internal legacy-path ledger —
-/// under a [`Driver`](leasing_core::engine::Driver), query the driver's
-/// ledger instead.
 #[derive(Clone, Debug)]
 pub struct EmpiricalRate {
     structure: LeaseStructure,
@@ -151,25 +108,21 @@ pub struct EmpiricalRate {
     first_day: Option<TimeStep>,
     last_day: TimeStep,
     purchases: Vec<Lease>,
-    /// Decision ledger backing the deprecated [`PermitOnline`] entry point.
-    ledger: Ledger,
 }
 
 impl EmpiricalRate {
     /// Creates the estimating policy.
     pub fn new(structure: LeaseStructure) -> Self {
-        let ledger = Ledger::new(structure.clone());
         EmpiricalRate {
             structure,
             demands_seen: 0,
             first_day: None,
             last_day: 0,
             purchases: Vec::new(),
-            ledger,
         }
     }
 
-    /// Core policy step, recording the purchase into `ledger`.
+    /// Core policy step, recording the purchase into `books`.
     fn serve_with(&mut self, t: TimeStep, books: &mut Books<'_>) {
         self.first_day.get_or_insert(t);
         self.last_day = self.last_day.max(t);
@@ -189,11 +142,6 @@ impl EmpiricalRate {
         self.purchases.push(lease);
     }
 
-    /// The internal decision ledger backing the deprecated serve path.
-    pub fn ledger(&self) -> &Ledger {
-        &self.ledger
-    }
-
     /// Current (Laplace-smoothed) rate estimate.
     pub fn estimate(&self) -> f64 {
         let elapsed = match self.first_day {
@@ -201,23 +149,6 @@ impl EmpiricalRate {
             Some(f) => self.last_day - f + 1,
         };
         ((self.demands_seen + 1) as f64 / (elapsed + 2) as f64).clamp(0.0, 1.0)
-    }
-}
-
-impl PermitOnline for EmpiricalRate {
-    fn serve_demand(&mut self, t: TimeStep) {
-        let mut ledger = std::mem::take(&mut self.ledger);
-        ledger.advance(t);
-        self.serve_with(t, &mut Books::new(&mut ledger));
-        self.ledger = ledger;
-    }
-
-    fn is_covered(&self, t: TimeStep) -> bool {
-        self.ledger.covered(PERMIT_ELEMENT, t)
-    }
-
-    fn total_cost(&self) -> f64 {
-        self.ledger.total_cost()
     }
 }
 
@@ -229,47 +160,39 @@ impl LeasingAlgorithm for EmpiricalRate {
     }
 }
 
-impl PurchaseLog for EmpiricalRate {
-    fn purchases(&self) -> &[Lease] {
-        &self.purchases
-    }
-}
-
 /// Access to the concrete lease a policy covers a day with — the hook the
 /// [`SwitchCombiner`] needs to replicate its leader's purchase instead of
 /// guessing.
 pub trait CoveringLease {
-    /// An owned lease whose window contains `t`, if any.
-    fn covering_lease_at(&self, t: TimeStep) -> Option<Lease>;
+    /// A lease of this policy, owned in `ledger` (the ledger of the engine
+    /// driving it), whose window contains `t`, if any.
+    fn covering_lease_at(&self, ledger: &Ledger, t: TimeStep) -> Option<Lease>;
+}
+
+/// The first aligned candidate of `t` (shortest type first) that `ledger`
+/// owns. Candidate order is part of the combiner's replication contract,
+/// so ownership is probed per candidate instead of taking the ledger's
+/// latest-expiry pick.
+fn owned_candidate(structure: &LeaseStructure, ledger: &Ledger, t: TimeStep) -> Option<Lease> {
+    candidates_covering(structure, t)
+        .into_iter()
+        .find(|l| ledger.owns(Triple::new(PERMIT_ELEMENT, l.type_index, l.start)))
 }
 
 impl CoveringLease for RateThreshold {
-    fn covering_lease_at(&self, t: TimeStep) -> Option<Lease> {
-        // Candidate order (shortest type first) is part of the combiner's
-        // replication contract, so probe ownership per aligned candidate
-        // instead of taking the ledger's latest-expiry pick.
-        candidates_covering(&self.structure, t)
-            .into_iter()
-            .find(|l| {
-                self.ledger
-                    .owns(Triple::new(PERMIT_ELEMENT, l.type_index, l.start))
-            })
+    fn covering_lease_at(&self, ledger: &Ledger, t: TimeStep) -> Option<Lease> {
+        owned_candidate(&self.structure, ledger, t)
     }
 }
 
 impl CoveringLease for EmpiricalRate {
-    fn covering_lease_at(&self, t: TimeStep) -> Option<Lease> {
-        candidates_covering(&self.structure, t)
-            .into_iter()
-            .find(|l| {
-                self.ledger
-                    .owns(Triple::new(PERMIT_ELEMENT, l.type_index, l.start))
-            })
+    fn covering_lease_at(&self, ledger: &Ledger, t: TimeStep) -> Option<Lease> {
+        owned_candidate(&self.structure, ledger, t)
     }
 }
 
 impl CoveringLease for parking_permit::det::DeterministicPrimalDual {
-    fn covering_lease_at(&self, t: TimeStep) -> Option<Lease> {
+    fn covering_lease_at(&self, _ledger: &Ledger, t: TimeStep) -> Option<Lease> {
         self.purchases()
             .iter()
             .copied()
@@ -277,49 +200,50 @@ impl CoveringLease for parking_permit::det::DeterministicPrimalDual {
     }
 }
 
-/// Robustness combiner: simulates two [`PermitOnline`] policies on the same
-/// demand stream and, for each uncovered demand, *actually buys* the lease
-/// the policy with the currently smaller simulated total cost covers the
-/// day with.
+/// Robustness combiner: simulates two permit policies on the same demand
+/// stream and, for each uncovered demand, *actually buys* the lease the
+/// policy with the currently smaller simulated total cost covers the day
+/// with.
 ///
-/// Both inner policies always observe every demand (their simulated state
-/// stays consistent); only the purchases of the currently-leading policy
-/// are charged to the combiner. Its real cost is therefore at most
-/// `min(A, B)` per decision plus the switching overhead measured by the
-/// experiments.
+/// Each inner policy runs in its own [`Driver`] with its own ledger, and
+/// both always observe every demand (their simulated state stays
+/// consistent); only the purchases of the currently-leading policy are
+/// charged to the combiner. Its real cost is therefore at most `min(A, B)`
+/// per decision plus the switching overhead measured by the experiments.
 #[derive(Clone, Debug)]
 pub struct SwitchCombiner<A, B> {
-    a: A,
-    b: B,
+    a: Driver<A>,
+    b: Driver<B>,
     switches: usize,
     last_leader_a: bool,
-    /// Decision ledger backing the deprecated [`PermitOnline`] entry point.
-    ledger: Ledger,
 }
 
-impl<A: PermitOnline + CoveringLease, B: PermitOnline + CoveringLease> SwitchCombiner<A, B> {
+impl<A, B> SwitchCombiner<A, B>
+where
+    A: LeasingAlgorithm<Request = ()> + CoveringLease,
+    B: LeasingAlgorithm<Request = ()> + CoveringLease,
+{
     /// Combines `a` (e.g. a prediction policy) with `b` (e.g. the worst-case
-    /// primal-dual).
+    /// primal-dual), each simulated over `structure`.
     pub fn new(structure: LeaseStructure, a: A, b: B) -> Self {
-        let ledger = Ledger::new(structure);
         SwitchCombiner {
-            a,
-            b,
+            a: Driver::new(a, structure.clone()),
+            b: Driver::new(b, structure),
             switches: 0,
             last_leader_a: true,
-            ledger,
         }
     }
 
-    /// Core combiner step, recording the replicated purchase into `ledger`.
+    /// Core combiner step, recording the replicated purchase into `books`.
     fn serve_with(&mut self, t: TimeStep, books: &mut Books<'_>) {
-        // Both simulations always advance.
-        self.a.serve_demand(t);
-        self.b.serve_demand(t);
+        // Both simulations always advance. The outer engine serves in
+        // monotone time order, so neither inner driver sees time travel.
+        let simulated = self.a.submit(t, ()).and(self.b.submit(t, ()));
+        debug_assert!(simulated.is_ok(), "inner drivers follow the outer clock");
         if books.covered(PERMIT_ELEMENT, t) {
             return;
         }
-        let leader_a = self.a.total_cost() <= self.b.total_cost();
+        let leader_a = self.a.cost() <= self.b.cost();
         if leader_a != self.last_leader_a {
             self.switches += 1;
             self.last_leader_a = leader_a;
@@ -327,25 +251,18 @@ impl<A: PermitOnline + CoveringLease, B: PermitOnline + CoveringLease> SwitchCom
         // Replicate the leader's covering lease for day t; if the leader
         // somehow exposes none (both policies must cover t after serving),
         // fall back to the follower's.
+        let lease_a = || self.a.algorithm().covering_lease_at(self.a.ledger(), t);
+        let lease_b = || self.b.algorithm().covering_lease_at(self.b.ledger(), t);
         let lease = if leader_a {
-            self.a
-                .covering_lease_at(t)
-                .or_else(|| self.b.covering_lease_at(t))
+            lease_a().or_else(lease_b)
         } else {
-            self.b
-                .covering_lease_at(t)
-                .or_else(|| self.a.covering_lease_at(t))
+            lease_b().or_else(lease_a)
         }
         .expect("an inner policy must cover the demand it just served");
         let triple = Triple::new(PERMIT_ELEMENT, lease.type_index, lease.start);
         if !books.owns(triple) {
             books.buy(t, triple);
         }
-    }
-
-    /// The internal decision ledger backing the deprecated serve path.
-    pub fn ledger(&self) -> &Ledger {
-        &self.ledger
     }
 
     /// How many times the leader changed.
@@ -355,35 +272,14 @@ impl<A: PermitOnline + CoveringLease, B: PermitOnline + CoveringLease> SwitchCom
 
     /// Simulated cost of the two inner policies `(A, B)`.
     pub fn inner_costs(&self) -> (f64, f64) {
-        (self.a.total_cost(), self.b.total_cost())
-    }
-}
-
-impl<A, B> PermitOnline for SwitchCombiner<A, B>
-where
-    A: PermitOnline + CoveringLease,
-    B: PermitOnline + CoveringLease,
-{
-    fn serve_demand(&mut self, t: TimeStep) {
-        let mut ledger = std::mem::take(&mut self.ledger);
-        ledger.advance(t);
-        self.serve_with(t, &mut Books::new(&mut ledger));
-        self.ledger = ledger;
-    }
-
-    fn is_covered(&self, t: TimeStep) -> bool {
-        self.ledger.covered(PERMIT_ELEMENT, t)
-    }
-
-    fn total_cost(&self) -> f64 {
-        self.ledger.total_cost()
+        (self.a.cost(), self.b.cost())
     }
 }
 
 impl<A, B> LeasingAlgorithm for SwitchCombiner<A, B>
 where
-    A: PermitOnline + CoveringLease,
-    B: PermitOnline + CoveringLease,
+    A: LeasingAlgorithm<Request = ()> + CoveringLease,
+    B: LeasingAlgorithm<Request = ()> + CoveringLease,
 {
     type Request = ();
 
@@ -400,6 +296,13 @@ mod tests {
     use leasing_core::rng::seeded;
     use parking_permit::det::DeterministicPrimalDual;
     use parking_permit::offline;
+
+    /// Serves `days` through a fresh driver over the test structure.
+    fn driven<A: LeasingAlgorithm<Request = ()>>(alg: A, days: &[TimeStep]) -> Driver<A> {
+        let mut driver = Driver::new(alg, structure());
+        driver.submit_batch(days.iter().map(|&t| (t, ()))).unwrap();
+        driver
+    }
 
     fn structure() -> LeaseStructure {
         LeaseStructure::new(vec![
@@ -430,10 +333,10 @@ mod tests {
     fn rate_policy_always_covers_demands() {
         let proc = Bernoulli::new(256, 0.4);
         let days = proc.sample(&mut seeded(11));
-        let mut policy = RateThreshold::new(structure(), 0.4);
+        let mut policy = Driver::new(RateThreshold::new(structure(), 0.4), structure());
         for &t in &days {
-            policy.serve_demand(t);
-            assert!(policy.is_covered(t));
+            policy.submit(t, ()).unwrap();
+            assert!(policy.ledger().covered(PERMIT_ELEMENT, t));
         }
     }
 
@@ -449,14 +352,10 @@ mod tests {
                 continue;
             }
             let opt = offline::optimal_cost_interval_model(&structure(), &days);
-            let mut informed = RateThreshold::new(structure(), 0.9);
-            let mut worst_case = DeterministicPrimalDual::new(structure());
-            for &t in &days {
-                informed.serve_demand(t);
-                worst_case.serve_demand(t);
-            }
-            ratios.0 += informed.total_cost() / opt;
-            ratios.1 += PermitOnline::total_cost(&worst_case) / opt;
+            let informed = driven(RateThreshold::new(structure(), 0.9), &days);
+            let worst_case = driven(DeterministicPrimalDual::new(structure()), &days);
+            ratios.0 += informed.cost() / opt;
+            ratios.1 += worst_case.cost() / opt;
         }
         assert!(
             ratios.0 < ratios.1,
@@ -470,10 +369,8 @@ mod tests {
     fn empirical_estimate_converges() {
         let proc = Bernoulli::new(4096, 0.35);
         let days = proc.sample(&mut seeded(21));
-        let mut policy = EmpiricalRate::new(structure());
-        for &t in &days {
-            policy.serve_demand(t);
-        }
+        let driver = driven(EmpiricalRate::new(structure()), &days);
+        let policy = driver.algorithm();
         assert!(
             (policy.estimate() - 0.35).abs() < 0.05,
             "estimate {} should approach 0.35",
@@ -485,18 +382,14 @@ mod tests {
     fn empirical_policy_tracks_the_informed_one() {
         let proc = Bernoulli::new(1024, 0.8);
         let days = proc.sample(&mut seeded(33));
-        let mut informed = RateThreshold::new(structure(), 0.8);
-        let mut empirical = EmpiricalRate::new(structure());
-        for &t in &days {
-            informed.serve_demand(t);
-            empirical.serve_demand(t);
-        }
+        let informed = driven(RateThreshold::new(structure(), 0.8), &days);
+        let empirical = driven(EmpiricalRate::new(structure()), &days);
         // The estimator warms up, so allow a modest overhead factor.
         assert!(
-            empirical.total_cost() <= 2.0 * PermitOnline::total_cost(&informed) + 16.0,
+            empirical.cost() <= 2.0 * informed.cost() + 16.0,
             "empirical {} vs informed {}",
-            empirical.total_cost(),
-            PermitOnline::total_cost(&informed)
+            empirical.cost(),
+            informed.cost()
         );
     }
 
@@ -508,22 +401,25 @@ mod tests {
             if days.is_empty() {
                 continue;
             }
-            let mut combiner = SwitchCombiner::new(
+            let mut combiner = Driver::new(
+                SwitchCombiner::new(
+                    structure(),
+                    RateThreshold::new(structure(), p_predicted),
+                    DeterministicPrimalDual::new(structure()),
+                ),
                 structure(),
-                RateThreshold::new(structure(), p_predicted),
-                DeterministicPrimalDual::new(structure()),
             );
             for &t in &days {
-                combiner.serve_demand(t);
-                assert!(combiner.is_covered(t));
+                combiner.submit(t, ()).unwrap();
+                assert!(combiner.ledger().covered(PERMIT_ELEMENT, t));
             }
-            let (a, b) = combiner.inner_costs();
+            let (a, b) = combiner.algorithm().inner_costs();
             // The combiner never pays more than both inner policies
             // together (each purchase follows one of them).
             assert!(
-                combiner.total_cost() <= a + b + 1e-9,
+                combiner.cost() <= a + b + 1e-9,
                 "combined {} vs inner {a} + {b}",
-                combiner.total_cost()
+                combiner.cost()
             );
         }
     }

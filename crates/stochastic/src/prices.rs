@@ -8,13 +8,12 @@
 //! charge current prices, and [`optimal_cost_priced`] is the exact
 //! hierarchical DP under the same price path (the clairvoyant baseline).
 
-use leasing_core::engine::{Books, LeasingAlgorithm, Ledger, CATEGORY_LEASE};
+use leasing_core::engine::{Books, LeasingAlgorithm, CATEGORY_LEASE};
 use leasing_core::framework::Triple;
 use leasing_core::interval::{aligned_start, candidates_covering};
 use leasing_core::lease::{Lease, LeaseStructure};
 use leasing_core::time::TimeStep;
 use leasing_core::EPS;
-use parking_permit::PermitOnline;
 use rand::{Rng, RngExt};
 use std::collections::HashSet;
 
@@ -90,24 +89,20 @@ pub struct PriceAwarePermit<'a> {
     /// covering the present demand is ever read, so a slot resets to zero
     /// when its window slides — K slots instead of one map entry per
     /// aligned lease ever charged. Ownership history (`owned`) is kept in
-    /// full: it backs [`PermitOnline::is_covered`] and
+    /// full: it backs [`is_covered`](PriceAwarePermit::is_covered) and
     /// [`owned`](PriceAwarePermit::owned).
     contributions: Vec<(TimeStep, f64)>,
     owned: HashSet<Lease>,
-    /// Decision ledger backing the deprecated [`PermitOnline`] entry point.
-    ledger: Ledger,
 }
 
 impl<'a> PriceAwarePermit<'a> {
     /// Creates the algorithm under the given price path.
     pub fn new(structure: LeaseStructure, prices: &'a PricePath) -> Self {
-        let ledger = Ledger::new(structure.clone());
         PriceAwarePermit {
             contributions: vec![(TimeStep::MAX, 0.0); structure.num_types()],
             structure,
             prices,
             owned: HashSet::new(),
-            ledger,
         }
     }
 
@@ -116,13 +111,15 @@ impl<'a> PriceAwarePermit<'a> {
         self.owned.iter()
     }
 
-    /// The internal decision ledger backing the deprecated serve path.
-    pub fn ledger(&self) -> &Ledger {
-        &self.ledger
+    /// Whether one of this policy's purchases covers day `t`.
+    pub fn is_covered(&self, t: TimeStep) -> bool {
+        candidates_covering(&self.structure, t)
+            .into_iter()
+            .any(|l| self.owned.contains(&l))
     }
 
     /// Core price-aware primal-dual step, recording purchases into
-    /// `ledger` at day-of-purchase prices.
+    /// `books` at day-of-purchase prices.
     fn serve_with(&mut self, t: TimeStep, books: &mut Books<'_>) {
         if self.is_covered(t) {
             return;
@@ -169,25 +166,6 @@ impl<'a> PriceAwarePermit<'a> {
             }
         }
         debug_assert!(self.is_covered(t));
-    }
-}
-
-impl<'a> PermitOnline for PriceAwarePermit<'a> {
-    fn serve_demand(&mut self, t: TimeStep) {
-        let mut ledger = std::mem::take(&mut self.ledger);
-        ledger.advance(t);
-        self.serve_with(t, &mut Books::new(&mut ledger));
-        self.ledger = ledger;
-    }
-
-    fn is_covered(&self, t: TimeStep) -> bool {
-        candidates_covering(&self.structure, t)
-            .into_iter()
-            .any(|l| self.owned.contains(&l))
-    }
-
-    fn total_cost(&self) -> f64 {
-        self.ledger.total_cost()
     }
 }
 
@@ -271,6 +249,7 @@ fn window_cost(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use leasing_core::engine::Driver;
     use leasing_core::interval::power_of_two_structure;
     use leasing_core::rng::seeded;
 
@@ -325,12 +304,12 @@ mod tests {
         let mut rng = seeded(10);
         use rand::RngExt;
         let demands: Vec<TimeStep> = (0..512).filter(|_| rng.random::<f64>() < 0.2).collect();
-        let mut alg = PriceAwarePermit::new(structure(), &prices);
+        let mut alg = Driver::new(PriceAwarePermit::new(structure(), &prices), structure());
         for &t in &demands {
-            alg.serve_demand(t);
-            assert!(alg.is_covered(t));
+            alg.submit(t, ()).unwrap();
+            assert!(alg.algorithm().is_covered(t));
         }
-        assert!(alg.total_cost() > 0.0);
+        assert!(alg.cost() > 0.0);
     }
 
     #[test]
@@ -343,18 +322,16 @@ mod tests {
             if demands.is_empty() {
                 continue;
             }
-            let mut alg = PriceAwarePermit::new(structure(), &prices);
-            for &t in &demands {
-                alg.serve_demand(t);
-            }
+            let mut alg = Driver::new(PriceAwarePermit::new(structure(), &prices), structure());
+            alg.submit_batch(demands.iter().map(|&t| (t, ()))).unwrap();
             let opt = optimal_cost_priced(&structure(), &prices, &demands);
             // Online purchases and the DP may catch different multipliers;
             // with the band [0.5, 2.0] the online cost is at least
             // 0.5 · flat_opt >= 0.25 · priced_opt.
             assert!(
-                alg.total_cost() >= opt * 0.25 - 1e-9,
+                alg.cost() >= opt * 0.25 - 1e-9,
                 "online {} vs clairvoyant {opt}",
-                alg.total_cost()
+                alg.cost()
             );
         }
     }

@@ -2,9 +2,10 @@
 //! paths stay bounded, and the priced DP is dominated by every feasible
 //! purchase plan we can enumerate.
 
+use leasing_core::engine::Driver;
 use leasing_core::interval::power_of_two_structure;
 use leasing_core::rng::seeded;
-use parking_permit::PermitOnline;
+use parking_permit::PERMIT_ELEMENT;
 use proptest::prelude::*;
 use stochastic_leasing::demand::{Bernoulli, DemandProcess, MarkovModulated, Seasonal};
 use stochastic_leasing::policies::{EmpiricalRate, RateThreshold, SwitchCombiner};
@@ -22,20 +23,23 @@ proptest! {
             1 => MarkovModulated::new(96, p, (1.0 - p).min(0.9)).sample(&mut seeded(seed)),
             _ => Seasonal::new(96, p, 0.3, 24).sample(&mut seeded(seed)),
         };
-        let mut informed = RateThreshold::new(s.clone(), p);
-        let mut empirical = EmpiricalRate::new(s.clone());
-        let mut hedged = SwitchCombiner::new(
+        let mut informed = Driver::new(RateThreshold::new(s.clone(), p), s.clone());
+        let mut empirical = Driver::new(EmpiricalRate::new(s.clone()), s.clone());
+        let mut hedged = Driver::new(
+            SwitchCombiner::new(
+                s.clone(),
+                RateThreshold::new(s.clone(), p),
+                RateThreshold::new(s.clone(), 1.0 - p),
+            ),
             s.clone(),
-            RateThreshold::new(s.clone(), p),
-            RateThreshold::new(s.clone(), 1.0 - p),
         );
         for &t in &days {
-            informed.serve_demand(t);
-            empirical.serve_demand(t);
-            hedged.serve_demand(t);
-            prop_assert!(informed.is_covered(t));
-            prop_assert!(empirical.is_covered(t));
-            prop_assert!(hedged.is_covered(t));
+            informed.submit(t, ()).unwrap();
+            empirical.submit(t, ()).unwrap();
+            hedged.submit(t, ()).unwrap();
+            prop_assert!(informed.ledger().covered(PERMIT_ELEMENT, t));
+            prop_assert!(empirical.ledger().covered(PERMIT_ELEMENT, t));
+            prop_assert!(hedged.ledger().covered(PERMIT_ELEMENT, t));
         }
     }
 
@@ -76,10 +80,10 @@ proptest! {
         let s = power_of_two_structure(&[(0, 1.0), (3, 4.0)]);
         let prices = PricePath::sample(&mut seeded(seed), 96, vol, 0.5, 2.0);
         let days = Bernoulli::new(96, 0.3).sample(&mut seeded(seed + 1));
-        let mut alg = PriceAwarePermit::new(s, &prices);
+        let mut alg = Driver::new(PriceAwarePermit::new(s.clone(), &prices), s);
         for &t in &days {
-            alg.serve_demand(t);
-            prop_assert!(alg.is_covered(t));
+            alg.submit(t, ()).unwrap();
+            prop_assert!(alg.algorithm().is_covered(t));
         }
     }
 }

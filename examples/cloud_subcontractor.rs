@@ -11,6 +11,7 @@
 //! compared against the greedy lease-or-connect heuristic and the offline
 //! optimum.
 
+use online_resource_leasing::core::engine::{Driver, CATEGORY_CONNECTION, CATEGORY_LEASE};
 use online_resource_leasing::core::lease::{LeaseStructure, LeaseType};
 use online_resource_leasing::core::rng::seeded;
 use online_resource_leasing::facility::baselines::GreedyLease;
@@ -53,13 +54,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         instance.structure().num_types()
     );
 
-    let mut pd = PrimalDualFacility::new(&instance);
-    let pd_cost = pd.run();
+    let mut driver = Driver::new(
+        PrimalDualFacility::new(&instance),
+        instance.structure().clone(),
+    );
+    driver.submit_batch(instance.requests())?;
+    let (pd, pd_cost) = (driver.algorithm(), driver.cost());
     println!(
         "primal-dual online:  total {:>7.2} (leases {:>6.2}, connections {:>6.2}, {} leases bought)",
         pd_cost,
-        pd.lease_cost(),
-        pd.connection_cost(),
+        driver.ledger().category_cost(CATEGORY_LEASE),
+        driver.ledger().category_cost(CATEGORY_CONNECTION),
         pd.owned_leases().count()
     );
 

@@ -10,6 +10,7 @@
 //! randomized online algorithm decides which servers to activate, when and
 //! for how long.
 
+use online_resource_leasing::core::engine::Driver;
 use online_resource_leasing::core::lease::{LeaseStructure, LeaseType};
 use online_resource_leasing::core::rng::seeded;
 use online_resource_leasing::set_cover::instance::{Arrival, SmclInstance};
@@ -37,8 +38,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let requests: Vec<Arrival> = zipf_arrivals(&mut rng, &catalogue, 60, 64, 1.2, 2);
     let instance = SmclInstance::uniform(catalogue, leases, requests)?;
 
-    let mut alg = SmclOnline::new(&instance, 2015);
-    let cost = alg.run();
+    let mut driver = Driver::new(SmclOnline::new(&instance, 2015), instance.structure.clone());
+    driver.submit_batch(instance.requests())?;
+    let (alg, cost) = (driver.algorithm(), driver.cost());
     let owned: std::collections::HashSet<_> = alg.owned().copied().collect();
     assert!(is_feasible_cover(&instance, &owned));
     println!(

@@ -12,6 +12,7 @@
 //! client; its primal-dual algorithm decides which days to run tours on and
 //! how long to engage each guide.
 
+use online_resource_leasing::core::engine::Driver;
 use online_resource_leasing::core::lease::{LeaseStructure, LeaseType};
 use online_resource_leasing::core::rng::seeded;
 use online_resource_leasing::deadlines::windows::{
@@ -47,8 +48,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let instance = WindowInstance::new(contracts, tourists)?;
-    let mut alg = WindowPrimalDual::new(&instance);
-    let cost = alg.run();
+    let mut driver = Driver::new(WindowPrimalDual::new(&instance), instance.structure.clone());
+    driver.submit_batch(instance.requests())?;
+    let (alg, cost) = (driver.algorithm(), driver.cost());
     println!(
         "online cost {cost:.2} with {} guide contracts; dual certificate {:.2}",
         alg.purchases().len(),

@@ -13,6 +13,7 @@
 use online_resource_leasing::capacitated::offline;
 use online_resource_leasing::capacitated::online::{CapacitatedGreedy, LeaseChoice};
 use online_resource_leasing::capacitated::scheduling::{to_capacitated, JobBatch, Machine};
+use online_resource_leasing::core::engine::{Driver, DriverError};
 use online_resource_leasing::core::lease::LeaseStructure;
 use online_resource_leasing::core::rng::seeded;
 use rand::RngExt;
@@ -60,8 +61,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         instance.base.num_facilities()
     );
 
-    let myopic = CapacitatedGreedy::new(&instance, LeaseChoice::CheapestTotal).run();
-    let invest = CapacitatedGreedy::new(&instance, LeaseChoice::BestRate).run();
+    let greedy_cost = |choice| -> Result<f64, DriverError> {
+        let greedy = CapacitatedGreedy::new(&instance, choice);
+        let mut driver = Driver::new(greedy, instance.base.structure().clone());
+        driver.submit_batch(instance.base.requests())?;
+        Ok(driver.cost())
+    };
+    let myopic = greedy_cost(LeaseChoice::CheapestTotal)?;
+    let invest = greedy_cost(LeaseChoice::BestRate)?;
     println!("greedy (cheapest rental now): {myopic:>7.2}");
     println!("greedy (best daily rate):     {invest:>7.2}");
 

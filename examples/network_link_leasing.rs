@@ -10,6 +10,7 @@
 //! and randomized online algorithms, compared against the route-then-lease
 //! offline heuristic and the naive per-request baseline.
 
+use online_resource_leasing::core::engine::Driver;
 use online_resource_leasing::core::lease::LeaseStructure;
 use online_resource_leasing::core::rng::seeded;
 use online_resource_leasing::graph::generators::connected_erdos_renyi;
@@ -53,9 +54,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let instance = SteinerInstance::new(network, leases, requests)?;
 
-    let det_cost = SteinerLeasingOnline::new(&instance).run();
+    let mut det = Driver::new(
+        SteinerLeasingOnline::new(&instance),
+        instance.structure.clone(),
+    );
+    det.submit_batch(instance.requests())?;
+    let det_cost = det.cost();
     let mut rng2 = seeded(seed ^ 0xFFFF);
-    let rand_cost = RandomizedSteinerLeasing::new(&instance, &mut rng2).run();
+    let randomized = RandomizedSteinerLeasing::new(&instance, &mut rng2);
+    let mut rand = Driver::new(randomized, instance.structure.clone());
+    rand.submit_batch(instance.requests())?;
+    let rand_cost = rand.cost();
     let offline = route_then_lease(&instance);
     let naive = buy_per_request(&instance);
 

@@ -14,6 +14,7 @@
 //! depends only on the lease structure (`4(3+K)·H_{l_max}`) — the business
 //! can run forever without the guarantee degrading.
 
+use online_resource_leasing::core::engine::Driver;
 use online_resource_leasing::core::lease::{LeaseStructure, LeaseType};
 use online_resource_leasing::core::rng::seeded;
 use online_resource_leasing::facility::nagarajan_williamson::NagarajanWilliamson;
@@ -43,8 +44,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let opt =
             offline::optimal_cost(&inst, 50_000).unwrap_or_else(|| offline::lp_lower_bound(&inst));
 
-        let thesis = PrimalDualFacility::new(&inst).run();
-        let prior = NagarajanWilliamson::new(&inst).run();
+        let mut thesis = Driver::new(PrimalDualFacility::new(&inst), inst.structure().clone());
+        thesis.submit_batch(inst.requests())?;
+        let thesis = thesis.cost();
+        let mut prior = Driver::new(NagarajanWilliamson::new(&inst), inst.structure().clone());
+        prior.submit_batch(inst.requests())?;
+        let prior = prior.cost();
         let timed: Vec<(u64, usize)> = inst
             .batches()
             .iter()

@@ -10,6 +10,7 @@
 //! algorithm decides when to run tours; the Figure 5.3 tight example shows
 //! why procrastination can hurt.
 
+use online_resource_leasing::core::engine::Driver;
 use online_resource_leasing::core::lease::{LeaseStructure, LeaseType};
 use online_resource_leasing::core::rng::seeded;
 use online_resource_leasing::deadlines::offline;
@@ -30,8 +31,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let instance = OldInstance::new(contracts, tourists)?;
 
-    let mut alg = OldPrimalDual::new(&instance);
-    let cost = alg.run();
+    let mut driver = Driver::new(OldPrimalDual::new(&instance), instance.structure.clone());
+    driver.submit_batch(instance.requests())?;
+    let (alg, cost) = (driver.algorithm(), driver.cost());
     println!(
         "online cost {cost:.2} ({} guide contracts)",
         alg.purchases().len()
@@ -47,8 +49,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The adversarial procrastination trap (Figure 5.3).
     println!("\n-- Figure 5.3 tight example (d_max = 64, l_min = 2) --");
     let trap = tight_example(64, 2, 0.01);
-    let mut alg = OldPrimalDual::new(&trap);
-    let trap_cost = alg.run();
+    let mut driver = Driver::new(OldPrimalDual::new(&trap), trap.structure.clone());
+    driver.submit_batch(trap.requests())?;
+    let trap_cost = driver.cost();
     let trap_opt = tight_example_optimum(0.01);
     println!(
         "online pays {trap_cost:.2}, hindsight pays {trap_opt:.2} -> ratio {:.1} ≈ d_max/l_min = {}",

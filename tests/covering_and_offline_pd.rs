@@ -6,20 +6,33 @@
 //! and cross-checks that need several crates at once (exact DP/ILP optima,
 //! LP lower bounds, the online algorithms being re-derived).
 
+use leasing_core::engine::{Driver, LeasingAlgorithm};
 use leasing_core::lease::{LeaseStructure, LeaseType};
 use leasing_core::rng::seeded;
+use leasing_core::time::TimeStep;
 use leasing_workloads::set_systems::{random_system, zipf_arrivals};
 use online_resource_leasing::covering::{GenericParkingPermit, GenericScld, GenericSmcl};
 use online_resource_leasing::deadlines::scld::{ScldArrival, ScldInstance};
 use online_resource_leasing::facility::instance::FacilityInstance;
 use online_resource_leasing::facility::metric::Point;
 use online_resource_leasing::facility::{offline as fac_offline, offline_primal_dual};
+use online_resource_leasing::parking_permit::offline as ppp_offline;
 use online_resource_leasing::parking_permit::rand_alg::RandomizedPermit;
-use online_resource_leasing::parking_permit::{offline as ppp_offline, PermitOnline};
 use online_resource_leasing::set_cover::instance::SmclInstance;
 use online_resource_leasing::set_cover::offline as sc_offline;
 use online_resource_leasing::set_cover::online::SmclOnline;
 use rand::RngExt;
+
+/// Serves `requests` through a fresh [`Driver`] over `structure`.
+fn drive<A: LeasingAlgorithm>(
+    algorithm: A,
+    structure: &LeaseStructure,
+    requests: impl IntoIterator<Item = (TimeStep, A::Request)>,
+) -> Driver<A> {
+    let mut driver = Driver::new(algorithm, structure.clone());
+    driver.submit_batch(requests).unwrap();
+    driver
+}
 
 fn permits() -> LeaseStructure {
     LeaseStructure::new(vec![
@@ -44,9 +57,13 @@ fn unification_holds_at_workload_scale() {
         let system = random_system(&mut rng, 60, 30, 5);
         let arrivals = zipf_arrivals(&mut rng, &system, 120, 256, 1.2, 3);
         let inst = SmclInstance::uniform(system, sets_structure(), arrivals).expect("feasible");
-        let mut spec = SmclOnline::new(&inst, trial);
+        let spec = drive(
+            SmclOnline::new(&inst, trial),
+            &inst.structure,
+            inst.requests(),
+        );
         let mut gen = GenericSmcl::new(&inst, trial);
-        assert_eq!(spec.run().to_bits(), gen.run().to_bits(), "trial {trial}");
+        assert_eq!(spec.cost().to_bits(), gen.run().to_bits(), "trial {trial}");
     }
 }
 
@@ -142,14 +159,14 @@ fn parking_permit_expected_costs_agree() {
     for seed in 0..trials {
         let mut r1 = seeded(seed);
         let mut r2 = seeded(seed);
-        let mut spec = RandomizedPermit::new(permits(), &mut r1);
+        let spec = RandomizedPermit::new(permits(), &mut r1);
+        let spec = drive(spec, &permits(), days.iter().map(|&t| (t, ())));
         let mut gen = GenericParkingPermit::new(permits(), &mut r2);
         for &t in &days {
-            spec.serve_demand(t);
             gen.serve_demand(t);
         }
-        spec_total += PermitOnline::total_cost(&spec);
-        gen_total += PermitOnline::total_cost(&gen);
+        spec_total += spec.cost();
+        gen_total += gen.total_cost();
     }
     assert!((spec_total - gen_total).abs() < 1e-9);
 }

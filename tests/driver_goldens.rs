@@ -195,7 +195,13 @@ fn set_cover_repetitions_match_golden() {
     for seed in SEEDS {
         let system = SetSystem::new(
             4,
-            vec![vec![0, 1, 2], vec![1, 2, 3], vec![0, 3], vec![0, 2], vec![1, 3]],
+            vec![
+                vec![0, 1, 2],
+                vec![1, 2, 3],
+                vec![0, 3],
+                vec![0, 2],
+                vec![1, 3],
+            ],
         )
         .unwrap();
         let mut rng = seeded(seed);
@@ -390,7 +396,10 @@ fn deadline_algorithms_match_golden() {
 
         let old = OldInstance::new(
             structure(),
-            arrivals.iter().map(|&(a, d)| OldClient::new(a, d)).collect(),
+            arrivals
+                .iter()
+                .map(|&(a, d)| OldClient::new(a, d))
+                .collect(),
         )
         .unwrap();
         assert_golden(
@@ -488,9 +497,7 @@ fn scld_matches_golden() {
             &format!("scld-{seed}"),
             ScldOnline::new(&inst, seed),
             structure(),
-            inst.arrivals
-                .iter()
-                .map(|a| (a.time, (a.slack, a.element))),
+            inst.arrivals.iter().map(|a| (a.time, (a.slack, a.element))),
         );
     }
 }
@@ -508,7 +515,12 @@ fn distributed_matches_golden() {
             &format!("distributed-{seed}"),
             alg,
             structure(),
-            [(0u64, vec![0, 2]), (2, vec![1]), (5, vec![0, 3]), (17, vec![3])],
+            [
+                (0u64, vec![0, 2]),
+                (2, vec![1]),
+                (5, vec![0, 3]),
+                (17, vec![3]),
+            ],
         );
     }
 }

@@ -2,9 +2,8 @@
 //! crate, the type-erased [`EngineHandle`] and the generic
 //! [`LeasingAlgorithm`]/[`Driver`] path must produce **bit-identical**
 //! costs and decision traces — both flow through the same core step, so
-//! any divergence is a handle-plumbing bug. Crates that retain a
-//! non-deprecated legacy entry point (`PermitOnline::serve_demand`,
-//! `run()`) are additionally pinned against it.
+//! any divergence is a handle-plumbing bug. `tests/driver_goldens.rs`
+//! additionally pins each family's driven ledger to committed bytes.
 
 use online_resource_leasing::core::engine::{Driver, DriverError, EngineHandle, Ledger};
 use online_resource_leasing::core::lease::{LeaseStructure, LeaseType};
@@ -29,20 +28,20 @@ fn demand_days(seed: u64, horizon: u64, density: f64) -> Vec<u64> {
 }
 
 /// Asserts the two ledgers agree bit-for-bit on cost and trace.
-fn assert_equivalent(wrapper: &Ledger, driver: &Ledger) {
+fn assert_equivalent(handle: &Ledger, driver: &Ledger) {
     assert_eq!(
-        wrapper.total_cost().to_bits(),
+        handle.total_cost().to_bits(),
         driver.total_cost().to_bits(),
         "costs must be bit-identical: {} vs {}",
-        wrapper.total_cost(),
+        handle.total_cost(),
         driver.total_cost()
     );
     assert_eq!(
-        wrapper.decisions(),
+        handle.decisions(),
         driver.decisions(),
         "decision traces must match"
     );
-    assert_eq!(wrapper.leases_bought(), driver.leases_bought());
+    assert_eq!(handle.leases_bought(), driver.leases_bought());
 }
 
 proptest! {
@@ -51,34 +50,30 @@ proptest! {
     #[test]
     fn deterministic_permit_paths_are_bit_identical(seed in 0u64..400, density in 0.1f64..0.9) {
         use online_resource_leasing::parking_permit::det::DeterministicPrimalDual;
-        use online_resource_leasing::parking_permit::PermitOnline;
         let days = demand_days(seed, 64, density);
-        let mut legacy = DeterministicPrimalDual::new(structure());
+        let mut handle = EngineHandle::new(DeterministicPrimalDual::new(structure()), structure());
         for &t in &days {
-            legacy.serve_demand(t);
+            handle.submit(t, ()).unwrap();
         }
         let mut driver = Driver::new(DeterministicPrimalDual::new(structure()), structure());
         driver.submit_batch(days.iter().map(|&t| (t, ()))).unwrap();
-        assert_equivalent(legacy.ledger(), driver.ledger());
-        prop_assert_eq!(
-            PermitOnline::total_cost(&legacy).to_bits(),
-            driver.cost().to_bits()
-        );
+        assert_equivalent(handle.ledger(), driver.ledger());
+        prop_assert_eq!(handle.cost().to_bits(), driver.cost().to_bits());
     }
 
     #[test]
     fn randomized_permit_paths_are_bit_identical(seed in 0u64..300, tau in 0.01f64..1.0) {
         use online_resource_leasing::parking_permit::rand_alg::RandomizedPermit;
-        use online_resource_leasing::parking_permit::PermitOnline;
         let days = demand_days(seed, 48, 0.4);
-        let mut legacy = RandomizedPermit::with_threshold(structure(), tau);
+        let mut handle =
+            EngineHandle::new(RandomizedPermit::with_threshold(structure(), tau), structure());
         for &t in &days {
-            legacy.serve_demand(t);
+            handle.submit(t, ()).unwrap();
         }
         let mut driver =
             Driver::new(RandomizedPermit::with_threshold(structure(), tau), structure());
         driver.submit_batch(days.iter().map(|&t| (t, ()))).unwrap();
-        assert_equivalent(legacy.ledger(), driver.ledger());
+        assert_equivalent(handle.ledger(), driver.ledger());
     }
 
     #[test]
@@ -94,15 +89,11 @@ proptest! {
             t += rng.random_range(0..5u64);
             arrivals.push(Arrival::new(t, rng.random_range(0..3usize), 1 + rng.random_range(0..2usize)));
         }
-        let inst = SmclInstance::uniform(system, structure(), arrivals.clone()).unwrap();
+        let inst = SmclInstance::uniform(system, structure(), arrivals).unwrap();
         let mut handle = EngineHandle::new(SmclOnline::new(&inst, seed), structure());
-        handle
-            .submit_batch(arrivals.iter().map(|a| (a.time, (a.element, a.multiplicity))))
-            .unwrap();
+        handle.submit_batch(inst.requests()).unwrap();
         let mut driver = Driver::new(SmclOnline::new(&inst, seed), structure());
-        driver
-            .submit_batch(arrivals.iter().map(|a| (a.time, (a.element, a.multiplicity))))
-            .unwrap();
+        driver.submit_batch(inst.requests()).unwrap();
         assert_equivalent(handle.ledger(), driver.ledger());
     }
 
@@ -127,13 +118,11 @@ proptest! {
             batches.push((t, clients));
         }
         let inst = FacilityInstance::euclidean(facilities, structure(), batches).unwrap();
-        let mut legacy = PrimalDualFacility::new(&inst);
-        legacy.run();
+        let mut handle = EngineHandle::new(PrimalDualFacility::new(&inst), structure());
+        handle.submit_batch(inst.requests()).unwrap();
         let mut driver = Driver::new(PrimalDualFacility::new(&inst), structure());
-        driver
-            .submit_batch(inst.batches().iter().map(|b| (b.time, b.clients.clone())))
-            .unwrap();
-        assert_equivalent(legacy.ledger(), driver.ledger());
+        driver.submit_batch(inst.requests()).unwrap();
+        assert_equivalent(handle.ledger(), driver.ledger());
     }
 
     #[test]
@@ -155,15 +144,11 @@ proptest! {
             let v = (u + 1 + rng.random_range(0..3usize)) % 4;
             requests.push(PairRequest::new(t, u, v));
         }
-        let inst = SteinerInstance::new(g, structure(), requests.clone()).unwrap();
+        let inst = SteinerInstance::new(g, structure(), requests).unwrap();
         let mut handle = EngineHandle::new(SteinerLeasingOnline::new(&inst), structure());
-        handle
-            .submit_batch(requests.iter().map(|r| (r.time, (r.u, r.v))))
-            .unwrap();
+        handle.submit_batch(inst.requests()).unwrap();
         let mut driver = Driver::new(SteinerLeasingOnline::new(&inst), structure());
-        driver
-            .submit_batch(requests.iter().map(|r| (r.time, (r.u, r.v))))
-            .unwrap();
+        driver.submit_batch(inst.requests()).unwrap();
         assert_equivalent(handle.ledger(), driver.ledger());
     }
 
@@ -180,11 +165,11 @@ proptest! {
             t += rng.random_range(0..4u64);
             arrivals.push((t, rng.random_range(0..4usize)));
         }
-        let inst = VcLeasingInstance::unweighted(g, structure(), arrivals.clone()).unwrap();
+        let inst = VcLeasingInstance::unweighted(g, structure(), arrivals).unwrap();
         let mut handle = EngineHandle::new(VcPrimalDual::new(&inst), structure());
-        handle.submit_batch(arrivals.iter().copied()).unwrap();
+        handle.submit_batch(inst.requests()).unwrap();
         let mut driver = Driver::new(VcPrimalDual::new(&inst), structure());
-        driver.submit_batch(arrivals.iter().copied()).unwrap();
+        driver.submit_batch(inst.requests()).unwrap();
         assert_equivalent(handle.ledger(), driver.ledger());
     }
 
@@ -210,13 +195,9 @@ proptest! {
         let inst = CapacitatedInstance::uniform(base, 2).unwrap();
         for choice in [LeaseChoice::CheapestTotal, LeaseChoice::BestRate] {
             let mut handle = EngineHandle::new(CapacitatedGreedy::new(&inst, choice), structure());
-            handle
-                .submit_batch(inst.base.batches().iter().map(|b| (b.time, b.clients.clone())))
-                .unwrap();
+            handle.submit_batch(inst.base.requests()).unwrap();
             let mut driver = Driver::new(CapacitatedGreedy::new(&inst, choice), structure());
-            driver
-                .submit_batch(inst.base.batches().iter().map(|b| (b.time, b.clients.clone())))
-                .unwrap();
+            driver.submit_batch(inst.base.requests()).unwrap();
             assert_equivalent(handle.ledger(), driver.ledger());
         }
     }
@@ -231,38 +212,33 @@ proptest! {
             t += rng.random_range(0..5u64);
             clients.push(OldClient::new(t, rng.random_range(0..6u64)));
         }
-        let inst = OldInstance::new(structure(), clients.clone()).unwrap();
+        let inst = OldInstance::new(structure(), clients).unwrap();
         let mut handle = EngineHandle::new(OldPrimalDual::new(&inst), structure());
-        handle
-            .submit_batch(clients.iter().map(|c| (c.arrival, c.slack)))
-            .unwrap();
+        handle.submit_batch(inst.requests()).unwrap();
         let mut driver = Driver::new(OldPrimalDual::new(&inst), structure());
-        driver
-            .submit_batch(clients.iter().map(|c| (c.arrival, c.slack)))
-            .unwrap();
+        driver.submit_batch(inst.requests()).unwrap();
         assert_equivalent(handle.ledger(), driver.ledger());
     }
 
     #[test]
     fn stochastic_policy_paths_are_bit_identical(seed in 0u64..200, p in 0.05f64..0.95) {
-        use online_resource_leasing::parking_permit::PermitOnline;
         use online_resource_leasing::stochastic::policies::{EmpiricalRate, RateThreshold};
         let days = demand_days(seed, 64, p);
-        let mut legacy = RateThreshold::new(structure(), p);
+        let mut handle = EngineHandle::new(RateThreshold::new(structure(), p), structure());
         for &t in &days {
-            legacy.serve_demand(t);
+            handle.submit(t, ()).unwrap();
         }
         let mut driver = Driver::new(RateThreshold::new(structure(), p), structure());
         driver.submit_batch(days.iter().map(|&t| (t, ()))).unwrap();
-        assert_equivalent(legacy.ledger(), driver.ledger());
+        assert_equivalent(handle.ledger(), driver.ledger());
 
-        let mut legacy = EmpiricalRate::new(structure());
+        let mut handle = EngineHandle::new(EmpiricalRate::new(structure()), structure());
         for &t in &days {
-            legacy.serve_demand(t);
+            handle.submit(t, ()).unwrap();
         }
         let mut driver = Driver::new(EmpiricalRate::new(structure()), structure());
         driver.submit_batch(days.iter().map(|&t| (t, ()))).unwrap();
-        assert_equivalent(legacy.ledger(), driver.ledger());
+        assert_equivalent(handle.ledger(), driver.ledger());
     }
 
     #[test]

@@ -4,8 +4,10 @@
 use online_resource_leasing::capacitated::instance::CapacitatedInstance;
 use online_resource_leasing::capacitated::offline as cap_offline;
 use online_resource_leasing::capacitated::online::{CapacitatedGreedy, LeaseChoice};
+use online_resource_leasing::core::engine::{Driver, LeasingAlgorithm};
 use online_resource_leasing::core::lease::{LeaseStructure, LeaseType};
 use online_resource_leasing::core::rng::seeded;
+use online_resource_leasing::core::time::TimeStep;
 use online_resource_leasing::deadlines::capacitated::{
     BuyRule, CapacitatedOldInstance, FirstFitOnline, WeightedDemand,
 };
@@ -16,11 +18,22 @@ use online_resource_leasing::facility::instance::FacilityInstance;
 use online_resource_leasing::facility::metric::Point;
 use online_resource_leasing::facility::offline as fac_offline;
 use online_resource_leasing::parking_permit::det::DeterministicPrimalDual;
-use online_resource_leasing::parking_permit::{offline as pp_offline, PermitOnline};
+use online_resource_leasing::parking_permit::offline as pp_offline;
 use online_resource_leasing::stochastic::demand::{Bernoulli, DemandProcess, MarkovModulated};
 use online_resource_leasing::stochastic::policies::RateThreshold;
 use online_resource_leasing::stochastic::prices::{optimal_cost_priced, PricePath};
 use rand::RngExt;
+
+/// Serves `requests` through a fresh [`Driver`] over `structure`.
+fn drive<A: LeasingAlgorithm>(
+    algorithm: A,
+    structure: &LeaseStructure,
+    requests: impl IntoIterator<Item = (TimeStep, A::Request)>,
+) -> Driver<A> {
+    let mut driver = Driver::new(algorithm, structure.clone());
+    driver.submit_batch(requests).unwrap();
+    driver
+}
 
 fn structure() -> LeaseStructure {
     LeaseStructure::new(vec![LeaseType::new(2, 1.0), LeaseType::new(8, 3.0)]).unwrap()
@@ -89,7 +102,12 @@ fn capacitated_greedy_is_sound_on_random_instances() {
         let inst = CapacitatedInstance::uniform(base, 1).unwrap();
         let opt = cap_offline::optimal_cost(&inst, 400_000).expect("small instance");
         for choice in [LeaseChoice::CheapestTotal, LeaseChoice::BestRate] {
-            let cost = CapacitatedGreedy::new(&inst, choice).run();
+            let cost = drive(
+                CapacitatedGreedy::new(&inst, choice),
+                inst.base.structure(),
+                inst.base.requests(),
+            )
+            .cost();
             assert!(
                 cost >= opt - 1e-6,
                 "trial {trial} {choice:?}: {cost} < {opt}"
@@ -138,8 +156,12 @@ fn weighted_first_fit_collapses_at_large_capacity() {
         WeightedDemand::new(10, 0, 0.1),
     ];
     let inst = CapacitatedOldInstance::new(structure(), 1000.0, demands).unwrap();
-    let mut alg = FirstFitOnline::new(&inst);
-    let cost = alg.run(BuyRule::Cheapest);
+    let alg = drive(
+        FirstFitOnline::new(&inst),
+        &inst.structure,
+        inst.requests(BuyRule::Cheapest),
+    );
+    let cost = alg.cost();
     assert!((cost - 2.0).abs() < 1e-9, "cost {cost}");
 }
 
@@ -188,16 +210,13 @@ fn stochastic_policies_respect_offline_bounds() {
             continue;
         }
         let opt = pp_offline::optimal_cost_interval_model(&s, &days);
-        let mut informed = RateThreshold::new(s.clone(), 0.5);
-        let mut worst_case = DeterministicPrimalDual::new(s.clone());
-        for &t in &days {
-            informed.serve_demand(t);
-            worst_case.serve_demand(t);
-        }
-        assert!(PermitOnline::total_cost(&informed) >= opt - 1e-6);
-        assert!(PermitOnline::total_cost(&worst_case) >= opt - 1e-6);
+        let requests = || days.iter().map(|&t| (t, ()));
+        let informed = drive(RateThreshold::new(s.clone(), 0.5), &s, requests());
+        let worst_case = drive(DeterministicPrimalDual::new(s.clone()), &s, requests());
+        assert!(informed.cost() >= opt - 1e-6);
+        assert!(worst_case.cost() >= opt - 1e-6);
         assert!(
-            PermitOnline::total_cost(&worst_case) <= s.num_types() as f64 * opt + 1e-6,
+            worst_case.cost() <= s.num_types() as f64 * opt + 1e-6,
             "Theorem 2.7 bound must hold on stochastic inputs too"
         );
     }

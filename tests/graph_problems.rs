@@ -2,8 +2,10 @@
 //! Steiner tree leasing, vertex/edge/dominating-set cover leasing, and the
 //! distributed phase-2 pipeline.
 
+use online_resource_leasing::core::engine::{Driver, LeasingAlgorithm};
 use online_resource_leasing::core::lease::{LeaseStructure, LeaseType};
 use online_resource_leasing::core::rng::seeded;
+use online_resource_leasing::core::time::TimeStep;
 use online_resource_leasing::distributed::{resolve_conflicts, ConflictInstance, MisStrategy};
 use online_resource_leasing::graph::generators::connected_erdos_renyi;
 use online_resource_leasing::graph::graph::Graph;
@@ -12,13 +14,23 @@ use online_resource_leasing::graph_cover::vertex_cover::{
 };
 use online_resource_leasing::graph_cover::{dominating_set_instance, vertex_cover_instance};
 use online_resource_leasing::parking_permit::det::DeterministicPrimalDual;
-use online_resource_leasing::parking_permit::PermitOnline;
 use online_resource_leasing::set_cover::offline as sc_offline;
 use online_resource_leasing::set_cover::online::{is_feasible_cover, SmclOnline};
 use online_resource_leasing::steiner::instance::{PairRequest, SteinerInstance};
 use online_resource_leasing::steiner::online::SteinerLeasingOnline;
 use online_resource_leasing::steiner::{ilp as steiner_ilp, offline as steiner_offline};
 use rand::RngExt;
+
+/// Serves `requests` through a fresh [`Driver`] over `structure`.
+fn drive<A: LeasingAlgorithm>(
+    algorithm: A,
+    structure: &LeaseStructure,
+    requests: impl IntoIterator<Item = (TimeStep, A::Request)>,
+) -> Driver<A> {
+    let mut driver = Driver::new(algorithm, structure.clone());
+    driver.submit_batch(requests).unwrap();
+    driver
+}
 
 fn structure() -> LeaseStructure {
     LeaseStructure::new(vec![LeaseType::new(2, 1.0), LeaseType::new(8, 3.0)]).unwrap()
@@ -33,17 +45,23 @@ fn steiner_on_one_edge_is_parking_permit() {
     let days: Vec<u64> = (0..48).filter(|_| rng.random::<f64>() < 0.4).collect();
     let requests: Vec<PairRequest> = days.iter().map(|&t| PairRequest::new(t, 0, 1)).collect();
     let inst = SteinerInstance::new(g, structure(), requests).unwrap();
-    let mut steiner = SteinerLeasingOnline::new(&inst);
-    let steiner_cost = steiner.run();
+    let steiner = drive(
+        SteinerLeasingOnline::new(&inst),
+        &inst.structure,
+        inst.requests(),
+    );
+    let steiner_cost = steiner.cost();
 
-    let mut permit = DeterministicPrimalDual::new(inst.scaled_structure(0));
-    for &t in &days {
-        permit.serve_demand(t);
-    }
+    let scaled = inst.scaled_structure(0);
+    let permit = drive(
+        DeterministicPrimalDual::new(scaled.clone()),
+        &scaled,
+        days.iter().map(|&t| (t, ())),
+    );
     assert!(
-        (steiner_cost - PermitOnline::total_cost(&permit)).abs() < 1e-9,
+        (steiner_cost - permit.cost()).abs() < 1e-9,
         "steiner {steiner_cost} vs permit {}",
-        PermitOnline::total_cost(&permit)
+        permit.cost()
     );
 }
 
@@ -69,8 +87,12 @@ fn steiner_online_sandwiched_between_opt_and_naive() {
         let Ok(opt) = steiner_ilp::steiner_optimal_cost(&inst, 200, 300_000) else {
             continue; // path explosion: skip this trial
         };
-        let mut online = SteinerLeasingOnline::new(&inst);
-        let online_cost = online.run();
+        let online = drive(
+            SteinerLeasingOnline::new(&inst),
+            &inst.structure,
+            inst.requests(),
+        );
+        let online_cost = online.cost();
         let naive = steiner_offline::buy_per_request(&inst).cost;
         assert!(
             online_cost >= opt - 1e-6,
@@ -100,15 +122,19 @@ fn vertex_cover_direct_vs_reduction() {
         }
         // Direct primal-dual.
         let vc = VcLeasingInstance::unweighted(g.clone(), structure(), arrivals.clone()).unwrap();
-        let mut direct = VcPrimalDual::new(&vc);
-        let direct_cost = direct.run();
-        assert!(vc_feasible(&vc, direct.purchases()));
+        let direct = drive(VcPrimalDual::new(&vc), &vc.structure, vc.requests());
+        let direct_cost = direct.cost();
+        assert!(vc_feasible(&vc, direct.algorithm().purchases()));
 
         // Randomized reduction through set multicover leasing.
         let reduced = vertex_cover_instance(&g, structure(), &arrivals, None).unwrap();
-        let mut randomized = SmclOnline::new(&reduced, 4040 + trial);
-        let randomized_cost = randomized.run();
-        let owned: std::collections::HashSet<_> = randomized.owned().copied().collect();
+        let randomized = drive(
+            SmclOnline::new(&reduced, 4040 + trial),
+            &reduced.structure,
+            reduced.requests(),
+        );
+        let randomized_cost = randomized.cost();
+        let owned: std::collections::HashSet<_> = randomized.algorithm().owned().copied().collect();
         assert!(is_feasible_cover(&reduced, &owned));
 
         // Both are online, so both are above the optimum; the direct one is

@@ -2,8 +2,10 @@
 //! baseline (§4.1), the service-window model (§5.6 outlook), and the §3.5
 //! lower-bound drivers.
 
+use online_resource_leasing::core::engine::{Driver, LeasingAlgorithm};
 use online_resource_leasing::core::lease::{LeaseStructure, LeaseType};
 use online_resource_leasing::core::rng::seeded;
+use online_resource_leasing::core::time::TimeStep;
 use online_resource_leasing::deadlines::offline as dl_offline;
 use online_resource_leasing::deadlines::old::{OldClient, OldInstance, OldPrimalDual};
 use online_resource_leasing::deadlines::windows::{
@@ -20,6 +22,17 @@ use online_resource_leasing::set_cover::lower_bounds::{
 use online_resource_leasing::set_cover::offline as sc_offline;
 use online_resource_leasing::workloads::facilities::facility_instance;
 use rand::RngExt;
+
+/// Serves `requests` through a fresh [`Driver`] over `structure`.
+fn drive<A: LeasingAlgorithm>(
+    algorithm: A,
+    structure: &LeaseStructure,
+    requests: impl IntoIterator<Item = (TimeStep, A::Request)>,
+) -> Driver<A> {
+    let mut driver = Driver::new(algorithm, structure.clone());
+    driver.submit_batch(requests).unwrap();
+    driver
+}
 
 fn lease_structure() -> LeaseStructure {
     LeaseStructure::new(vec![LeaseType::new(2, 1.0), LeaseType::new(16, 3.0)]).unwrap()
@@ -43,8 +56,18 @@ fn prior_work_and_thesis_agree_on_feasible_costs() {
         );
         let opt = fac_offline::optimal_cost(&inst, 100_000)
             .unwrap_or_else(|| fac_offline::lp_lower_bound(&inst));
-        let thesis = PrimalDualFacility::new(&inst).run();
-        let prior = NagarajanWilliamson::new(&inst).run();
+        let thesis = drive(
+            PrimalDualFacility::new(&inst),
+            inst.structure(),
+            inst.requests(),
+        )
+        .cost();
+        let prior = drive(
+            NagarajanWilliamson::new(&inst),
+            inst.structure(),
+            inst.requests(),
+        )
+        .cost();
         assert!(
             thesis >= opt - 1e-6,
             "thesis {thesis} below opt {opt} (seed {seed})"
@@ -91,8 +114,18 @@ fn window_model_collapses_to_old_on_intervals() {
             "optima diverge at seed {seed}"
         );
         // Both online algorithms serve everything and stay above opt.
-        let o_cost = OldPrimalDual::new(&o_inst).run();
-        let w_cost = WindowPrimalDual::new(&w_inst).run();
+        let o_cost = drive(
+            OldPrimalDual::new(&o_inst),
+            &o_inst.structure,
+            o_inst.requests(),
+        )
+        .cost();
+        let w_cost = drive(
+            WindowPrimalDual::new(&w_inst),
+            &w_inst.structure,
+            w_inst.requests(),
+        )
+        .cost();
         assert!(o_cost >= o_opt - 1e-9);
         assert!(w_cost >= w_opt - 1e-9);
     }

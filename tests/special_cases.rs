@@ -2,17 +2,30 @@
 //! collapses to a simpler one under the right parameters, and the
 //! implementations must respect those collapses.
 
+use online_resource_leasing::core::engine::{Driver, LeasingAlgorithm};
 use online_resource_leasing::core::lease::{LeaseStructure, LeaseType};
 use online_resource_leasing::core::rng::seeded;
+use online_resource_leasing::core::time::TimeStep;
 use online_resource_leasing::deadlines::offline as dl_offline;
 use online_resource_leasing::deadlines::old::{OldClient, OldInstance, OldPrimalDual};
 use online_resource_leasing::deadlines::scld::{ScldArrival, ScldInstance};
 use online_resource_leasing::parking_permit::det::DeterministicPrimalDual;
-use online_resource_leasing::parking_permit::{offline as pp_offline, PermitOnline};
+use online_resource_leasing::parking_permit::offline as pp_offline;
 use online_resource_leasing::set_cover::instance::{Arrival, SmclInstance};
 use online_resource_leasing::set_cover::offline as sc_offline;
 use online_resource_leasing::set_cover::system::SetSystem;
 use rand::RngExt;
+
+/// Serves `requests` through a fresh [`Driver`] over `structure`.
+fn drive<A: LeasingAlgorithm>(
+    algorithm: A,
+    structure: &LeaseStructure,
+    requests: impl IntoIterator<Item = (TimeStep, A::Request)>,
+) -> Driver<A> {
+    let mut driver = Driver::new(algorithm, structure.clone());
+    driver.submit_batch(requests).unwrap();
+    driver
+}
 
 fn structure() -> LeaseStructure {
     LeaseStructure::new(vec![
@@ -33,19 +46,24 @@ fn old_with_zero_slack_equals_parking_permit() {
         if days.is_empty() {
             continue;
         }
-        let mut permit = DeterministicPrimalDual::new(structure());
-        for &t in &days {
-            permit.serve_demand(t);
-        }
+        let permit = drive(
+            DeterministicPrimalDual::new(structure()),
+            &structure(),
+            days.iter().map(|&t| (t, ())),
+        );
         let clients: Vec<OldClient> = days.iter().map(|&t| OldClient::new(t, 0)).collect();
         let old_inst = OldInstance::new(structure(), clients).unwrap();
-        let mut old = OldPrimalDual::new(&old_inst);
-        let old_cost = old.run();
+        let old = drive(
+            OldPrimalDual::new(&old_inst),
+            &old_inst.structure,
+            old_inst.requests(),
+        );
+        let old_cost = old.cost();
         assert!(
-            (old_cost - PermitOnline::total_cost(&permit)).abs() < 1e-9,
+            (old_cost - permit.cost()).abs() < 1e-9,
             "trial {trial}: OLD {} vs permit {}",
             old_cost,
-            PermitOnline::total_cost(&permit)
+            permit.cost()
         );
     }
 }
