@@ -11,10 +11,11 @@
 //! bench_gate --pattern driver/ --tolerance 0.10
 //! ```
 //!
-//! Exit codes follow the `simlab` convention: 0 clean, 2 unusable input,
-//! 3 regression beyond the tolerance.
+//! Exit codes follow the `simlab` convention: 0 clean, 2 unusable input
+//! (including a gated row measured fewer than twice on either side), 3
+//! regression beyond the tolerance.
 
-use leasing_bench::gate::{diff, parse_entries, BenchEntry};
+use leasing_bench::gate::{diff, parse_entries, BenchEntry, MIN_GATED_ITERATIONS};
 
 struct Args {
     baseline: String,
@@ -82,6 +83,19 @@ fn main() {
     }
     for id in &outcome.missing {
         eprintln!("warning: baseline benchmark {id} is absent from the candidate (not compared)");
+    }
+    if !outcome.undersampled.is_empty() {
+        eprintln!(
+            "bench_gate: {} gated benchmark(s) rest on fewer than {MIN_GATED_ITERATIONS} \
+             iterations in {} or {}; a single sample cannot be gated:",
+            outcome.undersampled.len(),
+            args.baseline,
+            args.candidate
+        );
+        for id in &outcome.undersampled {
+            eprintln!("  {id}");
+        }
+        std::process::exit(2);
     }
     if outcome.regressions.is_empty() {
         println!(

@@ -8,9 +8,15 @@
 //! Baseline ids absent from the candidate are *warned about* but do not
 //! fail the gate (narrower candidate runs are legitimate; a regressing
 //! benchmark must not pass by being renamed, so the warning is printed for
-//! humans and CI logs).
+//! humans and CI logs). A gated row measured fewer than
+//! [`MIN_GATED_ITERATIONS`] times on either side is not compared — one
+//! sample says nothing about noise — and makes the input unusable.
 
 use serde::{json, Value};
+
+/// Fewest iterations a row needs on both sides before the gate compares
+/// its means.
+pub const MIN_GATED_ITERATIONS: u64 = 2;
 
 /// One parsed benchmark baseline entry.
 #[derive(Clone, Debug, PartialEq)]
@@ -19,8 +25,19 @@ pub struct BenchEntry {
     pub id: String,
     /// Mean wall-clock nanoseconds per iteration.
     pub mean_ns: f64,
+    /// Iterations behind the mean, when the file recorded them.
+    pub iterations: Option<u64>,
     /// Work items per second, when the baseline recorded one.
     pub throughput_rps: Option<f64>,
+}
+
+impl BenchEntry {
+    /// Whether the mean rests on at least [`MIN_GATED_ITERATIONS`]
+    /// iterations (an unrecorded count does not qualify).
+    pub fn is_sampled(&self) -> bool {
+        self.iterations
+            .is_some_and(|iterations| iterations >= MIN_GATED_ITERATIONS)
+    }
 }
 
 /// One benchmark whose candidate mean regressed beyond the tolerance.
@@ -62,6 +79,9 @@ pub struct GateOutcome {
     /// Baseline ids matching the pattern that the candidate did not
     /// re-measure.
     pub missing: Vec<String>,
+    /// Ids matching the pattern whose baseline or candidate row has fewer
+    /// than [`MIN_GATED_ITERATIONS`] iterations; they are not compared.
+    pub undersampled: Vec<String>,
     /// Number of ids compared.
     pub compared: usize,
 }
@@ -87,9 +107,15 @@ pub fn parse_entries(text: &str) -> Result<Vec<BenchEntry>, String> {
             Some(v) => v,
             None => return Err(format!("entry {id} without a numeric `mean_ns`")),
         };
+        let iterations = match item.get("iterations") {
+            None => None,
+            Some(Value::UInt(n)) => Some(*n),
+            Some(_) => return Err(format!("entry {id} with a non-integer `iterations`")),
+        };
         entries.push(BenchEntry {
             id,
             mean_ns,
+            iterations,
             throughput_rps: number(item.get("throughput_rps")),
         });
     }
@@ -107,7 +133,8 @@ fn number(value: Option<&Value>) -> Option<f64> {
 
 /// Compares every baseline id starting with `pattern` against the
 /// candidate: a candidate mean beyond `baseline * (1 + tolerance)` is a
-/// regression.
+/// regression. Rows with too few iterations on either side are listed in
+/// [`GateOutcome::undersampled`] instead of compared.
 pub fn diff(
     baseline: &[BenchEntry],
     candidate: &[BenchEntry],
@@ -120,6 +147,10 @@ pub fn diff(
             outcome.missing.push(base.id.clone());
             continue;
         };
+        if !(base.is_sampled() && cand.is_sampled()) {
+            outcome.undersampled.push(base.id.clone());
+            continue;
+        }
         outcome.compared += 1;
         if cand.mean_ns > base.mean_ns * (1.0 + tolerance) {
             outcome.regressions.push(BenchRegression {
@@ -204,6 +235,40 @@ mod tests {
         assert_eq!(outcome.compared, 0);
         assert_eq!(outcome.missing, vec!["driver/submit_noop/1024".to_string()]);
         assert!(outcome.regressions.is_empty());
+    }
+
+    #[test]
+    fn single_sample_rows_are_undersampled_not_compared() {
+        let text = |iterations: u64| {
+            format!(
+                r#"{{"benchmarks": [
+                    {{"id": "driver_streaming_bounded/submit_columns/10498483",
+                      "mean_ns": 924483960.0, "iterations": {iterations}}},
+                    {{"id": "driver_streaming_bounded/submit_columns/1041",
+                      "mean_ns": 71050.14, "iterations": 296}}
+                ]}}"#
+            )
+        };
+        let single = parse_entries(&text(1)).unwrap();
+        let sampled = parse_entries(&text(3)).unwrap();
+        assert_eq!(single[0].iterations, Some(1));
+        assert!(!single[0].is_sampled() && sampled[0].is_sampled());
+        for (baseline, candidate) in [(&single, &sampled), (&sampled, &single)] {
+            let outcome = diff(baseline, candidate, "driver_streaming_bounded", 0.2);
+            assert_eq!(
+                outcome.undersampled,
+                vec!["driver_streaming_bounded/submit_columns/10498483".to_string()]
+            );
+            assert_eq!(outcome.compared, 1);
+        }
+        let outcome = diff(&sampled, &sampled, "driver_streaming_bounded", 0.2);
+        assert!(outcome.undersampled.is_empty());
+        assert_eq!(outcome.compared, 2);
+        // A row that does not record its iterations cannot show it was
+        // sampled either.
+        let unrecorded =
+            parse_entries(r#"{"benchmarks": [{"id": "driver/x", "mean_ns": 1.0}]}"#).unwrap();
+        assert!(!unrecorded[0].is_sampled());
     }
 
     #[test]

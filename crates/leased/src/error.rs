@@ -15,6 +15,27 @@ pub enum LeasedError {
     ShardDown(usize),
     /// The remote daemon answered an operation with an error message.
     Remote(String),
+    /// A snapshot file exists but could not be read (an I/O error, or
+    /// bytes that are not UTF-8). The daemon refuses to start rather than
+    /// serve fresh state and overwrite the file on its next snapshot.
+    UnreadableSnapshot {
+        /// The snapshot file.
+        path: std::path::PathBuf,
+        /// Why reading it failed.
+        error: std::io::Error,
+    },
+    /// The snapshot directory was written with a different shard count:
+    /// `path` holds a shard this daemon does not have, or a tenant that
+    /// `tenant % shards` routes to another shard.
+    ShardCountMismatch {
+        /// The snapshot file that does not fit.
+        path: std::path::PathBuf,
+        /// The shard count the daemon was started with.
+        shards: usize,
+        /// A tenant in the file that belongs to another shard, if the file
+        /// itself has a shard to go to.
+        tenant: Option<usize>,
+    },
 }
 
 impl std::fmt::Display for LeasedError {
@@ -24,6 +45,24 @@ impl std::fmt::Display for LeasedError {
             LeasedError::Protocol(msg) => write!(f, "protocol error: {msg}"),
             LeasedError::ShardDown(index) => write!(f, "shard {index} is down"),
             LeasedError::Remote(msg) => write!(f, "daemon error: {msg}"),
+            LeasedError::UnreadableSnapshot { path, error } => {
+                write!(f, "cannot read snapshot {}: {error}", path.display())
+            }
+            LeasedError::ShardCountMismatch {
+                path,
+                shards,
+                tenant,
+            } => {
+                write!(
+                    f,
+                    "snapshot {} was written with a different shard count than {shards}",
+                    path.display()
+                )?;
+                match tenant {
+                    Some(tenant) => write!(f, " (it holds tenant {tenant}, routed elsewhere)"),
+                    None => write!(f, " (no such shard)"),
+                }
+            }
         }
     }
 }
@@ -31,7 +70,7 @@ impl std::fmt::Display for LeasedError {
 impl std::error::Error for LeasedError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            LeasedError::Io(e) => Some(e),
+            LeasedError::Io(e) | LeasedError::UnreadableSnapshot { error: e, .. } => Some(e),
             _ => None,
         }
     }

@@ -83,6 +83,46 @@ pub fn shard_snapshot_path(dir: &Path, index: usize) -> PathBuf {
     dir.join(format!("shard-{index}.json"))
 }
 
+/// Reads the snapshot of each of `shards` shards from `dir` (`None` for a
+/// shard without a file), refusing a directory that holds a
+/// `shard-<i>.json` with `i >= shards` or a file that cannot be read.
+fn read_snapshots(dir: &Path, shards: usize) -> Result<Vec<Option<String>>, LeasedError> {
+    let entries = match std::fs::read_dir(dir) {
+        Ok(entries) => entries,
+        // A daemon's first start creates the directory on its first snapshot.
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(vec![None; shards]),
+        Err(e) => return Err(e.into()),
+    };
+    let mut extra = None;
+    for entry in entries {
+        let name = entry?.file_name();
+        let index = name
+            .to_str()
+            .and_then(|name| name.strip_prefix("shard-")?.strip_suffix(".json"))
+            .and_then(|index| index.parse::<usize>().ok());
+        if let Some(index) = index.filter(|&index| index >= shards) {
+            extra = Some(extra.map_or(index, |extra: usize| extra.min(index)));
+        }
+    }
+    if let Some(index) = extra {
+        return Err(LeasedError::ShardCountMismatch {
+            path: shard_snapshot_path(dir, index),
+            shards,
+            tenant: None,
+        });
+    }
+    (0..shards)
+        .map(|index| {
+            let path = shard_snapshot_path(dir, index);
+            match std::fs::read_to_string(&path) {
+                Ok(text) => Ok(Some(text)),
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+                Err(error) => Err(LeasedError::UnreadableSnapshot { path, error }),
+            }
+        })
+        .collect()
+}
+
 /// A bound daemon ready to serve.
 pub struct Server {
     listener: TcpListener,
@@ -95,20 +135,28 @@ impl Server {
     /// Binds `addr` and builds the shards, restoring any shard
     /// whose snapshot file exists under the configured directory.
     ///
+    /// A snapshot directory is tied to the shard count it was written
+    /// with, because tenants route by `tenant % shards`.
+    ///
     /// # Errors
     ///
-    /// Propagates bind failures.
+    /// Propagates bind failures. With a snapshot directory, returns
+    /// [`LeasedError::UnreadableSnapshot`] for a `shard-<i>.json` that
+    /// exists but cannot be read, and [`LeasedError::ShardCountMismatch`]
+    /// for a `shard-<i>.json` with `i >= shards` or a restored shard
+    /// holding a tenant routed to another shard. No file is modified.
     pub fn bind(addr: impl ToSocketAddrs, config: &ServerConfig) -> Result<Server, LeasedError> {
+        let shard_count = config.shards.max(1);
+        let restores = match config.snapshot_dir.as_deref() {
+            Some(dir) => read_snapshots(dir, shard_count)?,
+            None => vec![None; shard_count],
+        };
         let listener = TcpListener::bind(addr)?;
-        let metrics = DaemonMetrics::new(config.shards.max(1));
-        let shards = (0..config.shards.max(1))
-            .map(|index| {
-                let restore = config
-                    .snapshot_dir
-                    .as_deref()
-                    .map(|dir| shard_snapshot_path(dir, index))
-                    .filter(|path| path.exists())
-                    .and_then(|path| std::fs::read_to_string(path).ok());
+        let metrics = DaemonMetrics::new(shard_count);
+        let shards: Vec<Shard> = restores
+            .into_iter()
+            .enumerate()
+            .map(|(index, restore)| {
                 let shard_metrics = metrics
                     .shard(index)
                     .map(Arc::clone)
@@ -124,6 +172,17 @@ impl Server {
                 )
             })
             .collect();
+        if let Some(dir) = config.snapshot_dir.as_deref() {
+            for shard in &shards {
+                if let Some(tenant) = shard.misrouted_tenant(shard_count) {
+                    return Err(LeasedError::ShardCountMismatch {
+                        path: shard_snapshot_path(dir, shard.index()),
+                        shards: shard_count,
+                        tenant: Some(tenant),
+                    });
+                }
+            }
+        }
         Ok(Server {
             listener,
             shards,

@@ -173,6 +173,26 @@ impl Shard {
         self.index
     }
 
+    /// The smallest tenant this shard holds that `shard_of(tenant,
+    /// shards)` routes to another shard — the sign of state restored from
+    /// a snapshot directory written with a different shard count. `None`
+    /// when every tenant belongs here or the shard holds no engine.
+    pub fn misrouted_tenant(&self, shards: usize) -> Option<usize> {
+        let state = self.state.lock().ok()?;
+        let ShardState::Up(worker) = &*state else {
+            return None;
+        };
+        let misrouted = worker
+            .engine
+            .ledger()
+            .elements()
+            .map(|(tenant, _)| tenant)
+            .find(|&tenant| {
+                u64::try_from(tenant).map_or(true, |id| crate::shard_of(id, shards) != self.index)
+            });
+        misrouted
+    }
+
     /// Serves one operation on the calling thread, under the shard's lock.
     ///
     /// # Errors

@@ -4,6 +4,7 @@
 //! the same sequence the CI `leased` job drives through the binary.
 
 use leased::client::Client;
+use leased::error::LeasedError;
 use leased::server::{Server, ServerConfig};
 use leasing_core::lease::{LeaseStructure, LeaseType};
 use std::net::SocketAddr;
@@ -316,4 +317,91 @@ fn malformed_frames_get_an_error_without_killing_the_connection() {
     let mut client = Client::connect(addr).unwrap();
     client.shutdown().unwrap();
     server.join().unwrap();
+}
+
+/// A `shard-<i>.json` that exists but cannot be read (here: bytes that are
+/// not UTF-8) refuses the bind with an error naming the file, and the file
+/// is left untouched — serving fresh state would overwrite it on the next
+/// `shutdown`.
+#[test]
+fn unreadable_snapshot_refuses_to_bind_and_is_left_untouched() {
+    let dir = temp_dir("unreadable");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("shard-0.json");
+    let bytes = [0xff, 0xfe, b'{', b'}'];
+    std::fs::write(&path, bytes).unwrap();
+    let config = ServerConfig {
+        shards: 2,
+        snapshot_dir: Some(dir.clone()),
+        ..ServerConfig::new(structure())
+    };
+    let err = match Server::bind("127.0.0.1:0", &config) {
+        Ok(_) => panic!("an unreadable snapshot must refuse the bind"),
+        Err(err) => err,
+    };
+    assert!(
+        matches!(err, LeasedError::UnreadableSnapshot { .. }),
+        "{err:?}"
+    );
+    assert!(err.to_string().contains("shard-0.json"), "{err}");
+    assert_eq!(std::fs::read(&path).unwrap(), bytes);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A snapshot directory is tied to the `--shards` it was written with:
+/// routing is `tenant % shards`, so restoring it under another count
+/// would strand tenants on shards that never see their traffic. Both
+/// directions refuse the bind without touching the files; the same count
+/// still restores byte-identical stats.
+#[test]
+fn snapshot_dir_is_tied_to_its_shard_count() {
+    let dir = temp_dir("reshard");
+    let config = |shards| ServerConfig {
+        shards,
+        snapshot_dir: Some(dir.clone()),
+        ..ServerConfig::new(structure())
+    };
+    let (addr, server) = start(&config(4));
+    let mut client = Client::connect(addr).unwrap();
+    for (i, tenant) in [2u64, 4, 7, 2, 4].into_iter().enumerate() {
+        client.submit(tenant, i as u64).unwrap();
+    }
+    let before = client.stats().unwrap();
+    client.shutdown().unwrap();
+    server.join().unwrap();
+    let files: Vec<Vec<u8>> = (0..4)
+        .map(|i| std::fs::read(dir.join(format!("shard-{i}.json"))).unwrap())
+        .collect();
+
+    // Fewer shards: shard-2.json and shard-3.json have no shard to go to.
+    let fewer = Server::bind("127.0.0.1:0", &config(2)).err().unwrap();
+    assert!(
+        matches!(fewer, LeasedError::ShardCountMismatch { shards: 2, .. }),
+        "{fewer:?}"
+    );
+    assert!(fewer.to_string().contains("shard-2.json"), "{fewer}");
+
+    // More shards: shard 0 holds tenant 4, which 8 shards route to shard 4.
+    let more = Server::bind("127.0.0.1:0", &config(8)).err().unwrap();
+    assert!(
+        matches!(more, LeasedError::ShardCountMismatch { shards: 8, .. }),
+        "{more:?}"
+    );
+    assert!(more.to_string().contains("shard-0.json"), "{more}");
+    assert!(more.to_string().contains("tenant 4"), "{more}");
+
+    for (i, bytes) in files.iter().enumerate() {
+        assert_eq!(
+            &std::fs::read(dir.join(format!("shard-{i}.json"))).unwrap(),
+            bytes,
+            "a refused bind leaves shard-{i}.json untouched"
+        );
+    }
+
+    let (addr, server) = start(&config(4));
+    let mut client = Client::connect(addr).unwrap();
+    assert_eq!(client.stats().unwrap().to_json(), before.to_json());
+    client.shutdown().unwrap();
+    server.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
 }
