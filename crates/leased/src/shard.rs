@@ -177,7 +177,7 @@ impl Shard {
     /// shards)` routes to another shard — the sign of state restored from
     /// a snapshot directory written with a different shard count. `None`
     /// when every tenant belongs here or the shard holds no engine.
-    pub fn misrouted_tenant(&self, shards: usize) -> Option<usize> {
+    pub(crate) fn misrouted_tenant(&self, shards: usize) -> Option<usize> {
         let state = self.state.lock().ok()?;
         let ShardState::Up(worker) = &*state else {
             return None;

@@ -107,7 +107,6 @@ pub struct EmpiricalRate {
     demands_seen: u64,
     first_day: Option<TimeStep>,
     last_day: TimeStep,
-    purchases: Vec<Lease>,
 }
 
 impl EmpiricalRate {
@@ -118,7 +117,6 @@ impl EmpiricalRate {
             demands_seen: 0,
             first_day: None,
             last_day: 0,
-            purchases: Vec::new(),
         }
     }
 
@@ -139,7 +137,6 @@ impl EmpiricalRate {
             t,
             Triple::new(PERMIT_ELEMENT, lease.type_index, lease.start),
         );
-        self.purchases.push(lease);
     }
 
     /// Current (Laplace-smoothed) rate estimate.
