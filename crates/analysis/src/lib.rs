@@ -13,8 +13,8 @@
 //!   (ambient randomness) are banned in the deterministic-output paths
 //!   ([`rules::DETERMINISTIC_PATHS`]: `crates/core/src`,
 //!   `crates/simlab/src`, `crates/oracle/src`, `crates/bench/src/gate.rs`).
-//!   `HashMap<K, V, S>` with an explicit hasher (the engine's
-//!   deterministic `FxHashMap` alias) is allowed.
+//!   `HashMap<K, V, S>` with an explicit (deterministic) hasher is
+//!   allowed.
 //! * **`panic`** — `.unwrap()`/`.expect()`, the `panic!` macro family
 //!   (`panic!`, `unreachable!`, `todo!`, `unimplemented!`, `assert!`,
 //!   `assert_eq!`, `assert_ne!`), and slice/array indexing are flagged in

@@ -1,6 +1,6 @@
 //! Experiment harness shared by the `repro_*` binaries and the Criterion
 //! benchmarks. See each binary under `src/bin/` for the per-experiment
-//! tables (E1-E15 in `DESIGN.md`).
+//! tables (E1-E15; each binary's module doc names its experiments).
 
 pub mod gate;
 pub mod table;

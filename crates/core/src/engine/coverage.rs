@@ -20,84 +20,25 @@
 //!   run over a list that is usually a handful of entries regardless of
 //!   how many leases were bought.
 //!
-//! Slot ids are resolved through an `FxHash`-style table (the index is
-//! `no_std`-grade: no external hasher crate, just the multiply-rotate mix
-//! rustc itself uses), and every container keeps its allocation across
+//! Both are `Vec`s indexed by the element's dense slot in the index's
+//! [`ElementIndex`], which the [`Ledger`](super::Ledger) shares for its
+//! per-element statistics: runs at `slot * K + k`, profiles at `slot`.
+//! Every container keeps its allocation across
 //! [`reset`](CoverageIndex::reset) so a recycled ledger records purchases
 //! without touching the allocator.
 
-use crate::framework::Triple;
+use super::elements::ElementIndex;
 use crate::time::TimeStep;
-// lint:allow(determinism: only instantiated with the FxHasher below, never the random SipHash state)
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::BTreeMap;
 use std::sync::OnceLock;
-
-/// The multiply-rotate word hasher used by rustc (`FxHash`): far cheaper
-/// than the default SipHash for the small integer keys of the slot tables,
-/// and deterministic (no per-process random state), which keeps SimLab's
-/// bit-determinism contract trivially intact.
-#[derive(Default)]
-pub struct FxHasher {
-    hash: u64,
-}
-
-const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-
-impl FxHasher {
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(FX_SEED);
-    }
-}
-
-impl Hasher for FxHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut buf = [0u8; 8];
-            for (dst, src) in buf.iter_mut().zip(chunk) {
-                *dst = *src;
-            }
-            self.add(u64::from_le_bytes(buf));
-        }
-    }
-
-    #[inline]
-    fn write_usize(&mut self, n: usize) {
-        self.add(n as u64);
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.add(n);
-    }
-
-    #[inline]
-    fn write_u32(&mut self, n: u32) {
-        self.add(n as u64);
-    }
-
-    #[inline]
-    fn write_u8(&mut self, n: u8) {
-        self.add(n as u64);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-}
-
-/// `HashMap` keyed by the deterministic [`FxHasher`].
-pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// Size diagnostics of a [`CoverageIndex`] — used by the long-horizon
 /// scaling tests to pin the amortized-append contract without relying on
 /// wall-clock measurements.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct CoverageStats {
-    /// Distinct `(element, type)` slots allocated.
+    /// Start-run slots allocated: `K` per element plus one per purchased
+    /// `(element, type)` pair of an out-of-range type.
     pub slots: usize,
     /// Total `(start, copies)` runs across all slots.
     pub start_runs: usize,
@@ -108,22 +49,20 @@ pub struct CoverageStats {
     /// growing superlinearly in the purchase count means the append fast
     /// path stopped applying.
     pub shift_work: u64,
+    /// Elements interned into dense slots.
+    pub elements: usize,
+    /// Entries of the element id → slot table (see
+    /// [`ElementIndex::table_entries`]).
+    pub table_entries: usize,
 }
 
-/// Per-`(element, type)` sorted start-time runs.
-#[derive(Clone, Debug)]
-struct SlotRuns {
-    type_index: usize,
-    /// Sorted `(start, copies)`; duplicate purchases merge into `copies`.
-    starts: Vec<(TimeStep, u32)>,
-}
+/// Sorted `(start, copies)` runs of one `(element, type)` slot; duplicate
+/// purchases merge into `copies`.
+type Starts = Vec<(TimeStep, u32)>;
 
-/// Per-element merged coverage profile: sorted, disjoint, non-adjacent
+/// Merged coverage profile of one element: sorted, disjoint, non-adjacent
 /// `[start, end)` intervals — exactly the union of every purchased window.
-#[derive(Clone, Debug)]
-struct Profile {
-    intervals: Vec<(TimeStep, TimeStep)>,
-}
+type Profile = Vec<(TimeStep, TimeStep)>;
 
 /// The stabbing-count index behind
 /// [`count_covered_elements`](CoverageIndex::count_covered_elements).
@@ -145,236 +84,174 @@ struct StabIndex {
 /// The flat per-element coverage index maintained incrementally by
 /// [`Ledger::buy`](super::Ledger::buy)/[`Ledger::buy_priced`](super::Ledger::buy_priced).
 ///
-/// The index is append-only — advancing the clock never removes entries —
-/// so coverage queries are valid at arbitrary time steps, including
-/// backdated and future ones. The opt-in
+/// Elements are addressed by their slot ([`intern`](Self::intern),
+/// [`slot`](Self::slot)). The index is append-only — advancing the clock
+/// never removes entries — so coverage queries are valid at arbitrary
+/// time steps, including backdated and future ones. The opt-in
 /// [`prune_expired`](CoverageIndex::prune_expired) trades history for
 /// space on unbounded streams.
 #[derive(Clone, Debug)]
 pub(super) struct CoverageIndex {
-    /// Dense-table stride: the number of in-range lease types (`K`). Slot
-    /// lookups for `k < stride` and small element ids go through the
-    /// dense tables below — a bounds check and one indexed load, no
-    /// hashing on the hot path.
+    /// The number of in-range lease types (`K`): runs per element.
     stride: usize,
-    /// Element-major dense slot table: entry `element * stride + k` is an
-    /// index into `runs`, or [`NO_SLOT`]. Grown lazily to the largest
-    /// purchased-on element id below [`DENSE_ELEMENT_LIMIT`].
-    dense_runs: Vec<u32>,
-    /// Dense `element` → `profiles` index table (stride 1).
-    dense_profiles: Vec<u32>,
-    /// Sparse fallback for out-of-stride types and huge element ids:
-    /// `(element, type_index)` → index into `runs`.
-    slots: FxHashMap<(usize, usize), u32>,
-    runs: Vec<SlotRuns>,
-    /// Sparse fallback: `element` → index into `profiles`.
-    profile_slots: FxHashMap<usize, u32>,
+    elements: ElementIndex,
+    /// Start runs of in-range types, entry `slot * stride + k`.
+    runs: Vec<Starts>,
+    /// Start runs of out-of-range types (`k ≥ stride`, only reachable via
+    /// `buy_priced`), keyed by `(slot, k)`.
+    overflow: BTreeMap<(usize, usize), Starts>,
+    /// Coverage profile per slot.
     profiles: Vec<Profile>,
     /// Recycled backing vectors (arena reuse across [`reset`](Self::reset)).
-    spare_starts: Vec<Vec<(TimeStep, u32)>>,
-    spare_intervals: Vec<Vec<(TimeStep, TimeStep)>>,
+    spare_starts: Vec<Starts>,
+    spare_intervals: Vec<Profile>,
     /// Lazily built stabbing-count index; dropped by every mutation.
     stab: OnceLock<StabIndex>,
     shift_work: u64,
+    /// Entries across `runs` and `overflow`, and across `profiles`, kept
+    /// current so [`stats`](Self::stats) is `O(1)`.
+    start_runs: usize,
+    intervals: usize,
 }
-
-/// Empty dense-table entry.
-const NO_SLOT: u32 = u32::MAX;
-
-/// Element ids below this go through the dense tables; anything larger
-/// falls back to the hash maps (dense memory stays bounded by
-/// `DENSE_ELEMENT_LIMIT * K` entries, grown lazily).
-const DENSE_ELEMENT_LIMIT: usize = 1 << 14;
 
 impl Default for CoverageIndex {
     fn default() -> Self {
         CoverageIndex {
             stride: 1,
-            dense_runs: Vec::new(),
-            dense_profiles: Vec::new(),
-            slots: FxHashMap::default(),
+            elements: ElementIndex::default(),
             runs: Vec::new(),
-            profile_slots: FxHashMap::default(),
+            overflow: BTreeMap::new(),
             profiles: Vec::new(),
             spare_starts: Vec::new(),
             spare_intervals: Vec::new(),
             stab: OnceLock::new(),
             shift_work: 0,
+            start_runs: 0,
+            intervals: 0,
         }
     }
 }
 
 impl CoverageIndex {
-    /// Sets the dense-table stride (the structure's type count). Only
-    /// valid while the index is empty — [`Ledger::new`](super::Ledger::new)
-    /// and [`Ledger::reset`](super::Ledger::reset) call it before any
+    /// Sets the run stride (the structure's type count). Only valid while
+    /// the index is empty — [`Ledger::new`](super::Ledger::new) and
+    /// [`Ledger::reset`](super::Ledger::reset) call it before any
     /// purchase.
     pub fn set_stride(&mut self, num_types: usize) {
-        debug_assert!(self.runs.is_empty(), "stride is fixed once purchases exist");
+        debug_assert!(
+            self.elements.ids().is_empty(),
+            "stride is fixed once elements exist"
+        );
         self.stride = num_types.max(1);
     }
 
-    /// The `runs` index of `(element, k)`, if that slot exists.
+    /// The slot of `element`, if it was interned. Never interns.
     #[inline]
-    fn run_slot(&self, element: usize, k: usize) -> Option<u32> {
-        if k < self.stride && element < DENSE_ELEMENT_LIMIT {
-            if let Some(&id) = self.dense_runs.get(element * self.stride + k) {
-                return (id != NO_SLOT).then_some(id);
-            }
-            // The dense table hasn't grown to this entry — fall through to
-            // the sparse map so reads always agree with whatever the
-            // insert path recorded.
-        }
-        self.slots.get(&(element, k)).copied()
+    pub fn slot(&self, element: usize) -> Option<usize> {
+        self.elements.get(element)
     }
 
-    /// The `runs` index of `(element, k)`, creating the slot on first use.
-    fn run_slot_or_insert(&mut self, element: usize, k: usize) -> u32 {
-        // lint:allow(panic: 2^32 slots at ≥32 bytes apiece would exceed 128 GiB of runs — unreachable by memory alone)
-        let next_id = u32::try_from(self.runs.len()).expect("fewer than 2^32 slots");
-        let id = if k < self.stride && element < DENSE_ELEMENT_LIMIT {
-            let idx = element * self.stride + k;
-            if idx >= self.dense_runs.len() {
-                let grown = (idx + 1).max(self.dense_runs.len() * 2);
-                self.dense_runs.resize(grown, NO_SLOT);
+    /// The slot of `element`, interning it (with empty runs and profile)
+    /// on first use.
+    pub fn intern(&mut self, element: usize) -> usize {
+        let slot = self.elements.intern(element);
+        if slot == self.profiles.len() {
+            for _ in 0..self.stride {
+                self.runs.push(self.spare_starts.pop().unwrap_or_default());
             }
-            match self.dense_runs.get_mut(idx) {
-                Some(entry) => {
-                    if *entry == NO_SLOT {
-                        *entry = next_id;
-                    }
-                    *entry
-                }
-                // Unreachable after the resize above; the sparse map keeps
-                // the index consistent even if it weren't (reads check it
-                // on a dense miss).
-                None => *self.slots.entry((element, k)).or_insert(next_id),
-            }
+            self.profiles
+                .push(self.spare_intervals.pop().unwrap_or_default());
+        }
+        slot
+    }
+
+    /// The element id of every slot, in slot order.
+    pub fn element_ids(&self) -> &[usize] {
+        self.elements.ids()
+    }
+
+    fn starts(&self, slot: usize, k: usize) -> Option<&Starts> {
+        if k < self.stride {
+            self.runs.get(slot * self.stride + k)
         } else {
-            *self.slots.entry((element, k)).or_insert(next_id)
-        };
-        if id == next_id {
-            self.runs.push(SlotRuns {
-                type_index: k,
-                starts: self.spare_starts.pop().unwrap_or_default(),
-            });
+            self.overflow.get(&(slot, k))
         }
-        id
     }
 
-    /// The `profiles` index of `element`, if a profile exists.
-    #[inline]
-    fn profile_slot(&self, element: usize) -> Option<u32> {
-        if element < DENSE_ELEMENT_LIMIT {
-            if let Some(&id) = self.dense_profiles.get(element) {
-                return (id != NO_SLOT).then_some(id);
-            }
-            // Dense miss — agree with the sparse map, as in `run_slot`.
-        }
-        self.profile_slots.get(&element).copied()
-    }
-
-    /// The `profiles` index of `element`, creating the profile on first
-    /// use.
-    fn profile_slot_or_insert(&mut self, element: usize) -> u32 {
-        // lint:allow(panic: 2^32 distinct elements would exceed memory long before the id space — unreachable bound)
-        let next_id = u32::try_from(self.profiles.len()).expect("fewer than 2^32 elements");
-        let id = if element < DENSE_ELEMENT_LIMIT {
-            if element >= self.dense_profiles.len() {
-                let grown = (element + 1).max(self.dense_profiles.len() * 2);
-                self.dense_profiles.resize(grown, NO_SLOT);
-            }
-            match self.dense_profiles.get_mut(element) {
-                Some(entry) => {
-                    if *entry == NO_SLOT {
-                        *entry = next_id;
-                    }
-                    *entry
-                }
-                // Unreachable after the resize above; the sparse map keeps
-                // reads consistent regardless.
-                None => *self.profile_slots.entry(element).or_insert(next_id),
-            }
-        } else {
-            *self.profile_slots.entry(element).or_insert(next_id)
-        };
-        if id == next_id {
-            self.profiles.push(Profile {
-                intervals: self.spare_intervals.pop().unwrap_or_default(),
-            });
-        }
-        id
-    }
-
-    /// Records one purchase of `triple`; `window_len` is the validity
-    /// window length when the triple's type is in range for the ledger's
-    /// structure (out-of-range purchases carry no window information and
-    /// only enter the ownership runs).
-    pub fn insert(&mut self, triple: Triple, window_len: Option<u64>) {
-        self.insert_copies(triple, window_len, 1);
-    }
-
-    /// Records `copies` purchases of `triple` at once — the bulk twin of
-    /// [`insert`](Self::insert) behind snapshot restore, which re-installs
-    /// exported start runs instead of replaying the decision trace.
-    pub fn insert_copies(&mut self, triple: Triple, window_len: Option<u64>, copies: u32) {
+    /// Records `copies` purchases of type `k` starting at `start` for the
+    /// element at `slot`; `window_len` is the validity window length when
+    /// `k` is in range for the ledger's structure (out-of-range purchases
+    /// carry no window information and only enter the ownership runs).
+    pub fn insert_copies(
+        &mut self,
+        slot: usize,
+        k: usize,
+        start: TimeStep,
+        window_len: Option<u64>,
+        copies: u32,
+    ) {
         if copies == 0 {
             return;
         }
-        let slot = self.run_slot_or_insert(triple.element, triple.type_index);
+        let starts = if k < self.stride {
+            self.runs.get_mut(slot * self.stride + k)
+        } else {
+            Some(self.overflow.entry((slot, k)).or_default())
+        };
         let mut shift = 0u64;
-        // lint:allow(cast: slot ids are u32 indices into `runs` and widen into usize)
-        if let Some(run) = self.runs.get_mut(slot as usize) {
-            let starts = &mut run.starts;
+        if let Some(starts) = starts {
+            let before = starts.len();
             match starts.last_mut() {
-                Some(last) if last.0 == triple.start => last.1 += copies,
-                Some(last) if last.0 < triple.start => starts.push((triple.start, copies)),
-                None => starts.push((triple.start, copies)),
+                Some(last) if last.0 == start => last.1 += copies,
+                Some(last) if last.0 < start => starts.push((start, copies)),
+                None => starts.push((start, copies)),
                 _ => {
                     // Out-of-order (backdated) start: binary-search insert.
-                    let idx = starts.partition_point(|&(s, _)| s < triple.start);
+                    let idx = starts.partition_point(|&(s, _)| s < start);
                     match starts.get_mut(idx) {
-                        Some(at) if at.0 == triple.start => at.1 += copies,
+                        Some(at) if at.0 == start => at.1 += copies,
                         _ => {
                             shift = (starts.len() - idx) as u64;
-                            starts.insert(idx, (triple.start, copies));
+                            starts.insert(idx, (start, copies));
                         }
                     }
                 }
             }
+            self.start_runs += starts.len() - before;
         }
         self.shift_work += shift;
         if let Some(len) = window_len {
-            self.add_window(triple.element, triple.start, triple.start + len);
+            self.add_window(slot, start, start + len);
         }
     }
 
     /// Every recorded start run as `(element, type_index, start, copies)`,
     /// sorted — the deterministic export behind non-`Full` ledger
     /// snapshots. Feeding the entries back through
-    /// [`insert_copies`](Self::insert_copies) (window lengths re-derived
-    /// from the lease structure) rebuilds an index answering every
-    /// ownership and coverage query identically, provided the exporting
-    /// index was never [pruned](Self::prune_expired) — after a prune the
-    /// rebuilt merged profiles may narrow *behind* the prune horizon,
-    /// exactly the region prune already left unreliable.
+    /// [`insert_copies`](Self::insert_copies) (window lengths re-derived from the lease
+    /// structure) rebuilds an index answering every ownership and coverage
+    /// query identically, provided the exporting index was never
+    /// [pruned](Self::prune_expired) — after a prune the rebuilt merged
+    /// profiles may narrow *behind* the prune horizon, exactly the region
+    /// prune already left unreliable.
     pub fn export_runs(&self) -> Vec<(usize, usize, TimeStep, u32)> {
-        // A slot lives in exactly one of the dense table and the sparse
-        // map (the insert path never writes both).
-        let mut slots: Vec<(usize, usize, u32)> = Vec::new();
-        for (idx, &id) in self.dense_runs.iter().enumerate() {
-            if id != NO_SLOT {
-                slots.push((idx / self.stride, idx % self.stride, id));
-            }
-        }
-        slots.extend(self.slots.iter().map(|(&(e, k), &id)| (e, k, id)));
-        slots.sort_unstable();
+        let mut by_element: Vec<(usize, usize)> = self
+            .element_ids()
+            .iter()
+            .enumerate()
+            .map(|(slot, &element)| (element, slot))
+            .collect();
+        by_element.sort_unstable();
         let mut out = Vec::new();
-        for (element, k, id) in slots {
-            // lint:allow(cast: slot ids are u32 indices into `runs` and widen into usize)
-            if let Some(run) = self.runs.get(id as usize) {
+        for (element, slot) in by_element {
+            let in_range = (0..self.stride).filter_map(|k| Some((k, self.starts(slot, k)?)));
+            let out_of_range = self
+                .overflow
+                .range((slot, 0)..(slot + 1, 0))
+                .map(|(&(_, k), starts)| (k, starts));
+            for (k, starts) in in_range.chain(out_of_range) {
                 out.extend(
-                    run.starts
+                    starts
                         .iter()
                         .map(|&(start, copies)| (element, k, start, copies)),
                 );
@@ -383,14 +260,12 @@ impl CoverageIndex {
         out
     }
 
-    /// Merges the window `[start, end)` into `element`'s coverage profile.
-    fn add_window(&mut self, element: usize, start: TimeStep, end: TimeStep) {
+    /// Merges the window `[start, end)` into the profile at `slot`.
+    fn add_window(&mut self, slot: usize, start: TimeStep, end: TimeStep) {
         self.stab.take();
-        let slot = self.profile_slot_or_insert(element);
         let mut shift = 0u64;
-        // lint:allow(cast: slot ids are u32 indices into `profiles` and widen into usize)
-        if let Some(profile) = self.profiles.get_mut(slot as usize) {
-            let intervals = &mut profile.intervals;
+        if let Some(intervals) = self.profiles.get_mut(slot) {
+            let before = intervals.len();
             match intervals.last_mut() {
                 None => intervals.push((start, end)),
                 Some(last) if start > last.1 => intervals.push((start, end)),
@@ -422,26 +297,16 @@ impl CoverageIndex {
                     }
                 }
             }
+            self.intervals = self.intervals + intervals.len() - before;
         }
         self.shift_work += shift;
     }
 
-    /// Whether some purchased window of `element` covers `t` — one binary
-    /// search over the merged profile.
-    pub fn covered_element(&self, element: usize, t: TimeStep) -> bool {
-        let Some(intervals) = self.profile_intervals(element) else {
-            return false;
-        };
-        let idx = intervals.partition_point(|&(s, _)| s <= t);
-        idx.checked_sub(1)
-            .and_then(|i| intervals.get(i))
-            .is_some_and(|&(_, end)| end > t)
-    }
-
-    /// Whether some purchased window of `element` intersects the closed
-    /// step range `[lo, hi]`.
-    pub fn covered_element_during(&self, element: usize, lo: TimeStep, hi: TimeStep) -> bool {
-        let Some(intervals) = self.profile_intervals(element) else {
+    /// Whether some purchased window of the element at `slot` intersects
+    /// the closed step range `[lo, hi]` (covers `t` when `lo = hi = t`) —
+    /// one binary search over the merged profile.
+    pub fn covered_during(&self, slot: usize, lo: TimeStep, hi: TimeStep) -> bool {
+        let Some(intervals) = self.profiles.get(slot) else {
             return false;
         };
         // Intervals are disjoint and sorted, so ends are increasing: the
@@ -452,27 +317,15 @@ impl CoverageIndex {
             .is_some_and(|&(_, end)| end > lo)
     }
 
-    /// `element`'s merged coverage intervals, if a profile exists.
-    #[inline]
-    fn profile_intervals(&self, element: usize) -> Option<&[(TimeStep, TimeStep)]> {
-        // lint:allow(cast: slot ids are u32 indices into `profiles` and widen into usize)
-        let slot = self.profile_slot(element)? as usize;
-        self.profiles
-            .get(slot)
-            .map(|profile| profile.intervals.as_slice())
-    }
-
     /// Number of distinct elements with a purchased window covering `t` —
     /// two binary searches over the lazily built [`StabIndex`],
     /// independent of both the element count and the decision count.
     pub fn count_covered_elements(&self, t: TimeStep) -> usize {
         let stab = self.stab.get_or_init(|| {
             let mut index = StabIndex::default();
-            for profile in &self.profiles {
-                for &(start, end) in &profile.intervals {
-                    index.starts.push(start);
-                    index.ends.push(end);
-                }
+            for &(start, end) in self.profiles.iter().flatten() {
+                index.starts.push(start);
+                index.ends.push(end);
             }
             index.starts.sort_unstable();
             index.ends.sort_unstable();
@@ -481,40 +334,27 @@ impl CoverageIndex {
         stab.starts.partition_point(|&s| s <= t) - stab.ends.partition_point(|&e| e <= t)
     }
 
-    /// The latest start of a type-`k` lease of `element` whose window of
-    /// length `len` covers `t`.
-    pub fn covering_start(
-        &self,
-        element: usize,
-        k: usize,
-        len: u64,
-        t: TimeStep,
-    ) -> Option<TimeStep> {
+    /// The latest start of a type-`k` lease of the element at `slot` whose
+    /// window of length `len` covers `t`.
+    pub fn covering_start(&self, slot: usize, k: usize, len: u64, t: TimeStep) -> Option<TimeStep> {
         if len == 0 {
             return None;
         }
-        let starts = self.slot_starts(element, k)?;
+        let starts = self.starts(slot, k)?;
         let idx = Self::rank_le(starts, t);
         let &(start, _) = idx.checked_sub(1).and_then(|i| starts.get(i))?;
         (start >= t.saturating_sub(len - 1)).then_some(start)
     }
 
-    /// Whether the exact triple has been purchased at least once.
-    pub fn owns(&self, triple: Triple) -> bool {
-        self.slot_starts(triple.element, triple.type_index)
-            .is_some_and(|starts| {
-                let idx = Self::rank_le(starts, triple.start);
-                idx.checked_sub(1)
-                    .and_then(|i| starts.get(i))
-                    .is_some_and(|&(start, _)| start == triple.start)
-            })
-    }
-
-    fn slot_starts(&self, element: usize, k: usize) -> Option<&[(TimeStep, u32)]> {
-        self.run_slot(element, k)
-            // lint:allow(cast: slot ids are u32 indices into `runs` and widen into usize)
-            .and_then(|id| self.runs.get(id as usize))
-            .map(|run| run.starts.as_slice())
+    /// Whether a type-`k` lease starting at `start` was purchased for the
+    /// element at `slot` at least once.
+    pub fn owns(&self, slot: usize, k: usize, start: TimeStep) -> bool {
+        self.starts(slot, k).is_some_and(|starts| {
+            let idx = Self::rank_le(starts, start);
+            idx.checked_sub(1)
+                .and_then(|i| starts.get(i))
+                .is_some_and(|&(s, _)| s == start)
+        })
     }
 
     /// The number of starts at or before `t` (equivalently, the index of
@@ -550,32 +390,33 @@ impl CoverageIndex {
     pub fn prune_expired(&mut self, horizon: TimeStep, lengths: &[u64]) -> usize {
         self.stab.take();
         let mut removed = 0usize;
-        for run in &mut self.runs {
-            // Purchases of out-of-range types carry no window information;
-            // they are kept so `owns` keeps answering for them.
-            let Some(&len) = lengths.get(run.type_index) else {
+        // Out-of-range purchases (the overflow runs) carry no window
+        // information; they are kept so `owns` keeps answering for them.
+        for (idx, starts) in self.runs.iter_mut().enumerate() {
+            let Some(&len) = lengths.get(idx % self.stride) else {
                 continue;
             };
             if horizon < len {
                 continue;
             }
             let cutoff = horizon - len; // start ≤ cutoff ⇒ ended by horizon
-            let n = run.starts.partition_point(|&(s, _)| s <= cutoff);
+            let n = starts.partition_point(|&(s, _)| s <= cutoff);
             if n > 0 {
-                removed += run
-                    .starts
+                removed += starts
                     .get(..n)
                     .unwrap_or_default()
                     .iter()
                     // lint:allow(cast: u32 copy counts always widen into usize)
                     .map(|&(_, c)| c as usize)
                     .sum::<usize>();
-                run.starts.drain(..n);
+                starts.drain(..n);
+                self.start_runs -= n;
             }
         }
-        for profile in &mut self.profiles {
-            let n = profile.intervals.partition_point(|&(_, e)| e <= horizon);
-            profile.intervals.drain(..n);
+        for intervals in &mut self.profiles {
+            let n = intervals.partition_point(|&(_, e)| e <= horizon);
+            intervals.drain(..n);
+            self.intervals -= n;
         }
         removed
     }
@@ -584,30 +425,30 @@ impl CoverageIndex {
     /// the arena-reuse path behind [`Ledger::reset`](super::Ledger::reset).
     pub fn reset(&mut self) {
         self.stab.take();
-        // Cleared dense tables keep their capacity; `resize` refills the
-        // sentinel lazily as elements reappear.
-        self.dense_runs.clear();
-        self.dense_profiles.clear();
-        self.slots.clear();
-        self.profile_slots.clear();
-        for mut run in self.runs.drain(..) {
-            run.starts.clear();
-            self.spare_starts.push(run.starts);
+        self.elements.clear();
+        let overflow = std::mem::take(&mut self.overflow).into_values();
+        for mut starts in self.runs.drain(..).chain(overflow) {
+            starts.clear();
+            self.spare_starts.push(starts);
         }
-        for mut profile in self.profiles.drain(..) {
-            profile.intervals.clear();
-            self.spare_intervals.push(profile.intervals);
+        for mut intervals in self.profiles.drain(..) {
+            intervals.clear();
+            self.spare_intervals.push(intervals);
         }
         self.shift_work = 0;
+        self.start_runs = 0;
+        self.intervals = 0;
     }
 
-    /// Current size and shift-work diagnostics.
+    /// Current size and shift-work diagnostics, in `O(1)`.
     pub fn stats(&self) -> CoverageStats {
         CoverageStats {
-            slots: self.runs.len(),
-            start_runs: self.runs.iter().map(|r| r.starts.len()).sum(),
-            intervals: self.profiles.iter().map(|p| p.intervals.len()).sum(),
+            slots: self.runs.len() + self.overflow.len(),
+            start_runs: self.start_runs,
+            intervals: self.intervals,
             shift_work: self.shift_work,
+            elements: self.elements.ids().len(),
+            table_entries: self.elements.table_entries(),
         }
     }
 }
@@ -615,42 +456,78 @@ impl CoverageIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framework::Triple;
+
+    /// Interns the triple's element and records one purchase of it.
+    fn buy(index: &mut CoverageIndex, triple: Triple, window_len: Option<u64>) {
+        let slot = index.intern(triple.element);
+        index.insert_copies(slot, triple.type_index, triple.start, window_len, 1);
+    }
+
+    /// `stats()` with the run and interval totals recounted from scratch.
+    fn recounted(index: &CoverageIndex) -> CoverageStats {
+        CoverageStats {
+            start_runs: index
+                .runs
+                .iter()
+                .chain(index.overflow.values())
+                .map(Vec::len)
+                .sum(),
+            intervals: index.profiles.iter().map(Vec::len).sum(),
+            ..index.stats()
+        }
+    }
+
+    fn covered(index: &CoverageIndex, element: usize, t: TimeStep) -> bool {
+        index
+            .slot(element)
+            .is_some_and(|slot| index.covered_during(slot, t, t))
+    }
+
+    fn owns(index: &CoverageIndex, triple: Triple) -> bool {
+        index
+            .slot(triple.element)
+            .is_some_and(|slot| index.owns(slot, triple.type_index, triple.start))
+    }
 
     #[test]
     fn profile_merges_overlapping_and_adjacent_windows() {
         let mut index = CoverageIndex::default();
-        index.insert(Triple::new(0, 0, 4), Some(4)); // [4, 8)
-        index.insert(Triple::new(0, 0, 8), Some(4)); // adjacent [8, 12)
-        index.insert(Triple::new(0, 1, 6), Some(16)); // overlapping [6, 22)
+        index.set_stride(2);
+        buy(&mut index, Triple::new(0, 0, 4), Some(4)); // [4, 8)
+        buy(&mut index, Triple::new(0, 0, 8), Some(4)); // adjacent [8, 12)
+        buy(&mut index, Triple::new(0, 1, 6), Some(16)); // overlapping [6, 22)
         let stats = index.stats();
         assert_eq!(stats.intervals, 1, "one merged [4, 22) interval");
-        assert!(index.covered_element(0, 4));
-        assert!(index.covered_element(0, 21));
-        assert!(!index.covered_element(0, 22));
-        assert!(!index.covered_element(0, 3));
+        assert!(covered(&index, 0, 4));
+        assert!(covered(&index, 0, 21));
+        assert!(!covered(&index, 0, 22));
+        assert!(!covered(&index, 0, 3));
     }
 
     #[test]
     fn out_of_order_windows_splice_and_merge() {
         let mut index = CoverageIndex::default();
-        index.insert(Triple::new(0, 0, 20), Some(4)); // [20, 24)
-        index.insert(Triple::new(0, 0, 0), Some(4)); // backdated [0, 4)
-        index.insert(Triple::new(0, 0, 10), Some(4)); // backdated [10, 14)
+        index.set_stride(2);
+        buy(&mut index, Triple::new(0, 0, 20), Some(4)); // [20, 24)
+        buy(&mut index, Triple::new(0, 0, 0), Some(4)); // backdated [0, 4)
+        buy(&mut index, Triple::new(0, 0, 10), Some(4)); // backdated [10, 14)
         assert_eq!(index.stats().intervals, 3);
         // A bridging window merges all three into one.
-        index.insert(Triple::new(0, 1, 2), Some(20)); // [2, 22)
+        buy(&mut index, Triple::new(0, 1, 2), Some(20)); // [2, 22)
         assert_eq!(index.stats().intervals, 1);
-        assert!(index.covered_element(0, 0));
-        assert!(index.covered_element(0, 23));
-        assert!(!index.covered_element(0, 24));
+        assert!(covered(&index, 0, 0));
+        assert!(covered(&index, 0, 23));
+        assert!(!covered(&index, 0, 24));
         assert!(index.stats().shift_work > 0, "backdating is counted");
+        assert_eq!(index.stats(), recounted(&index));
     }
 
     #[test]
     fn append_path_does_no_shift_work() {
         let mut index = CoverageIndex::default();
         for t in 0..1_000u64 {
-            index.insert(Triple::new((t % 7) as usize, 0, t), Some(3));
+            buy(&mut index, Triple::new((t % 7) as usize, 0, t), Some(3));
         }
         assert_eq!(index.stats().shift_work, 0, "sorted arrivals are appends");
     }
@@ -658,26 +535,28 @@ mod tests {
     #[test]
     fn duplicate_starts_merge_into_copies() {
         let mut index = CoverageIndex::default();
+        index.set_stride(2);
         let tr = Triple::new(3, 1, 8);
-        index.insert(tr, Some(4));
-        index.insert(tr, Some(4));
+        buy(&mut index, tr, Some(4));
+        buy(&mut index, tr, Some(4));
         assert_eq!(index.stats().start_runs, 1);
-        assert!(index.owns(tr));
-        assert!(!index.owns(Triple::new(3, 1, 9)));
+        assert!(owns(&index, tr));
+        assert!(!owns(&index, Triple::new(3, 1, 9)));
         // Both copies count when pruned.
         assert_eq!(index.prune_expired(12, &[2, 4]), 2);
-        assert!(!index.owns(tr));
+        assert!(!owns(&index, tr));
+        assert_eq!(index.stats(), recounted(&index));
     }
 
     #[test]
     fn export_runs_round_trip_through_insert_copies() {
         let mut index = CoverageIndex::default();
         index.set_stride(2);
-        index.insert(Triple::new(0, 0, 4), Some(4));
-        index.insert(Triple::new(0, 0, 4), Some(4)); // duplicate start merges
-        index.insert(Triple::new(3, 1, 8), Some(16));
-        index.insert(Triple::new(0, 1, 0), Some(16));
-        index.insert(Triple::new(7, 5, 2), None); // out-of-stride, no window
+        buy(&mut index, Triple::new(0, 0, 4), Some(4));
+        buy(&mut index, Triple::new(0, 0, 4), Some(4)); // duplicate start merges
+        buy(&mut index, Triple::new(3, 1, 8), Some(16));
+        buy(&mut index, Triple::new(0, 1, 0), Some(16));
+        buy(&mut index, Triple::new(7, 5, 2), None); // out-of-stride, no window
         let runs = index.export_runs();
         assert_eq!(
             runs,
@@ -687,35 +566,37 @@ mod tests {
         rebuilt.set_stride(2);
         for &(element, k, start, copies) in &runs {
             let window_len = (k < 2).then_some(if k == 0 { 4 } else { 16 });
-            rebuilt.insert_copies(Triple::new(element, k, start), window_len, copies);
+            let slot = rebuilt.intern(element);
+            rebuilt.insert_copies(slot, k, start, window_len, copies);
         }
         assert_eq!(rebuilt.export_runs(), runs);
         for t in 0..24u64 {
-            assert_eq!(rebuilt.covered_element(0, t), index.covered_element(0, t));
-            assert_eq!(rebuilt.covered_element(3, t), index.covered_element(3, t));
+            assert_eq!(covered(&rebuilt, 0, t), covered(&index, 0, t));
+            assert_eq!(covered(&rebuilt, 3, t), covered(&index, 3, t));
             assert_eq!(
                 rebuilt.count_covered_elements(t),
                 index.count_covered_elements(t)
             );
         }
-        assert!(rebuilt.owns(Triple::new(7, 5, 2)));
-        assert_eq!(rebuilt.stats().slots, index.stats().slots);
+        assert!(owns(&rebuilt, Triple::new(7, 5, 2)));
+        assert_eq!(rebuilt.stats(), index.stats());
+        assert_eq!(index.stats(), recounted(&index));
     }
 
     #[test]
     fn reset_keeps_capacity_and_clears_answers() {
         let mut index = CoverageIndex::default();
         for t in 0..100u64 {
-            index.insert(Triple::new(0, 0, t), Some(5));
+            buy(&mut index, Triple::new(0, 0, t), Some(5));
         }
-        assert!(index.covered_element(0, 50));
+        assert!(covered(&index, 0, 50));
         index.reset();
         assert_eq!(index.stats(), CoverageStats::default());
-        assert!(!index.covered_element(0, 50));
-        assert!(!index.owns(Triple::new(0, 0, 0)));
+        assert!(!covered(&index, 0, 50));
+        assert!(!owns(&index, Triple::new(0, 0, 0)));
         assert_eq!(index.count_covered_elements(50), 0);
         // Recycled vectors are reused without fresh allocation.
-        index.insert(Triple::new(0, 0, 1), Some(5));
-        assert!(index.covered_element(0, 3));
+        buy(&mut index, Triple::new(0, 0, 1), Some(5));
+        assert!(covered(&index, 0, 3));
     }
 }

@@ -6,7 +6,9 @@
 //!   per-purchase accounting is one short string compare against a handful
 //!   of entries instead of a `BTreeMap<Cow<str>, f64>` walk that cloned
 //!   the key on every purchase.
-//! * Per-element statistics live in a deterministic `FxHashMap`.
+//! * Per-element statistics live in a `Vec` indexed by the element's
+//!   dense slot, which the coverage index's runs and profiles share: a
+//!   purchase resolves its element id once.
 //! * The expiry heap is a bucketed
 //!   [`ExpiryTimeline`](super::expiry::ExpiryTimeline) of counts.
 //! * Coverage queries run on the flat
@@ -23,7 +25,7 @@
 //! expiry timeline directly; deserialization re-installs them without
 //! replay.
 
-use super::coverage::{CoverageIndex, CoverageStats, FxHashMap};
+use super::coverage::{CoverageIndex, CoverageStats};
 use super::expiry::ExpiryTimeline;
 use crate::framework::Triple;
 use crate::lease::{Lease, LeaseStructure};
@@ -97,6 +99,17 @@ pub enum DecisionRetention {
     AggregateOnly,
 }
 
+/// An element resolved to its dense slot in one [`Ledger`]
+/// ([`Ledger::element_slot`]): queries through it skip the id lookup.
+///
+/// Valid for the ledger that issued it until that ledger is
+/// [reset](Ledger::reset); purchases never move a slot.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct ElementSlot {
+    element: usize,
+    slot: usize,
+}
+
 /// The default spending category of [`Ledger::buy`]/[`Ledger::buy_priced`].
 pub const CATEGORY_LEASE: &str = "lease";
 
@@ -133,9 +146,11 @@ pub struct Ledger {
     /// Bucketed timeline of `(window end, copies)` for leases not yet
     /// expired at [`now`](Ledger::now).
     expiry: ExpiryTimeline,
-    per_element: FxHashMap<usize, ElementStats>,
+    /// Statistics per element slot of `coverage`.
+    per_element: Vec<ElementStats>,
     /// Append-only flat coverage index behind the coverage queries
-    /// ([`covered`](Ledger::covered), [`owns`](Ledger::owns), ...).
+    /// ([`covered`](Ledger::covered), [`owns`](Ledger::owns), ...); it
+    /// owns the element table.
     coverage: CoverageIndex,
     now: TimeStep,
     leases_bought: usize,
@@ -316,16 +331,15 @@ impl Ledger {
         if !self.add_category_cost(&category, cost) {
             self.categories.push((category.clone(), cost));
         }
-        let stats = self.per_element.entry(triple.element).or_default();
-        stats.leases += 1;
-        stats.lease_cost += cost;
+        let slot = self.intern(triple.element);
+        if let Some(stats) = self.per_element.get_mut(slot) {
+            stats.leases += 1;
+            stats.lease_cost += cost;
+        }
         self.leases_bought += 1;
-        let window_len = self
-            .structure
-            .as_ref()
-            .filter(|s| triple.type_index < s.num_types())
-            .map(|s| s.length(triple.type_index));
-        self.coverage.insert(triple, window_len);
+        let window_len = self.window_len(triple.type_index);
+        self.coverage
+            .insert_copies(slot, triple.type_index, triple.start, window_len, 1);
         if let Some(len) = window_len {
             let end = triple.start + len;
             if end > self.now {
@@ -360,7 +374,10 @@ impl Ledger {
         if !self.add_category_cost(&category, cost) {
             self.categories.push((category.clone(), cost));
         }
-        self.per_element.entry(element).or_default().extra_cost += cost;
+        let slot = self.intern(element);
+        if let Some(stats) = self.per_element.get_mut(slot) {
+            stats.extra_cost += cost;
+        }
         self.push_decision(Decision {
             time: t,
             element,
@@ -368,6 +385,34 @@ impl Ledger {
             cost,
             category,
         });
+    }
+
+    /// The slot of `element`, interning it on first use — only the record
+    /// paths intern.
+    fn intern(&mut self, element: usize) -> usize {
+        let slot = self.coverage.intern(element);
+        if slot == self.per_element.len() {
+            self.per_element.push(ElementStats::default());
+        }
+        slot
+    }
+
+    /// The validity window length of type `type_index`, when the ledger's
+    /// structure has that type.
+    fn window_len(&self, type_index: usize) -> Option<u64> {
+        self.structure
+            .as_ref()
+            .filter(|s| type_index < s.num_types())
+            .map(|s| s.length(type_index))
+    }
+
+    /// `element` resolved to its dense slot, or `None` when no decision
+    /// was ever recorded against it. A pure lookup: only purchases and
+    /// charges intern elements.
+    pub fn element_slot(&self, element: usize) -> Option<ElementSlot> {
+        self.coverage
+            .slot(element)
+            .map(|slot| ElementSlot { element, slot })
     }
 
     /// Total money spent.
@@ -506,7 +551,9 @@ impl Ledger {
     /// ([`detached`](Ledger::detached)) ledgers have no window information
     /// and always answer `false`.
     pub fn covered(&self, element: usize, t: TimeStep) -> bool {
-        self.coverage.covered_element(element, t)
+        self.coverage
+            .slot(element)
+            .is_some_and(|slot| self.coverage.covered_during(slot, t, t))
     }
 
     /// A purchased lease of `element` covering `t`, if any: the one whose
@@ -514,13 +561,14 @@ impl Ledger {
     /// `O(K log n)`; `None` on structure-less ledgers.
     pub fn active_lease(&self, element: usize, t: TimeStep) -> Option<Triple> {
         let structure = self.structure.as_ref()?;
-        if !self.coverage.covered_element(element, t) {
+        let slot = self.coverage.slot(element)?;
+        if !self.coverage.covered_during(slot, t, t) {
             return None;
         }
         let mut best: Option<(TimeStep, usize, TimeStep)> = None; // (end, k, start)
         for k in 0..structure.num_types() {
             let len = structure.length(k);
-            if let Some(start) = self.coverage.covering_start(element, k, len, t) {
+            if let Some(start) = self.coverage.covering_start(slot, k, len, t) {
                 let end = start + len;
                 if best.is_none_or(|(be, bk, _)| (end, k) > (be, bk)) {
                     best = Some((end, k, start));
@@ -539,13 +587,21 @@ impl Ledger {
         type_index: usize,
         t: TimeStep,
     ) -> Option<Triple> {
-        let structure = self.structure.as_ref()?;
-        if type_index >= structure.num_types() {
-            return None;
-        }
+        self.active_lease_of_type_at(self.element_slot(element)?, type_index, t)
+    }
+
+    /// [`active_lease_of_type`](Ledger::active_lease_of_type) for an
+    /// element already resolved by [`element_slot`](Ledger::element_slot).
+    pub fn active_lease_of_type_at(
+        &self,
+        element: ElementSlot,
+        type_index: usize,
+        t: TimeStep,
+    ) -> Option<Triple> {
+        let len = self.window_len(type_index)?;
         self.coverage
-            .covering_start(element, type_index, structure.length(type_index), t)
-            .map(|start| Triple::new(element, type_index, start))
+            .covering_start(element.slot, type_index, len, t)
+            .map(|start| Triple::new(element.element, type_index, start))
     }
 
     /// Whether some purchased lease of `element` covers at least one time
@@ -558,7 +614,8 @@ impl Ledger {
             return false;
         };
         self.coverage
-            .covered_element_during(element, window.start, last)
+            .slot(element)
+            .is_some_and(|slot| self.coverage.covered_during(slot, window.start, last))
     }
 
     /// Number of distinct elements with a purchased lease covering `t`.
@@ -578,7 +635,9 @@ impl Ledger {
     /// (at least once). `O(log n)`; works on structure-less ledgers too —
     /// ownership needs no window information.
     pub fn owns(&self, triple: Triple) -> bool {
-        self.coverage.owns(triple)
+        self.coverage
+            .slot(triple.element)
+            .is_some_and(|slot| self.coverage.owns(slot, triple.type_index, triple.start))
     }
 
     /// Opt-in coverage-index compaction for unbounded streams: drops every
@@ -624,14 +683,23 @@ impl Ledger {
 
     /// Spending statistics of `element`.
     pub fn element_stats(&self, element: usize) -> ElementStats {
-        self.per_element.get(&element).copied().unwrap_or_default()
+        self.coverage
+            .slot(element)
+            .and_then(|slot| self.per_element.get(slot))
+            .copied()
+            .unwrap_or_default()
     }
 
     /// All elements money was spent on, with their statistics, ordered by
     /// element id.
     pub fn elements(&self) -> impl Iterator<Item = (usize, &ElementStats)> + '_ {
-        let mut sorted: Vec<(usize, &ElementStats)> =
-            self.per_element.iter().map(|(&e, s)| (e, s)).collect();
+        let mut sorted: Vec<(usize, &ElementStats)> = self
+            .coverage
+            .element_ids()
+            .iter()
+            .copied()
+            .zip(&self.per_element)
+            .collect();
         sorted.sort_unstable_by_key(|&(e, _)| e);
         sorted.into_iter()
     }
@@ -886,23 +954,20 @@ impl Ledger {
         for entry in seq_items(serde::value_field(aggregates, "per_element")?, "element")? {
             let element: usize = Deserialize::from_value(serde::value_index(entry, 0)?)?;
             let stats: ElementStats = Deserialize::from_value(serde::value_index(entry, 1)?)?;
-            self.per_element.insert(element, stats);
+            let slot = self.intern(element);
+            if let Some(entry) = self.per_element.get_mut(slot) {
+                *entry = stats;
+            }
         }
         for entry in seq_items(serde::value_field(value, "coverage")?, "coverage run")? {
             let element: usize = Deserialize::from_value(serde::value_index(entry, 0)?)?;
             let type_index: usize = Deserialize::from_value(serde::value_index(entry, 1)?)?;
             let start: TimeStep = Deserialize::from_value(serde::value_index(entry, 2)?)?;
             let copies: u32 = Deserialize::from_value(serde::value_index(entry, 3)?)?;
-            let window_len = self
-                .structure
-                .as_ref()
-                .filter(|s| type_index < s.num_types())
-                .map(|s| s.length(type_index));
-            self.coverage.insert_copies(
-                Triple::new(element, type_index, start),
-                window_len,
-                copies,
-            );
+            let slot = self.intern(element);
+            let window_len = self.window_len(type_index);
+            self.coverage
+                .insert_copies(slot, type_index, start, window_len, copies);
         }
         for entry in seq_items(serde::value_field(value, "expiry")?, "expiry")? {
             let end: TimeStep = Deserialize::from_value(serde::value_index(entry, 0)?)?;

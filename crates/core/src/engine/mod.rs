@@ -84,16 +84,18 @@
 
 mod books;
 mod coverage;
+mod elements;
 mod expiry;
 mod handle;
 mod ledger;
 
 pub use books::Books;
-pub use coverage::{CoverageStats, FxHashMap, FxHasher};
+pub use coverage::CoverageStats;
+pub use elements::ElementIndex;
 pub use handle::{EngineHandle, EngineStats, ENGINE_SNAPSHOT_SCHEMA};
 pub use ledger::{
-    Decision, DecisionRetention, ElementStats, Ledger, SnapshotError, CATEGORY_CONNECTION,
-    CATEGORY_LEASE, LEDGER_SNAPSHOT_SCHEMA,
+    Decision, DecisionRetention, ElementSlot, ElementStats, Ledger, SnapshotError,
+    CATEGORY_CONNECTION, CATEGORY_LEASE, LEDGER_SNAPSHOT_SCHEMA,
 };
 
 use crate::harness::CompetitiveOutcome;

@@ -58,6 +58,13 @@ pub struct ShardMetrics {
     /// Most callers ever holding or waiting on the shard's lock at once:
     /// at most the number of connections.
     pub mailbox_high_watermark: Gauge,
+    /// Elements (tenants) interned in the engine's element table, stored
+    /// after every served run.
+    pub engine_elements: Gauge,
+    /// Entries of the engine's element id → slot table, stored with
+    /// `engine_elements`: bounded by a constant factor of it, however
+    /// sparse the tenant ids.
+    pub element_table_entries: Gauge,
     /// Length of each collapsed equal-time submit run handed to the
     /// engine as one `submit_at` call.
     pub micro_batch_len: Histogram,
@@ -182,6 +189,12 @@ impl DaemonMetrics {
         });
         self.per_shard_gauge(&mut expo, &labels, "leased_mailbox_high_watermark", |s| {
             s.mailbox_high_watermark.get()
+        });
+        self.per_shard_gauge(&mut expo, &labels, "leased_engine_elements", |s| {
+            s.engine_elements.get()
+        });
+        self.per_shard_gauge(&mut expo, &labels, "leased_element_table_entries", |s| {
+            s.element_table_entries.get()
         });
 
         expo.family(
@@ -380,6 +393,8 @@ mod tests {
             "leased_clamped_timestamps_total",
             "leased_mailbox_depth",
             "leased_mailbox_high_watermark",
+            "leased_engine_elements",
+            "leased_element_table_entries",
             "leased_micro_batch_size",
             "leased_submit_latency_ns",
             "leased_snapshot_duration_ns",

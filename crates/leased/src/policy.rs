@@ -19,14 +19,14 @@
 //! `Driver::algorithm`, so the engine is `Send` and needs no shared
 //! handle.
 
-use leasing_core::engine::{Books, LeasingAlgorithm};
+use leasing_core::engine::{Books, ElementIndex, LeasingAlgorithm, Ledger};
 use leasing_core::framework::Triple;
 use leasing_core::interval::dual_step;
 use leasing_core::lease::LeaseStructure;
 use leasing_core::time::TimeStep;
 use serde::{de, value_field, Deserialize, Serialize, Value};
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::rc::Rc;
 
 /// Ledger category of the zero-cost force-release audit charge.
@@ -46,13 +46,20 @@ pub enum TenantOp {
 
 /// The multi-tenant permit policy: per-tenant dual accumulators plus the
 /// force-released overlay.
-#[derive(Clone, Debug, PartialEq)]
+///
+/// Per-tenant state is flat: tenants are interned into dense slots, and
+/// slot `s` owns the `K` dual slots `duals[s * K..(s + 1) * K]` and the
+/// released-entry count `released_count[s]`.
+#[derive(Clone, Debug)]
 pub struct PermitCore {
     structure: LeaseStructure,
+    /// Tenant id → slot; a tenant is interned at its first uncovered
+    /// demand.
+    tenants: ElementIndex,
     /// Per-tenant dual accumulators: `(current window start, Σy)` per
     /// lease type, exactly as in the single-tenant deterministic
     /// primal-dual (stale windows read as zero).
-    contributions: BTreeMap<usize, Vec<(TimeStep, f64)>>,
+    duals: Vec<(TimeStep, f64)>,
     /// Total dual value raised across tenants (a lower bound on the
     /// interval-model optimum by weak duality).
     dual_value: f64,
@@ -60,6 +67,8 @@ pub struct PermitCore {
     /// means: the ledger owns the triple but the daemon treats it as
     /// void; a re-buy removes the entry.
     released: BTreeSet<(usize, usize, TimeStep)>,
+    /// Entries of `released` per tenant slot: a zero skips the set probe.
+    released_count: Vec<usize>,
 }
 
 impl PermitCore {
@@ -67,16 +76,29 @@ impl PermitCore {
     pub fn new(structure: LeaseStructure) -> Self {
         PermitCore {
             structure,
-            contributions: BTreeMap::new(),
+            tenants: ElementIndex::default(),
+            duals: Vec::new(),
             dual_value: 0.0,
             released: BTreeSet::new(),
+            released_count: Vec::new(),
         }
     }
 
     /// Whether `triple` has been force-released (and not re-bought).
     pub fn is_released(&self, triple: Triple) -> bool {
-        self.released
-            .contains(&(triple.element, triple.type_index, triple.start))
+        self.released_in(self.tenants.get(triple.element), triple)
+    }
+
+    /// [`is_released`](Self::is_released) for a tenant already looked up:
+    /// an interned tenant with no released entry skips the set.
+    fn released_in(&self, slot: Option<usize>, triple: Triple) -> bool {
+        !self.released.is_empty()
+            && slot
+                .and_then(|slot| self.released_count.get(slot))
+                .is_none_or(|&count| count > 0)
+            && self
+                .released
+                .contains(&(triple.element, triple.type_index, triple.start))
     }
 
     /// Total dual value raised so far (lower-bounds the interval-model
@@ -90,50 +112,108 @@ impl PermitCore {
         &self.structure
     }
 
-    /// `tenant` has a live (owned and not released) lease covering `t`.
-    fn covered_live(&self, tenant: usize, t: TimeStep, books: &Books<'_>) -> bool {
-        (0..self.structure.num_types()).any(|k| {
-            books
-                .active_lease_of_type(tenant, k, t)
-                .is_some_and(|triple| !self.is_released(triple))
+    /// `tenant`'s live leases at `t` in `ledger`, the ledger this policy
+    /// records into: per type, the active lease unless it was
+    /// force-released. One slot lookup per table, then `K` array reads.
+    pub fn live_leases<'a>(
+        &'a self,
+        ledger: &'a Ledger,
+        tenant: usize,
+        t: TimeStep,
+    ) -> impl Iterator<Item = Triple> + 'a {
+        let element = ledger.element_slot(tenant);
+        // With nothing released, the policy's own table is never read.
+        let slot = if self.released.is_empty() {
+            None
+        } else {
+            self.tenants.get(tenant)
+        };
+        (0..self.structure.num_types()).filter_map(move |k| {
+            let triple = ledger.active_lease_of_type_at(element?, k, t)?;
+            (!self.released_in(slot, triple)).then_some(triple)
         })
+    }
+
+    /// The slot of `tenant`, interning it with fresh dual slots (and the
+    /// count of any released entries it already has) on first use.
+    fn intern(&mut self, tenant: usize) -> usize {
+        let slot = self.tenants.intern(tenant);
+        if slot == self.released_count.len() {
+            let types = self.structure.num_types();
+            self.duals
+                .resize(self.duals.len() + types, (TimeStep::MAX, 0.0));
+            let released = self
+                .released
+                .range((tenant, 0, 0)..=(tenant, usize::MAX, TimeStep::MAX))
+                .count();
+            self.released_count.push(released);
+        }
+        slot
+    }
+
+    /// The `K` dual slots of every tenant, in ascending tenant order.
+    fn tenant_duals(&self) -> Vec<(usize, &[(TimeStep, f64)])> {
+        let mut tenants: Vec<(usize, &[(TimeStep, f64)])> = self
+            .tenants
+            .ids()
+            .iter()
+            .copied()
+            .zip(self.duals.chunks(self.structure.num_types().max(1)))
+            .collect();
+        tenants.sort_unstable_by_key(|&(tenant, _)| tenant);
+        tenants
     }
 
     /// The primal-dual step for one demand of `tenant` at `t`.
     fn serve_demand(&mut self, t: TimeStep, tenant: usize, books: &mut Books<'_>) {
-        if self.covered_live(tenant, t, books) {
+        if self.live_leases(books, tenant, t).next().is_some() {
             return;
         }
+        let slot = self.intern(tenant);
+        let types = self.structure.num_types();
         let PermitCore {
             structure,
-            contributions,
+            duals,
             dual_value,
             released,
+            released_count,
+            ..
         } = self;
-        let slots = contributions
-            .entry(tenant)
-            .or_insert_with(|| vec![(TimeStep::MAX, 0.0); structure.num_types()]);
+        let (Some(slots), Some(count)) = (
+            duals.get_mut(slot * types..(slot + 1) * types),
+            released_count.get_mut(slot),
+        ) else {
+            return;
+        };
         *dual_value += dual_step(structure, slots, t, |k, start| {
             // A released window re-buys (and re-pays); an owned live one
             // does not.
-            let was_released = released.remove(&(tenant, k, start));
+            let was_released = *count > 0 && released.remove(&(tenant, k, start));
+            if was_released {
+                *count -= 1;
+            }
             let triple = Triple::new(tenant, k, start);
             if was_released || !books.owns(triple) {
                 books.buy(t, triple);
             }
         });
         debug_assert!(
-            self.covered_live(tenant, t, books),
+            self.live_leases(books, tenant, t).next().is_some(),
             "the primal-dual step must cover the demand"
         );
     }
 
     /// Voids `tenant`'s live leases at `t` and records the audit charge.
     fn serve_release(&mut self, t: TimeStep, tenant: usize, books: &mut Books<'_>) {
+        let slot = self.tenants.get(tenant);
         for k in 0..self.structure.num_types() {
             if let Some(triple) = books.active_lease_of_type(tenant, k, t) {
-                self.released
+                let fresh = self
+                    .released
                     .insert((triple.element, triple.type_index, triple.start));
+                if let Some(count) = slot.and_then(|slot| self.released_count.get_mut(slot)) {
+                    *count += usize::from(fresh);
+                }
             }
         }
         books.charge(t, tenant, 0.0, CATEGORY_FORCE_RELEASE);
@@ -143,9 +223,9 @@ impl PermitCore {
     /// The structure itself is daemon configuration and is not embedded.
     pub fn to_value(&self) -> Value {
         let contributions: Vec<(u64, Vec<(TimeStep, f64)>)> = self
-            .contributions
-            .iter()
-            .map(|(&tenant, slots)| (tenant as u64, slots.clone()))
+            .tenant_duals()
+            .into_iter()
+            .map(|(tenant, slots)| (tenant as u64, slots.to_vec()))
             .collect();
         let released: Vec<(u64, u64, TimeStep)> = self
             .released
@@ -168,7 +248,8 @@ impl PermitCore {
     ///
     /// # Errors
     ///
-    /// Rejects payloads with a wrong schema tag or malformed fields.
+    /// Rejects payloads with a wrong schema tag or malformed fields,
+    /// including dual slots that do not number one per lease type.
     pub fn from_value(structure: LeaseStructure, value: &Value) -> Result<Self, de::Error> {
         let schema = serde::value_str(value_field(value, "schema")?)?;
         if schema != POLICY_SNAPSHOT_SCHEMA {
@@ -184,20 +265,36 @@ impl PermitCore {
         let index = |v: u64| -> Result<usize, de::Error> {
             usize::try_from(v).map_err(|_| de::Error::new(format!("index {v} overflows usize")))
         };
-        let mut contributions = BTreeMap::new();
-        for (tenant, slots) in raw_contributions {
-            contributions.insert(index(tenant)?, slots);
-        }
-        let mut released = BTreeSet::new();
+        let mut core = PermitCore::new(structure);
+        core.dual_value = dual_value;
         for (tenant, k, start) in raw_released {
-            released.insert((index(tenant)?, index(k)?, start));
+            core.released.insert((index(tenant)?, index(k)?, start));
         }
-        Ok(PermitCore {
-            structure,
-            contributions,
-            dual_value,
-            released,
-        })
+        let types = core.structure.num_types();
+        for (tenant, slots) in raw_contributions {
+            if slots.len() != types {
+                return Err(de::Error::new(format!(
+                    "tenant {tenant} has {} dual slots, expected {types}",
+                    slots.len()
+                )));
+            }
+            let slot = core.intern(index(tenant)?);
+            if let Some(duals) = core.duals.get_mut(slot * types..(slot + 1) * types) {
+                duals.copy_from_slice(&slots);
+            }
+        }
+        Ok(core)
+    }
+}
+
+/// Two cores are equal when they hold the same state per tenant, whatever
+/// order their tenants were interned in.
+impl PartialEq for PermitCore {
+    fn eq(&self, other: &Self) -> bool {
+        self.structure == other.structure
+            && self.dual_value == other.dual_value
+            && self.released == other.released
+            && self.tenant_duals() == other.tenant_duals()
     }
 }
 
@@ -329,6 +426,43 @@ mod tests {
         let restored = PermitCore::from_value(structure(), &snap).unwrap();
         assert_eq!(restored, *engine.algorithm());
         assert_eq!(restored.to_value(), snap, "snapshots are idempotent");
+    }
+
+    #[test]
+    fn a_restored_core_rebuys_released_windows_like_the_original() {
+        let mut engine = engine();
+        for t in 0..3 {
+            engine.submit(t, TenantOp::Demand(7)).unwrap();
+        }
+        engine.submit(2, TenantOp::Release(7)).unwrap();
+        let core = PermitCore::from_value(structure(), &engine.algorithm().to_value()).unwrap();
+        let mut restored = Driver::restore(core, &engine.snapshot()).unwrap();
+        for driver in [&mut engine, &mut restored] {
+            driver.submit(3, TenantOp::Demand(7)).unwrap();
+            driver.submit(3, TenantOp::Demand(8)).unwrap();
+        }
+        assert_eq!(restored.algorithm(), engine.algorithm());
+        assert_eq!(
+            restored.algorithm().to_value(),
+            engine.algorithm().to_value()
+        );
+        assert_eq!(restored.cost(), engine.cost());
+        assert!(!restored.algorithm().is_released(Triple::new(7, 1, 0)));
+    }
+
+    #[test]
+    fn dual_slots_of_the_wrong_arity_are_rejected() {
+        let mut engine = engine();
+        engine.submit(0, TenantOp::Demand(1)).unwrap();
+        let Value::Map(mut fields) = engine.algorithm().to_value() else {
+            panic!("policy snapshots are maps");
+        };
+        for (name, value) in &mut fields {
+            if name == "contributions" {
+                *value = vec![(1u64, vec![(0u64, 1.0f64)])].to_value();
+            }
+        }
+        assert!(PermitCore::from_value(structure(), &Value::Map(fields)).is_err());
     }
 
     #[test]

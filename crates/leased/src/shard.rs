@@ -151,13 +151,15 @@ impl Shard {
         let state = match built {
             Ok(mut engine) => {
                 engine.set_retention(retention);
-                ShardState::Up(Box::new(Worker {
+                let worker = Worker {
                     index,
                     clock: engine.stats().now,
                     engine,
                     metrics: Arc::clone(&metrics),
                     ring: EventRing::new(trace_capacity),
-                }))
+                };
+                worker.record_element_table();
+                ShardState::Up(Box::new(worker))
             }
             Err(e) => ShardState::Failed(e.to_string()),
         };
@@ -288,6 +290,16 @@ impl Worker {
         });
     }
 
+    /// Stores the engine's element-table size into the shard gauges.
+    fn record_element_table(&self) {
+        let coverage = self.engine.ledger().coverage_stats();
+        let gauge = |n: usize| u64::try_from(n).unwrap_or(u64::MAX);
+        self.metrics.engine_elements.set(gauge(coverage.elements));
+        self.metrics
+            .element_table_entries
+            .set(gauge(coverage.table_entries));
+    }
+
     /// Serves one run of `(tenant, time)` demands at the run's clamped
     /// time `t` with one engine `submit_at` call — one monotonicity check
     /// and one expiry advancement for the whole run, bit-identical to
@@ -303,6 +315,7 @@ impl Worker {
         if result.is_ok() {
             self.clock = t;
         }
+        self.record_element_table();
         let mut len = 0u64;
         for (tenant, time) in run {
             len += 1;
@@ -359,7 +372,9 @@ impl Worker {
                 if clamped {
                     self.metrics.clamped_timestamps.inc();
                 }
-                match self.engine.submit(t, TenantOp::Release(tenant)) {
+                let result = self.engine.submit(t, TenantOp::Release(tenant));
+                self.record_element_table();
+                match result {
                     Ok(()) => {
                         self.clock = t;
                         let outcome = if clamped {
@@ -379,18 +394,13 @@ impl Worker {
             ShardRequest::ListActive { tenant, time } => {
                 self.metrics.ops_list_active.inc();
                 let core = self.engine.algorithm();
-                let ledger = self.engine.ledger();
-                let leases = (0..core.structure().num_types())
-                    .filter_map(|k| {
-                        ledger
-                            .active_lease_of_type(tenant, k, time)
-                            .filter(|&triple| !core.is_released(triple))
-                            .map(|triple| ActiveLease {
-                                tenant: tenant as u64,
-                                type_index: k,
-                                start: triple.start,
-                                end: triple.start + core.structure().length(k),
-                            })
+                let leases = core
+                    .live_leases(self.engine.ledger(), tenant, time)
+                    .map(|triple| ActiveLease {
+                        tenant: tenant as u64,
+                        type_index: triple.type_index,
+                        start: triple.start,
+                        end: triple.start + core.structure().length(triple.type_index),
                     })
                     .collect();
                 ShardReply::Leases(leases)

@@ -96,6 +96,34 @@ fn metrics_op_reports_counts_that_match_the_traffic() {
 }
 
 #[test]
+fn a_tenant_id_near_u64_max_allocates_no_dense_element_table() {
+    let config = ServerConfig {
+        shards: 1,
+        ..ServerConfig::new(structure())
+    };
+    let (addr, server) = start(&config);
+    let mut client = Client::connect(addr).unwrap();
+    let hostile = u64::MAX - 1;
+    client.submit(hostile, 0).unwrap();
+    client.submit(3, 0).unwrap();
+
+    let text = client.metrics_text().unwrap();
+    assert_eq!(metric_sum(&text, "leased_engine_elements"), 2, "{text}");
+    assert!(
+        metric_sum(&text, "leased_element_table_entries") <= 8,
+        "the id -> slot table is sized by the tenant count, not the id\n{text}"
+    );
+    for tenant in [hostile, 3] {
+        let leases = client.list_active(tenant, 0).unwrap();
+        assert_eq!(leases.len(), 1, "tenant {tenant}: {leases:?}");
+        assert_eq!(leases[0].tenant, tenant);
+    }
+
+    client.shutdown().unwrap();
+    server.join().unwrap();
+}
+
+#[test]
 fn exposition_families_appear_in_pinned_order_over_the_wire() {
     let (addr, server) = start(&ServerConfig::new(structure()));
     let mut client = Client::connect(addr).unwrap();
@@ -108,6 +136,8 @@ fn exposition_families_appear_in_pinned_order_over_the_wire() {
         "leased_clamped_timestamps_total",
         "leased_mailbox_depth",
         "leased_mailbox_high_watermark",
+        "leased_engine_elements",
+        "leased_element_table_entries",
         "leased_micro_batch_size",
         "leased_submit_latency_ns",
         "leased_snapshot_duration_ns",
