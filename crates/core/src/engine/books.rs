@@ -27,9 +27,7 @@ use std::ops::Deref;
 /// ([`covered`](Ledger::covered), [`owns`](Ledger::owns),
 /// [`active_lease`](Ledger::active_lease), [`structure`](Ledger::structure),
 /// ...); mutation is limited to the three decision-recording operations.
-/// Only those intern an element into the ledger's element table; the
-/// read-only [`element_slot`](Ledger::element_slot) resolves an element
-/// once for repeated queries.
+/// Only those intern an element into the ledger's element table.
 #[derive(Debug)]
 pub struct Books<'a> {
     ledger: &'a mut Ledger,

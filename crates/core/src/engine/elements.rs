@@ -5,11 +5,12 @@
 //! indexed by one slot, so a purchase resolves its element id once. The
 //! daemon's permit policy keys its per-tenant state by the same type.
 //!
-//! Ids are `usize` and may come off the wire, so the id → slot table is a
-//! direct `Vec` only while the largest id stays within a constant factor
-//! of the number of interned elements; sparser ids go through a hash map,
-//! so a hostile id never sizes a table. The map keeps std's randomly
-//! keyed hasher, so a client cannot craft ids that all collide.
+//! Ids are `usize` and may come off the wire, so the direct id → slot
+//! table only grows while it stays within a constant factor of the number
+//! of interned elements; an id beyond it goes into a hash map of
+//! outliers, so a hostile id costs one map entry and never sizes a table,
+//! and every other id stays direct. The map keeps std's randomly keyed
+//! hasher, so a client cannot craft ids that all collide.
 
 // lint:allow(determinism: probed, never iterated — the random keys never reach an output)
 use std::collections::HashMap;
@@ -23,12 +24,6 @@ const DIRECT_SPREAD: usize = 16;
 /// ...and always this many, so small universes never hash.
 const DIRECT_MIN_IDS: usize = 1 << 10;
 
-/// The largest id (exclusive) a direct table over `len` elements may hold
-/// before the index turns sparse.
-fn direct_limit(len: usize) -> usize {
-    len.saturating_mul(DIRECT_SPREAD).max(DIRECT_MIN_IDS)
-}
-
 /// Maps element ids to dense `u32` slots, assigned in first-intern order.
 ///
 /// Lookups never intern; [`intern`](ElementIndex::intern) is the only
@@ -38,24 +33,21 @@ fn direct_limit(len: usize) -> usize {
 pub struct ElementIndex {
     /// Slot → element id.
     ids: Vec<usize>,
-    /// Entry `id` is the slot of element `id`, or [`NO_SLOT`]. In use
-    /// while `sparse` is empty; at most twice [`direct_limit`] long.
+    /// Entry `id` is the slot of element `id`, or [`NO_SLOT`]: every id
+    /// below the table's length lives here.
     direct: Vec<u32>,
-    /// Id → slot once the ids became too sparse for `direct`.
+    /// Id → slot of the outliers, the ids at or beyond `direct.len()`.
     // lint:allow(determinism: probed, never iterated — the random keys never reach an output)
-    sparse: HashMap<usize, u32>,
-    /// The largest interned id.
-    max_id: usize,
+    outliers: HashMap<usize, u32>,
 }
 
 impl ElementIndex {
     /// The slot of `id`, if it was interned.
     #[inline]
     pub fn get(&self, id: usize) -> Option<usize> {
-        let slot = if self.sparse.is_empty() {
-            *self.direct.get(id)?
-        } else {
-            *self.sparse.get(&id)?
+        let slot = match self.direct.get(id) {
+            Some(&slot) => slot,
+            None => *self.outliers.get(&id)?,
         };
         // lint:allow(cast: slots are u32 table entries and widen into usize)
         (slot != NO_SLOT).then_some(slot as usize)
@@ -73,42 +65,34 @@ impl ElementIndex {
             // lint:allow(panic: 2^32 - 1 interned elements need 32 GiB of ids alone — unreachable by memory)
             .expect("fewer than 2^32 - 1 elements");
         self.ids.push(id);
-        self.max_id = self.max_id.max(id);
-        let len = self.ids.len();
-        if self.sparse.is_empty() {
-            // Stay direct up to twice the limit, so the switch back (at
-            // the limit) needs the element count to double first.
-            let cap = direct_limit(len).saturating_mul(2);
-            if id < cap {
-                if id >= self.direct.len() {
-                    let grown = (id + 1).max(self.direct.len() * 2).min(cap);
-                    self.direct.resize(grown, NO_SLOT);
-                }
-                if let Some(cell) = self.direct.get_mut(id) {
-                    *cell = entry;
-                }
-                return slot;
+        // Grow the direct table at least twofold, so the outliers it
+        // absorbs are moved a logarithmic number of times.
+        let limit = self
+            .ids
+            .len()
+            .saturating_mul(DIRECT_SPREAD)
+            .max(DIRECT_MIN_IDS);
+        let grown = id.saturating_add(1).max(self.direct.len() * 2);
+        if id < self.direct.len() || grown <= limit {
+            if id >= self.direct.len() {
+                self.direct.resize(grown, NO_SLOT);
+                let direct = &mut self.direct;
+                self.outliers
+                    .retain(|&id, &mut slot| match direct.get_mut(id) {
+                        Some(cell) => {
+                            *cell = slot;
+                            false
+                        }
+                        None => true,
+                    });
             }
-            self.direct = Vec::new();
-            self.sparse = self.entries().collect();
-        } else if self.max_id < direct_limit(len) {
-            let mut direct = vec![NO_SLOT; self.max_id + 1];
-            for (id, slot) in self.entries() {
-                if let Some(cell) = direct.get_mut(id) {
-                    *cell = slot;
-                }
+            if let Some(cell) = self.direct.get_mut(id) {
+                *cell = entry;
             }
-            self.direct = direct;
-            self.sparse.clear();
         } else {
-            self.sparse.insert(id, entry);
+            self.outliers.insert(id, entry);
         }
         slot
-    }
-
-    /// Every `(id, slot)` pair (`intern` keeps slots below `u32::MAX`).
-    fn entries(&self) -> impl Iterator<Item = (usize, u32)> + '_ {
-        self.ids.iter().copied().zip(0u32..)
     }
 
     /// The element id of every slot, in slot order.
@@ -116,18 +100,17 @@ impl ElementIndex {
         &self.ids
     }
 
-    /// Entries in the id → slot table: the direct table's length, or the
-    /// hash map's entry count once sparse.
+    /// Entries in the id → slot tables: the direct table's length plus
+    /// the outliers.
     pub fn table_entries(&self) -> usize {
-        self.direct.len() + self.sparse.len()
+        self.direct.len() + self.outliers.len()
     }
 
     /// Forgets every element, keeping the allocations.
     pub fn clear(&mut self) {
         self.ids.clear();
         self.direct.clear();
-        self.sparse.clear();
-        self.max_id = 0;
+        self.outliers.clear();
     }
 }
 
@@ -148,27 +131,35 @@ mod tests {
     }
 
     #[test]
-    fn a_huge_id_hashes_and_dense_growth_switches_back() {
+    fn a_huge_id_is_one_outlier_and_small_ids_stay_direct() {
         let mut index = ElementIndex::default();
         index.intern(usize::MAX - 1);
-        index.intern(3);
-        assert_eq!(index.table_entries(), 2, "no table sized by the huge id");
+        for id in [3, 0, 7] {
+            index.intern(id);
+        }
+        assert_eq!(index.outliers.len(), 1, "only the huge id hashes");
+        assert_eq!(index.direct.len(), 8, "small ids are served directly");
+        assert_eq!(index.table_entries(), 9);
         assert_eq!(index.get(usize::MAX - 1), Some(0));
+        assert_eq!(index.get(7), Some(3));
         assert_eq!(index.get(usize::MAX), None);
+        assert_eq!(index.get(5), None);
+    }
 
+    #[test]
+    fn a_growing_direct_table_absorbs_outliers() {
         let mut index = ElementIndex::default();
         index.intern(100_000);
         assert_eq!(index.table_entries(), 1, "one far id hashes");
-        for id in 0..10_000 {
+        // Strided ids, as one of four shards holds them.
+        for id in (1..120_000).step_by(4) {
             index.intern(id);
         }
-        assert!(
-            index.sparse.is_empty(),
-            "enough elements make the table direct again"
-        );
-        assert_eq!(index.table_entries(), 100_001);
+        assert!(index.outliers.is_empty(), "the direct table took it over");
+        assert!(index.direct.len() > 100_000);
+        assert!(index.table_entries() <= 16 * index.ids().len());
         assert_eq!(index.get(100_000), Some(0));
-        assert_eq!(index.get(9_999), Some(10_000));
+        assert_eq!(index.get(119_997), Some(30_000));
         index.clear();
         assert!(index.ids().is_empty());
         assert_eq!(index.get(5), None);

@@ -26,6 +26,7 @@
 //! replay.
 
 use super::coverage::{CoverageIndex, CoverageStats};
+use super::elements::ElementIndex;
 use super::expiry::ExpiryTimeline;
 use crate::framework::Triple;
 use crate::lease::{Lease, LeaseStructure};
@@ -97,17 +98,6 @@ pub enum DecisionRetention {
     /// aggregates (which happens at record time regardless) and is
     /// dropped. Equivalent to `Bounded(0)` with the clearest intent.
     AggregateOnly,
-}
-
-/// An element resolved to its dense slot in one [`Ledger`]
-/// ([`Ledger::element_slot`]): queries through it skip the id lookup.
-///
-/// Valid for the ledger that issued it until that ledger is
-/// [reset](Ledger::reset); purchases never move a slot.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct ElementSlot {
-    element: usize,
-    slot: usize,
 }
 
 /// The default spending category of [`Ledger::buy`]/[`Ledger::buy_priced`].
@@ -406,13 +396,10 @@ impl Ledger {
             .map(|s| s.length(type_index))
     }
 
-    /// `element` resolved to its dense slot, or `None` when no decision
-    /// was ever recorded against it. A pure lookup: only purchases and
-    /// charges intern elements.
-    pub fn element_slot(&self, element: usize) -> Option<ElementSlot> {
-        self.coverage
-            .slot(element)
-            .map(|slot| ElementSlot { element, slot })
+    /// The element table: every element a decision was recorded against,
+    /// interned into its dense slot. Only purchases and charges intern.
+    pub fn element_table(&self) -> &ElementIndex {
+        self.coverage.elements()
     }
 
     /// Total money spent.
@@ -587,21 +574,11 @@ impl Ledger {
         type_index: usize,
         t: TimeStep,
     ) -> Option<Triple> {
-        self.active_lease_of_type_at(self.element_slot(element)?, type_index, t)
-    }
-
-    /// [`active_lease_of_type`](Ledger::active_lease_of_type) for an
-    /// element already resolved by [`element_slot`](Ledger::element_slot).
-    pub fn active_lease_of_type_at(
-        &self,
-        element: ElementSlot,
-        type_index: usize,
-        t: TimeStep,
-    ) -> Option<Triple> {
         let len = self.window_len(type_index)?;
+        let slot = self.coverage.slot(element)?;
         self.coverage
-            .covering_start(element.slot, type_index, len, t)
-            .map(|start| Triple::new(element.element, type_index, start))
+            .covering_start(slot, type_index, len, t)
+            .map(|start| Triple::new(element, type_index, start))
     }
 
     /// Whether some purchased lease of `element` covers at least one time

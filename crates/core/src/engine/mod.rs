@@ -94,8 +94,8 @@ pub use coverage::CoverageStats;
 pub use elements::ElementIndex;
 pub use handle::{EngineHandle, EngineStats, ENGINE_SNAPSHOT_SCHEMA};
 pub use ledger::{
-    Decision, DecisionRetention, ElementSlot, ElementStats, Ledger, SnapshotError,
-    CATEGORY_CONNECTION, CATEGORY_LEASE, LEDGER_SNAPSHOT_SCHEMA,
+    Decision, DecisionRetention, ElementStats, Ledger, SnapshotError, CATEGORY_CONNECTION,
+    CATEGORY_LEASE, LEDGER_SNAPSHOT_SCHEMA,
 };
 
 use crate::harness::CompetitiveOutcome;

@@ -48,8 +48,7 @@ pub enum TenantOp {
 /// force-released overlay.
 ///
 /// Per-tenant state is flat: tenants are interned into dense slots, and
-/// slot `s` owns the `K` dual slots `duals[s * K..(s + 1) * K]` and the
-/// released-entry count `released_count[s]`.
+/// slot `s` owns the `K` dual slots `duals[s * K..(s + 1) * K]`.
 #[derive(Clone, Debug)]
 pub struct PermitCore {
     structure: LeaseStructure,
@@ -67,8 +66,6 @@ pub struct PermitCore {
     /// means: the ledger owns the triple but the daemon treats it as
     /// void; a re-buy removes the entry.
     released: BTreeSet<(usize, usize, TimeStep)>,
-    /// Entries of `released` per tenant slot: a zero skips the set probe.
-    released_count: Vec<usize>,
 }
 
 impl PermitCore {
@@ -80,25 +77,13 @@ impl PermitCore {
             duals: Vec::new(),
             dual_value: 0.0,
             released: BTreeSet::new(),
-            released_count: Vec::new(),
         }
     }
 
     /// Whether `triple` has been force-released (and not re-bought).
     pub fn is_released(&self, triple: Triple) -> bool {
-        self.released_in(self.tenants.get(triple.element), triple)
-    }
-
-    /// [`is_released`](Self::is_released) for a tenant already looked up:
-    /// an interned tenant with no released entry skips the set.
-    fn released_in(&self, slot: Option<usize>, triple: Triple) -> bool {
-        !self.released.is_empty()
-            && slot
-                .and_then(|slot| self.released_count.get(slot))
-                .is_none_or(|&count| count > 0)
-            && self
-                .released
-                .contains(&(triple.element, triple.type_index, triple.start))
+        self.released
+            .contains(&(triple.element, triple.type_index, triple.start))
     }
 
     /// Total dual value raised so far (lower-bounds the interval-model
@@ -114,39 +99,27 @@ impl PermitCore {
 
     /// `tenant`'s live leases at `t` in `ledger`, the ledger this policy
     /// records into: per type, the active lease unless it was
-    /// force-released. One slot lookup per table, then `K` array reads.
+    /// force-released.
     pub fn live_leases<'a>(
         &'a self,
         ledger: &'a Ledger,
         tenant: usize,
         t: TimeStep,
     ) -> impl Iterator<Item = Triple> + 'a {
-        let element = ledger.element_slot(tenant);
-        // With nothing released, the policy's own table is never read.
-        let slot = if self.released.is_empty() {
-            None
-        } else {
-            self.tenants.get(tenant)
-        };
         (0..self.structure.num_types()).filter_map(move |k| {
-            let triple = ledger.active_lease_of_type_at(element?, k, t)?;
-            (!self.released_in(slot, triple)).then_some(triple)
+            ledger
+                .active_lease_of_type(tenant, k, t)
+                .filter(|&triple| !self.is_released(triple))
         })
     }
 
-    /// The slot of `tenant`, interning it with fresh dual slots (and the
-    /// count of any released entries it already has) on first use.
+    /// The slot of `tenant`, interning it with fresh dual slots on first
+    /// use.
     fn intern(&mut self, tenant: usize) -> usize {
         let slot = self.tenants.intern(tenant);
-        if slot == self.released_count.len() {
-            let types = self.structure.num_types();
-            self.duals
-                .resize(self.duals.len() + types, (TimeStep::MAX, 0.0));
-            let released = self
-                .released
-                .range((tenant, 0, 0)..=(tenant, usize::MAX, TimeStep::MAX))
-                .count();
-            self.released_count.push(released);
+        let end = (slot + 1) * self.structure.num_types();
+        if end > self.duals.len() {
+            self.duals.resize(end, (TimeStep::MAX, 0.0));
         }
         slot
     }
@@ -176,22 +149,15 @@ impl PermitCore {
             duals,
             dual_value,
             released,
-            released_count,
             ..
         } = self;
-        let (Some(slots), Some(count)) = (
-            duals.get_mut(slot * types..(slot + 1) * types),
-            released_count.get_mut(slot),
-        ) else {
+        let Some(slots) = duals.get_mut(slot * types..(slot + 1) * types) else {
             return;
         };
         *dual_value += dual_step(structure, slots, t, |k, start| {
             // A released window re-buys (and re-pays); an owned live one
             // does not.
-            let was_released = *count > 0 && released.remove(&(tenant, k, start));
-            if was_released {
-                *count -= 1;
-            }
+            let was_released = released.remove(&(tenant, k, start));
             let triple = Triple::new(tenant, k, start);
             if was_released || !books.owns(triple) {
                 books.buy(t, triple);
@@ -205,15 +171,10 @@ impl PermitCore {
 
     /// Voids `tenant`'s live leases at `t` and records the audit charge.
     fn serve_release(&mut self, t: TimeStep, tenant: usize, books: &mut Books<'_>) {
-        let slot = self.tenants.get(tenant);
         for k in 0..self.structure.num_types() {
             if let Some(triple) = books.active_lease_of_type(tenant, k, t) {
-                let fresh = self
-                    .released
+                self.released
                     .insert((triple.element, triple.type_index, triple.start));
-                if let Some(count) = slot.and_then(|slot| self.released_count.get_mut(slot)) {
-                    *count += usize::from(fresh);
-                }
             }
         }
         books.charge(t, tenant, 0.0, CATEGORY_FORCE_RELEASE);

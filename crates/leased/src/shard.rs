@@ -292,12 +292,12 @@ impl Worker {
 
     /// Stores the engine's element-table size into the shard gauges.
     fn record_element_table(&self) {
-        let coverage = self.engine.ledger().coverage_stats();
+        let table = self.engine.ledger().element_table();
         let gauge = |n: usize| u64::try_from(n).unwrap_or(u64::MAX);
-        self.metrics.engine_elements.set(gauge(coverage.elements));
+        self.metrics.engine_elements.set(gauge(table.ids().len()));
         self.metrics
             .element_table_entries
-            .set(gauge(coverage.table_entries));
+            .set(gauge(table.table_entries()));
     }
 
     /// Serves one run of `(tenant, time)` demands at the run's clamped
