@@ -7,12 +7,13 @@
 //!        [--retention full|bounded:N|aggregate]
 //! ```
 //!
-//! Defaults: `--listen 127.0.0.1:7878`, `--shards 4`, no persistence, a
-//! 256-event trace ring per shard, no metrics endpoint, full decision
-//! retention, and the three-type structure `1:1,4:2.5,16:6`.
-//! `--retention bounded:N` caps each shard's in-memory decision trace at
-//! the most recent `N` decisions (`aggregate` keeps none); `stats` output
-//! is bit-identical in every mode. On start the daemon
+//! Defaults: `--listen 127.0.0.1:7878`, no persistence, no metrics
+//! endpoint, the three-type structure `1:1,4:2.5,16:6`, and the shard
+//! count, trace ring and retention of `ServerConfig::new` (4 shards, 256
+//! events per shard, aggregate-only retention: no per-purchase trace).
+//! `--retention full` keeps each shard's whole decision trace, so
+//! snapshots replay every purchase; `bounded:N` keeps the most recent `N`
+//! decisions. `stats` output is bit-identical in every mode. On start the daemon
 //! prints `leased: listening on ADDR (N shards)` — scripts wait for that
 //! line before driving traffic. With `--metrics-listen` it also prints
 //! `leased: metrics on ADDR` and serves Prometheus text exposition at
@@ -31,45 +32,44 @@ const USAGE: &str = "usage: leased [--listen ADDR] [--shards N] \
                      [--metrics-listen ADDR] [--trace-cap N] \
                      [--retention full|bounded:N|aggregate]";
 
+/// The lease structure served without `--lease`.
+const DEFAULT_LEASES: &str = "1:1,4:2.5,16:6";
+
 struct Args {
     listen: String,
-    shards: usize,
-    snapshot_dir: Option<String>,
-    lease_spec: String,
     metrics_listen: Option<String>,
-    trace_cap: usize,
-    retention: DecisionRetention,
+    config: ServerConfig,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         listen: "127.0.0.1:7878".to_string(),
-        shards: 4,
-        snapshot_dir: None,
-        lease_spec: "1:1,4:2.5,16:6".to_string(),
         metrics_listen: None,
-        trace_cap: 256,
-        retention: DecisionRetention::Full,
+        config: ServerConfig::new(parse_structure(DEFAULT_LEASES)?),
     };
+    let config = &mut args.config;
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut value = |name: &str| it.next().ok_or(format!("{name} needs a value"));
         match flag.as_str() {
             "--listen" => args.listen = value("--listen")?,
             "--shards" => {
-                args.shards = value("--shards")?
+                config.shards = value("--shards")?
                     .parse()
                     .map_err(|e| format!("--shards: {e}"))?
             }
-            "--snapshot-dir" => args.snapshot_dir = Some(value("--snapshot-dir")?),
-            "--lease" => args.lease_spec = value("--lease")?,
+            "--snapshot-dir" => config.snapshot_dir = Some(value("--snapshot-dir")?.into()),
+            "--lease" => {
+                config.structure = parse_structure(&value("--lease")?)
+                    .map_err(|message| format!("leased: bad --lease: {message}"))?
+            }
             "--metrics-listen" => args.metrics_listen = Some(value("--metrics-listen")?),
             "--trace-cap" => {
-                args.trace_cap = value("--trace-cap")?
+                config.trace_capacity = value("--trace-cap")?
                     .parse()
                     .map_err(|e| format!("--trace-cap: {e}"))?
             }
-            "--retention" => args.retention = parse_retention(&value("--retention")?)?,
+            "--retention" => config.retention = parse_retention(&value("--retention")?)?,
             "--help" | "-h" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown flag {other}\n{USAGE}")),
         }
@@ -115,20 +115,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let structure = match parse_structure(&args.lease_spec) {
-        Ok(structure) => structure,
-        Err(message) => {
-            eprintln!("leased: bad --lease: {message}");
-            return ExitCode::from(2);
-        }
-    };
-    let config = ServerConfig {
-        shards: args.shards,
-        structure,
-        snapshot_dir: args.snapshot_dir.map(std::path::PathBuf::from),
-        trace_capacity: args.trace_cap,
-        retention: args.retention,
-    };
+    let config = args.config;
     let server = match Server::bind(args.listen.as_str(), &config) {
         Ok(server) => server,
         Err(e) => {

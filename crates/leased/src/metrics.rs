@@ -65,6 +65,12 @@ pub struct ShardMetrics {
     /// `engine_elements`: bounded by a constant factor of it, however
     /// sparse the tenant ids.
     pub element_table_entries: Gauge,
+    /// Decisions the engine's ledger holds in its trace, stored with
+    /// `engine_elements`: 0 under aggregate-only retention.
+    pub retained_decisions: Gauge,
+    /// Force-released windows the policy still remembers, stored with
+    /// `engine_elements`.
+    pub released_leases: Gauge,
     /// Length of each collapsed equal-time submit run handed to the
     /// engine as one `submit_at` call.
     pub micro_batch_len: Histogram,
@@ -195,6 +201,12 @@ impl DaemonMetrics {
         });
         self.per_shard_gauge(&mut expo, &labels, "leased_element_table_entries", |s| {
             s.element_table_entries.get()
+        });
+        self.per_shard_gauge(&mut expo, &labels, "leased_retained_decisions", |s| {
+            s.retained_decisions.get()
+        });
+        self.per_shard_gauge(&mut expo, &labels, "leased_released_leases", |s| {
+            s.released_leases.get()
         });
 
         expo.family(
@@ -395,6 +407,8 @@ mod tests {
             "leased_mailbox_high_watermark",
             "leased_engine_elements",
             "leased_element_table_entries",
+            "leased_retained_decisions",
+            "leased_released_leases",
             "leased_micro_batch_size",
             "leased_submit_latency_ns",
             "leased_snapshot_duration_ns",

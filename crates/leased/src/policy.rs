@@ -7,11 +7,14 @@
 //! tenant, hence per shard, since tenants share no constraints.
 //!
 //! On top of the paper algorithm the daemon adds **force-release**: an
-//! operator op that voids a tenant's live leases (a zero-cost
-//! [`CATEGORY_FORCE_RELEASE`] charge keeps the audit trail in the ledger's
-//! decision trace). Released leases stay in the ledger — cost history is
-//! append-only — so the policy overlays a released set and re-buys (and
-//! re-pays) when a demand arrives for a voided window.
+//! operator op that voids a tenant's live leases. It records a zero-cost
+//! [`CATEGORY_FORCE_RELEASE`] charge, which counts in the ledger's
+//! `decision_count` and `cost_by_category`; the per-release audit trail
+//! itself is kept only when the daemon runs `--retention full`. Released
+//! leases stay in the ledger — cost history is append-only — so the
+//! policy overlays a released set and re-buys (and re-pays) when a demand
+//! arrives for a voided window. The set forgets a window once the request
+//! clock reaches its end.
 //!
 //! [`PermitCore`] is the policy itself: each shard drives a concrete
 //! `Driver<PermitCore>` and reads the released overlay (for
@@ -62,10 +65,12 @@ pub struct PermitCore {
     /// Total dual value raised across tenants (a lower bound on the
     /// interval-model optimum by weak duality).
     dual_value: f64,
-    /// Force-released leases, `(tenant, type, window start)`. Present
+    /// Force-released leases, `(window end, tenant, type, window start)`,
+    /// ordered by window end so ended windows pop from the front. Present
     /// means: the ledger owns the triple but the daemon treats it as
-    /// void; a re-buy removes the entry.
-    released: BTreeSet<(usize, usize, TimeStep)>,
+    /// void; a re-buy removes the entry, and so does a request at or after
+    /// the window's end.
+    released: BTreeSet<(TimeStep, usize, usize, TimeStep)>,
 }
 
 impl PermitCore {
@@ -80,10 +85,21 @@ impl PermitCore {
         }
     }
 
-    /// Whether `triple` has been force-released (and not re-bought).
+    /// Whether `triple` has been force-released (and neither re-bought
+    /// nor ended before the latest request).
     pub fn is_released(&self, triple: Triple) -> bool {
-        self.released
-            .contains(&(triple.element, triple.type_index, triple.start))
+        released_key(
+            &self.structure,
+            triple.element,
+            triple.type_index,
+            triple.start,
+        )
+        .is_some_and(|key| self.released.contains(&key))
+    }
+
+    /// Number of force-released windows still remembered.
+    pub fn released_leases(&self) -> usize {
+        self.released.len()
     }
 
     /// Total dual value raised so far (lower-bounds the interval-model
@@ -100,6 +116,10 @@ impl PermitCore {
     /// `tenant`'s live leases at `t` in `ledger`, the ledger this policy
     /// records into: per type, the active lease unless it was
     /// force-released.
+    ///
+    /// A released window is forgotten once a request reaches its end, so
+    /// at a time before the latest request a window that was released
+    /// and has since ended lists again: the ledger still owns it.
     pub fn live_leases<'a>(
         &'a self,
         ledger: &'a Ledger,
@@ -137,6 +157,14 @@ impl PermitCore {
         tenants
     }
 
+    /// Forgets every released window that ends at or before `t`: no
+    /// request from `t` on can fall inside it.
+    fn forget_ended_releases(&mut self, t: TimeStep) {
+        while self.released.first().is_some_and(|&(end, ..)| end <= t) {
+            self.released.pop_first();
+        }
+    }
+
     /// The primal-dual step for one demand of `tenant` at `t`.
     fn serve_demand(&mut self, t: TimeStep, tenant: usize, books: &mut Books<'_>) {
         if self.live_leases(books, tenant, t).next().is_some() {
@@ -157,7 +185,8 @@ impl PermitCore {
         *dual_value += dual_step(structure, slots, t, |k, start| {
             // A released window re-buys (and re-pays); an owned live one
             // does not.
-            let was_released = released.remove(&(tenant, k, start));
+            let was_released =
+                released_key(structure, tenant, k, start).is_some_and(|key| released.remove(&key));
             let triple = Triple::new(tenant, k, start);
             if was_released || !books.owns(triple) {
                 books.buy(t, triple);
@@ -172,9 +201,11 @@ impl PermitCore {
     /// Voids `tenant`'s live leases at `t` and records the audit charge.
     fn serve_release(&mut self, t: TimeStep, tenant: usize, books: &mut Books<'_>) {
         for k in 0..self.structure.num_types() {
-            if let Some(triple) = books.active_lease_of_type(tenant, k, t) {
-                self.released
-                    .insert((triple.element, triple.type_index, triple.start));
+            if let Some(key) = books
+                .active_lease_of_type(tenant, k, t)
+                .and_then(|triple| released_key(&self.structure, tenant, k, triple.start))
+            {
+                self.released.insert(key);
             }
         }
         books.charge(t, tenant, 0.0, CATEGORY_FORCE_RELEASE);
@@ -188,11 +219,12 @@ impl PermitCore {
             .into_iter()
             .map(|(tenant, slots)| (tenant as u64, slots.to_vec()))
             .collect();
-        let released: Vec<(u64, u64, TimeStep)> = self
+        let mut released: Vec<(u64, u64, TimeStep)> = self
             .released
             .iter()
-            .map(|&(tenant, k, start)| (tenant as u64, k as u64, start))
+            .map(|&(_, tenant, k, start)| (tenant as u64, k as u64, start))
             .collect();
+        released.sort_unstable();
         Value::Map(vec![
             (
                 "schema".to_string(),
@@ -210,7 +242,8 @@ impl PermitCore {
     /// # Errors
     ///
     /// Rejects payloads with a wrong schema tag or malformed fields,
-    /// including dual slots that do not number one per lease type.
+    /// including dual slots that do not number one per lease type and
+    /// released leases of a type the structure lacks.
     pub fn from_value(structure: LeaseStructure, value: &Value) -> Result<Self, de::Error> {
         let schema = serde::value_str(value_field(value, "schema")?)?;
         if schema != POLICY_SNAPSHOT_SCHEMA {
@@ -229,7 +262,9 @@ impl PermitCore {
         let mut core = PermitCore::new(structure);
         core.dual_value = dual_value;
         for (tenant, k, start) in raw_released {
-            core.released.insert((index(tenant)?, index(k)?, start));
+            let key = released_key(&core.structure, index(tenant)?, index(k)?, start)
+                .ok_or_else(|| de::Error::new(format!("released lease of unknown type {k}")))?;
+            core.released.insert(key);
         }
         let types = core.structure.num_types();
         for (tenant, slots) in raw_contributions {
@@ -248,6 +283,18 @@ impl PermitCore {
     }
 }
 
+/// The `released` key of tenant `tenant`'s type-`k` window starting at
+/// `start`: its end first. `None` when `structure` has no type `k`.
+fn released_key(
+    structure: &LeaseStructure,
+    tenant: usize,
+    k: usize,
+    start: TimeStep,
+) -> Option<(TimeStep, usize, usize, TimeStep)> {
+    let length = structure.types().get(k)?.length;
+    Some((start.saturating_add(length), tenant, k, start))
+}
+
 /// Two cores are equal when they hold the same state per tenant, whatever
 /// order their tenants were interned in.
 impl PartialEq for PermitCore {
@@ -263,6 +310,7 @@ impl LeasingAlgorithm for PermitCore {
     type Request = TenantOp;
 
     fn on_request(&mut self, time: TimeStep, request: TenantOp, mut books: Books<'_>) {
+        self.forget_ended_releases(time);
         match request {
             TenantOp::Demand(tenant) => self.serve_demand(time, tenant, &mut books),
             TenantOp::Release(tenant) => self.serve_release(time, tenant, &mut books),
@@ -374,6 +422,83 @@ mod tests {
             .cost_by_category
             .iter()
             .any(|(category, _)| category == CATEGORY_FORCE_RELEASE));
+    }
+
+    type TestResult = Result<(), Box<dyn std::error::Error>>;
+
+    fn released_field(core: &PermitCore) -> Result<Value, de::Error> {
+        value_field(&core.to_value(), "released").cloned()
+    }
+
+    #[test]
+    fn released_windows_are_forgotten_once_they_end() -> TestResult {
+        let mut engine = engine();
+        engine.submit(0, TenantOp::Demand(7))?;
+        engine.submit(0, TenantOp::Release(7))?;
+        assert_eq!(
+            released_field(engine.algorithm())?,
+            vec![(7u64, 0u64, 0u64)].to_value()
+        );
+        assert_eq!(engine.algorithm().released_leases(), 1);
+        // The day lease [0, 1) ended long before tenant 8's demand.
+        engine.submit(1000, TenantOp::Demand(8))?;
+        assert_eq!(
+            released_field(engine.algorithm())?,
+            Vec::<(u64, u64, u64)>::new().to_value()
+        );
+        assert_eq!(engine.algorithm().released_leases(), 0);
+        // A read at a time inside the forgotten window lists the lease the
+        // ledger still owns.
+        let live: Vec<Triple> = engine
+            .algorithm()
+            .live_leases(engine.ledger(), 7, 0)
+            .collect();
+        assert_eq!(live, vec![Triple::new(7, 0, 0)]);
+        Ok(())
+    }
+
+    #[test]
+    fn released_windows_stay_until_their_end_and_serialize_in_tenant_order() -> TestResult {
+        let mut engine = engine();
+        // At t=2 tenant 2 holds the day lease [2, 3) and the long lease
+        // [0, 4); tenant 9 holds the day lease [2, 3).
+        for t in 0..3 {
+            engine.submit(t, TenantOp::Demand(2))?;
+        }
+        engine.submit(2, TenantOp::Demand(9))?;
+        engine.submit(2, TenantOp::Release(9))?;
+        engine.submit(2, TenantOp::Release(2))?;
+        assert_eq!(
+            released_field(engine.algorithm())?,
+            vec![(2u64, 0u64, 2u64), (2, 1, 0), (9, 0, 2)].to_value()
+        );
+        // At t=3 the day windows have ended; the long one is still open.
+        engine.submit(3, TenantOp::Demand(5))?;
+        assert_eq!(
+            released_field(engine.algorithm())?,
+            vec![(2u64, 1u64, 0u64)].to_value()
+        );
+        engine.submit(4, TenantOp::Demand(5))?;
+        assert_eq!(engine.algorithm().released_leases(), 0);
+        Ok(())
+    }
+
+    #[test]
+    fn released_leases_of_an_unknown_type_are_rejected() -> TestResult {
+        let mut engine = engine();
+        engine.submit(0, TenantOp::Demand(1))?;
+        let mut snap = engine.algorithm().to_value();
+        let unknown_type = vec![(1u64, 2u64, 0u64)].to_value();
+        if let Value::Map(fields) = &mut snap {
+            for (name, value) in fields {
+                if name == "released" {
+                    *value = unknown_type.clone();
+                }
+            }
+        }
+        assert_eq!(value_field(&snap, "released")?, &unknown_type);
+        assert!(PermitCore::from_value(structure(), &snap).is_err());
+        Ok(())
     }
 
     #[test]

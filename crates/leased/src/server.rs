@@ -46,22 +46,23 @@ pub struct ServerConfig {
     /// Recent operations each shard keeps for `trace-dump` (0 disables
     /// tracing).
     pub trace_capacity: usize,
-    /// Decision-trace retention per shard engine. `Full` keeps the whole
-    /// trace (the default); `Bounded(n)`/`AggregateOnly` cap trace memory
-    /// on unbounded streams without changing what `stats` reports.
+    /// Decision-trace retention per shard engine. `AggregateOnly` (the
+    /// default) keeps no per-purchase trace: no daemon op but `snapshot`
+    /// reads it, and `stats` is byte-identical in every mode. `Full` keeps
+    /// a replayable trace and `Bounded(n)` its most recent `n` decisions.
     pub retention: DecisionRetention,
 }
 
 impl ServerConfig {
     /// A daemon over `structure` with 4 shards, a 256-event trace ring
-    /// per shard and no persistence.
+    /// per shard, aggregate-only decision retention and no persistence.
     pub fn new(structure: LeaseStructure) -> Self {
         ServerConfig {
             shards: 4,
             structure,
             snapshot_dir: None,
             trace_capacity: 256,
-            retention: DecisionRetention::Full,
+            retention: DecisionRetention::AggregateOnly,
         }
     }
 }
@@ -532,6 +533,6 @@ mod tests {
         assert_eq!(config.shards, 4);
         assert!(config.snapshot_dir.is_none());
         assert_eq!(config.trace_capacity, 256);
-        assert_eq!(config.retention, DecisionRetention::Full);
+        assert_eq!(config.retention, DecisionRetention::AggregateOnly);
     }
 }

@@ -158,7 +158,7 @@ impl Shard {
                     metrics: Arc::clone(&metrics),
                     ring: EventRing::new(trace_capacity),
                 };
-                worker.record_element_table();
+                worker.record_state_gauges();
                 ShardState::Up(Box::new(worker))
             }
             Err(e) => ShardState::Failed(e.to_string()),
@@ -290,14 +290,22 @@ impl Worker {
         });
     }
 
-    /// Stores the engine's element-table size into the shard gauges.
-    fn record_element_table(&self) {
-        let table = self.engine.ledger().element_table();
+    /// Stores the engine's element-table size, retained decisions and
+    /// remembered releases into the shard gauges.
+    fn record_state_gauges(&self) {
+        let ledger = self.engine.ledger();
+        let table = ledger.element_table();
         let gauge = |n: usize| u64::try_from(n).unwrap_or(u64::MAX);
         self.metrics.engine_elements.set(gauge(table.ids().len()));
         self.metrics
             .element_table_entries
             .set(gauge(table.table_entries()));
+        self.metrics
+            .retained_decisions
+            .set(gauge(ledger.retained_decisions()));
+        self.metrics
+            .released_leases
+            .set(gauge(self.engine.algorithm().released_leases()));
     }
 
     /// Serves one run of `(tenant, time)` demands at the run's clamped
@@ -315,7 +323,7 @@ impl Worker {
         if result.is_ok() {
             self.clock = t;
         }
-        self.record_element_table();
+        self.record_state_gauges();
         let mut len = 0u64;
         for (tenant, time) in run {
             len += 1;
@@ -373,7 +381,7 @@ impl Worker {
                     self.metrics.clamped_timestamps.inc();
                 }
                 let result = self.engine.submit(t, TenantOp::Release(tenant));
-                self.record_element_table();
+                self.record_state_gauges();
                 match result {
                     Ok(()) => {
                         self.clock = t;
@@ -641,6 +649,14 @@ mod tests {
             panic!("expected leases");
         };
         assert!(leases.is_empty(), "released leases are not listed");
+        // A request at t=2 reaches the end of the released short lease
+        // [0, 2), so the policy forgets it: a read at t=0 lists it again,
+        // as the ledger still owns it.
+        call(&shard, ShardRequest::Submit { tenant: 6, time: 2 });
+        assert!(matches!(
+            call(&shard, ShardRequest::ListActive { tenant: 5, time: 0 }),
+            ShardReply::Leases(leases) if leases.len() == 1 && leases[0].end == 2
+        ));
         call(&shard, ShardRequest::Shutdown);
         shard.join();
     }

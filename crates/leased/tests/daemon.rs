@@ -302,6 +302,93 @@ fn bounded_retention_matches_full_stats_with_capped_traces() {
     }
 }
 
+/// A snapshot directory restarts under another retention mode: one
+/// written by a `Full` daemon restarts under the default (aggregate-only,
+/// dropping the trace it restored), and one written by a default daemon
+/// restarts under `Full`. Either way `stats` is byte-identical across the
+/// restart, and later `submit`/`list-active`/`stats` replies match those
+/// of a daemon that never restarted.
+#[test]
+fn snapshots_restart_across_retention_modes() -> Result<(), Box<dyn std::error::Error>> {
+    use leasing_core::engine::DecisionRetention;
+    let traffic = |client: &mut Client| -> Result<(), LeasedError> {
+        for i in 0..300u64 {
+            let tenant = i % 37;
+            client.submit(tenant, i / 3)?;
+            if i % 50 == 49 {
+                client.force_release(tenant, i / 3)?;
+            }
+        }
+        Ok(())
+    };
+    // Later traffic, including reads at past times, some inside windows
+    // released during `traffic`; returns every reply.
+    let later = |client: &mut Client| -> Result<Vec<String>, LeasedError> {
+        let mut replies = Vec::new();
+        for i in 0..80u64 {
+            client.submit(i % 41, 100 + i / 4)?;
+            replies.push(format!("{:?}", client.list_active((i * 7) % 41, 90 + i)?));
+        }
+        for (tenant, time) in [(12u64, 16u64), (25, 33), (3, 99)] {
+            replies.push(format!("{:?}", client.list_active(tenant, time)?));
+        }
+        replies.push(client.stats()?.to_json());
+        Ok(replies)
+    };
+    let stop = |mut client: Client, server: std::thread::JoinHandle<()>| {
+        client.shutdown()?;
+        server.join().map_err(|_| "the server thread panicked")?;
+        Ok::<(), Box<dyn std::error::Error>>(())
+    };
+    let default_retention = ServerConfig::new(structure()).retention;
+    assert_eq!(default_retention, DecisionRetention::AggregateOnly);
+
+    for (first, second) in [
+        (DecisionRetention::Full, default_retention),
+        (default_retention, DecisionRetention::Full),
+    ] {
+        let dir = temp_dir(&format!("retention-{first:?}"));
+        let config = |retention| ServerConfig {
+            snapshot_dir: Some(dir.clone()),
+            retention,
+            ..ServerConfig::new(structure())
+        };
+
+        // The reference daemon never restarts.
+        let (addr, server) = start(&ServerConfig {
+            retention: first,
+            ..ServerConfig::new(structure())
+        });
+        let mut client = Client::connect(addr)?;
+        traffic(&mut client)?;
+        let expected = later(&mut client)?;
+        stop(client, server)?;
+
+        let (addr, server) = start(&config(first));
+        let mut client = Client::connect(addr)?;
+        traffic(&mut client)?;
+        let before = client.stats()?.to_json();
+        stop(client, server)?;
+
+        let (addr, server) = start(&config(second));
+        let mut client = Client::connect(addr)?;
+        assert_eq!(
+            client.stats()?.to_json(),
+            before,
+            "{first:?} -> {second:?}: restart is lossless"
+        );
+        let retention = client.retention_info()?;
+        assert!(
+            retention.iter().all(|shard| shard.retained == 0),
+            "{retention:?}"
+        );
+        assert_eq!(later(&mut client)?, expected, "{first:?} -> {second:?}");
+        stop(client, server)?;
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    Ok(())
+}
+
 #[test]
 fn malformed_frames_get_an_error_without_killing_the_connection() {
     use leased::protocol::{read_frame, write_frame};

@@ -5,6 +5,7 @@
 //! and on).
 
 use leased::client::Client;
+use leased::error::LeasedError;
 use leased::server::{Server, ServerConfig};
 use leasing_core::lease::{LeaseStructure, LeaseType};
 use std::net::SocketAddr;
@@ -124,6 +125,45 @@ fn a_tenant_id_near_u64_max_allocates_no_dense_element_table() {
 }
 
 #[test]
+fn state_gauges_count_retained_decisions_and_released_leases() -> Result<(), LeasedError> {
+    use leasing_core::engine::DecisionRetention;
+    let scrape = |retention: DecisionRetention| -> Result<_, LeasedError> {
+        let config = ServerConfig {
+            shards: 2,
+            retention,
+            ..ServerConfig::new(structure())
+        };
+        let (addr, server) = start(&config);
+        let mut client = Client::connect(addr)?;
+        for tenant in 0..6u64 {
+            client.submit(tenant, 0)?;
+        }
+        client.force_release(3, 0)?;
+        let text = client.metrics_text()?;
+        let gauges = (
+            metric_sum(&text, "leased_retained_decisions"),
+            metric_sum(&text, "leased_released_leases"),
+        );
+        // A request after the released day lease [0, 1) ends forgets it.
+        client.submit(3, 1)?;
+        let released_after = metric_sum(&client.metrics_text()?, "leased_released_leases");
+        client.shutdown()?;
+        server
+            .join()
+            .map_err(|_| LeasedError::Protocol("the server thread panicked".to_string()))?;
+        Ok((gauges, released_after))
+    };
+    // Six day leases and one release charge.
+    assert_eq!(scrape(DecisionRetention::Full)?, ((7, 1), 0));
+    assert_eq!(
+        scrape(ServerConfig::new(structure()).retention)?,
+        ((0, 1), 0),
+        "the default keeps no decision trace"
+    );
+    Ok(())
+}
+
+#[test]
 fn exposition_families_appear_in_pinned_order_over_the_wire() {
     let (addr, server) = start(&ServerConfig::new(structure()));
     let mut client = Client::connect(addr).unwrap();
@@ -138,6 +178,8 @@ fn exposition_families_appear_in_pinned_order_over_the_wire() {
         "leased_mailbox_high_watermark",
         "leased_engine_elements",
         "leased_element_table_entries",
+        "leased_retained_decisions",
+        "leased_released_leases",
         "leased_micro_batch_size",
         "leased_submit_latency_ns",
         "leased_snapshot_duration_ns",
