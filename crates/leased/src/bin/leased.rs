@@ -13,9 +13,9 @@
 //! events per shard, aggregate-only retention: no per-purchase trace).
 //! `--retention full` keeps each shard's whole decision trace, so
 //! snapshots replay every purchase; `bounded:N` keeps the most recent `N`
-//! decisions. `stats` output is bit-identical in every mode. On start the daemon
-//! prints `leased: listening on ADDR (N shards)` — scripts wait for that
-//! line before driving traffic. With `--metrics-listen` it also prints
+//! decisions. `stats` output is bit-identical in every mode. On start the
+//! daemon prints `leased: listening on ADDR (N shards)` — scripts wait
+//! for that line before driving traffic. With `--metrics-listen` it also prints
 //! `leased: metrics on ADDR` and serves Prometheus text exposition at
 //! `GET /metrics` on that address.
 
