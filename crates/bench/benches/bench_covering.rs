@@ -1,18 +1,18 @@
-//! Criterion benches for the generic covering engine (experiment E28).
+//! Criterion benches for the online covering core (experiment E28).
 //!
 //! * `covering_engine/serve` — engine throughput as the candidate density
 //!   grows (the fractional loop dominates; loops scale with cost · log d).
-//! * `smcl_abstraction/{specialized,generic}` — the abstraction-cost
-//!   ablation: the `GenericSmcl` adapter vs the hand-written `SmclOnline`
-//!   on identical instances and seeds. The two are bit-equal in output, so
-//!   any runtime gap is pure abstraction overhead.
+//! * `smcl_abstraction/specialized` — the Chapter 3 algorithm, which
+//!   steps through the same engine, on zipf set-multicover instances.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use leasing_bench::drive;
+use leasing_core::engine::{Books, Ledger};
+use leasing_core::framework::Triple;
 use leasing_core::lease::{LeaseStructure, LeaseType};
 use leasing_core::rng::seeded;
 use leasing_workloads::set_systems::{random_system, zipf_arrivals};
-use online_covering::{CoveringEngine, GenericSmcl};
+use online_covering::CoveringEngine;
 use set_cover_leasing::instance::SmclInstance;
 use set_cover_leasing::online::SmclOnline;
 use std::hint::black_box;
@@ -26,20 +26,22 @@ fn lease_structure(k: usize) -> LeaseStructure {
 
 fn bench_engine_serve(c: &mut Criterion) {
     let mut group = c.benchmark_group("covering_engine");
+    let structure = LeaseStructure::new(vec![LeaseType::new(1, 1.0)]).expect("one type");
     for density in [2usize, 8, 32] {
         group.bench_with_input(
             BenchmarkId::new("serve", density),
             &density,
             |b, &density| {
                 b.iter(|| {
-                    let mut engine: CoveringEngine<(usize, usize)> = CoveringEngine::new(8, 42);
+                    let mut ledger = Ledger::new(structure.clone());
+                    let mut engine = CoveringEngine::new(8, 42);
                     for j in 0..64usize {
-                        let candidates: Vec<((usize, usize), f64)> = (0..density)
-                            .map(|i| (((j + i) % 96, i), 1.0 + (i % 4) as f64))
+                        let candidates: Vec<(Triple, f64)> = (0..density)
+                            .map(|i| (Triple::new((j + i) % 96, 0, i as u64), 1.0 + (i % 4) as f64))
                             .collect();
-                        engine.serve(black_box(&candidates));
+                        engine.serve(0, black_box(&candidates), &mut Books::new(&mut ledger));
                     }
-                    black_box(engine.total_cost())
+                    black_box(ledger.total_cost())
                 });
             },
         );
@@ -58,12 +60,6 @@ fn bench_smcl_abstraction(c: &mut Criterion) {
             b.iter(|| {
                 let alg = drive(SmclOnline::new(inst, 11), &inst.structure, inst.requests());
                 black_box(alg.cost())
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("generic", n), &inst, |b, inst| {
-            b.iter(|| {
-                let mut alg = GenericSmcl::new(inst, 11);
-                black_box(alg.run())
             });
         });
     }

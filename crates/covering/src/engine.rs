@@ -1,50 +1,66 @@
-//! The full generic online covering engine: fractional growth (step i),
+//! The randomized online covering engine: fractional growth (step i),
 //! per-variable threshold rounding (step ii) and the cheapest-candidate
-//! fallback (step iii) — the exact three-phase shape of thesis Algorithm 3
-//! and Algorithm 5, over arbitrary variable keys.
+//! fallback (step iii) — the three-phase shape of thesis Algorithm 3 and
+//! Algorithm 5, buying into the ledger's books.
 
 use crate::fractional::{DualCertificate, FractionalCovering};
 use crate::rounding::ThresholdSampler;
-use std::collections::HashSet;
-use std::hash::Hash;
+use leasing_core::engine::Books;
+use leasing_core::framework::Triple;
+use leasing_core::time::TimeStep;
 
-/// Integral-phase telemetry of a [`CoveringEngine`] run.
+/// Instrumentation counters of a [`CoveringEngine`] run (Lemmas 3.1/3.2
+/// and 5.5/5.6).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct EngineStats {
-    /// Cost of variables bought because their fraction beat their threshold.
+pub struct CoveringStats {
+    /// Total fractional cost `Σ c · f` accumulated (Lemma 3.1 bounds this
+    /// by `O(log d) · Opt` for candidate density `d`).
+    pub fractional_cost: f64,
+    /// Cost of leases bought by threshold rounding (the ledger's
+    /// `"rounded"` category).
     pub rounded_cost: f64,
-    /// Cost of cheapest-candidate fallback purchases.
+    /// Cost of cheapest-candidate fallbacks (Lemmas 3.2/5.6 bound their
+    /// probability per constraint); the ledger's `"fallback"` category.
     pub fallback_cost: f64,
     /// Number of fallback purchases.
     pub fallbacks: usize,
+    /// Number of multiplicative increment loops performed.
+    pub increments: u64,
 }
 
-/// The generic randomized online covering algorithm: grow fractions, round
+/// The randomized online covering algorithm: grow fractions, round
 /// against per-variable thresholds, fall back to the cheapest candidate.
 ///
-/// The SMCL and SCLD algorithms of Chapters 3 and 5 are thin wrappers over
-/// this engine (see [`crate::adapters`] for the bit-exact equivalence); it
-/// can equally drive any other covering-with-leases problem by choosing the
-/// candidate construction.
+/// The SMCL and SCLD algorithms of Chapters 3 and 5 build their candidate
+/// triples and call [`serve`](CoveringEngine::serve); ownership lives in
+/// the ledger, so the engine keeps no purchase mirror.
 ///
 /// ```
+/// use leasing_core::engine::{Books, Ledger};
+/// use leasing_core::framework::Triple;
+/// use leasing_core::lease::{LeaseStructure, LeaseType};
 /// use online_covering::CoveringEngine;
 ///
-/// let mut engine: CoveringEngine<&str> = CoveringEngine::new(4, 7);
-/// let chosen = engine.serve(&[("day pass", 1.0), ("season pass", 5.0)]);
-/// assert!(engine.owns(&chosen));
-/// assert!(engine.total_cost() >= 1.0);
+/// let structure =
+///     LeaseStructure::new(vec![LeaseType::new(1, 1.0), LeaseType::new(8, 5.0)]).unwrap();
+/// let mut ledger = Ledger::new(structure);
+/// let mut engine = CoveringEngine::new(4, 7);
+/// let day_pass = (Triple::new(0, 0, 0), 1.0);
+/// let season_pass = (Triple::new(0, 1, 0), 5.0);
+/// let chosen = engine.serve(0, &[day_pass, season_pass], &mut Books::new(&mut ledger));
+/// assert!(ledger.owns(chosen));
+/// assert!(ledger.total_cost() >= 1.0);
 /// ```
 #[derive(Debug)]
-pub struct CoveringEngine<V> {
-    fractional: FractionalCovering<V>,
-    thresholds: ThresholdSampler<V>,
-    owned: HashSet<V>,
-    cost: f64,
-    stats: EngineStats,
+pub struct CoveringEngine {
+    fractional: FractionalCovering<Triple>,
+    thresholds: ThresholdSampler<Triple>,
+    rounded_cost: f64,
+    fallback_cost: f64,
+    fallbacks: usize,
 }
 
-impl<V: Eq + Hash + Copy> CoveringEngine<V> {
+impl CoveringEngine {
     /// Creates an engine with `q` uniforms per rounding threshold and the
     /// given RNG seed.
     ///
@@ -55,63 +71,66 @@ impl<V: Eq + Hash + Copy> CoveringEngine<V> {
         CoveringEngine {
             fractional: FractionalCovering::new(),
             thresholds: ThresholdSampler::new(q, seed),
-            owned: HashSet::new(),
-            cost: 0.0,
-            stats: EngineStats::default(),
+            rounded_cost: 0.0,
+            fallback_cost: 0.0,
+            fallbacks: 0,
         }
     }
 
-    /// Serves one covering constraint and returns a candidate that is owned
-    /// afterwards (the first owned candidate in slice order, matching
-    /// Algorithm 3's *i-Cover* return value).
+    /// Serves one covering constraint at time `t` over distinct priced
+    /// candidates, buying into `books` under the `"rounded"` and
+    /// `"fallback"` categories, and returns a candidate owned afterwards
+    /// (the first owned one in slice order, matching Algorithm 3's
+    /// *i-Cover* return value).
+    ///
+    /// Each candidate first seen here draws its threshold, in slice order.
     ///
     /// # Panics
     ///
     /// Panics on empty or invalidly-priced candidate slices (see
     /// [`FractionalCovering::serve`]).
-    pub fn serve(&mut self, candidates: &[(V, f64)]) -> V {
+    pub fn serve(
+        &mut self,
+        t: TimeStep,
+        candidates: &[(Triple, f64)],
+        books: &mut Books<'_>,
+    ) -> Triple {
         // (i) Fractional phase.
-        self.fractional.serve(candidates);
+        let thresholds = &mut self.thresholds;
+        self.fractional
+            .serve_with(candidates, |v| thresholds.threshold(v));
 
         // (ii) Threshold rounding, in candidate order.
-        for &(v, c) in candidates {
-            let f = self.fractional.fraction(&v);
-            let mu = self.thresholds.threshold(&v);
-            if f > mu && !self.owned.contains(&v) {
-                self.owned.insert(v);
-                self.cost += c;
-                self.stats.rounded_cost += c;
+        for (&(v, c), var) in candidates.iter().zip(self.fractional.served()) {
+            if var.fraction > var.threshold && !books.owns(v) {
+                books.buy_priced(t, v, c, "rounded");
+                self.rounded_cost += c;
             }
         }
 
-        // (iii) Fallback: buy the cheapest candidate if none is owned.
-        if let Some(&(v, _)) = candidates.iter().find(|(v, _)| self.owned.contains(v)) {
+        // (iii) Fallback: buy the first cheapest candidate if none is owned.
+        if let Some(&(v, _)) = candidates.iter().find(|(v, _)| books.owns(*v)) {
             return v;
         }
         let &(v, c) = candidates
             .iter()
-            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite costs"))
+            .min_by(|a, b| a.1.total_cmp(&b.1))
             .expect("candidates are non-empty");
-        self.owned.insert(v);
-        self.cost += c;
-        self.stats.fallback_cost += c;
-        self.stats.fallbacks += 1;
+        books.buy_priced(t, v, c, "fallback");
+        self.fallback_cost += c;
+        self.fallbacks += 1;
         v
     }
 
-    /// Total integral cost paid so far.
-    pub fn total_cost(&self) -> f64 {
-        self.cost
-    }
-
-    /// Integral-phase telemetry.
-    pub fn stats(&self) -> EngineStats {
-        self.stats
-    }
-
-    /// The underlying fractional solution (fractions, increments, loads).
-    pub fn fractional(&self) -> &FractionalCovering<V> {
-        &self.fractional
+    /// Instrumentation counters.
+    pub fn stats(&self) -> CoveringStats {
+        CoveringStats {
+            fractional_cost: self.fractional.fractional_cost(),
+            rounded_cost: self.rounded_cost,
+            fallback_cost: self.fallback_cost,
+            fallbacks: self.fallbacks,
+            increments: self.fractional.increments(),
+        }
     }
 
     /// The online weak-duality certificate of the fractional phase.
@@ -119,28 +138,13 @@ impl<V: Eq + Hash + Copy> CoveringEngine<V> {
         self.fractional.certificate()
     }
 
-    /// Whether `v` has been bought.
-    pub fn owns(&self, v: &V) -> bool {
-        self.owned.contains(v)
-    }
-
-    /// Iterates over all bought variables (arbitrary order).
-    pub fn owned(&self) -> impl Iterator<Item = &V> {
-        self.owned.iter()
-    }
-
-    /// Number of bought variables.
-    pub fn num_owned(&self) -> usize {
-        self.owned.len()
-    }
-
-    /// Pins the rounding threshold of `v` (tests and ablations); see
-    /// [`ThresholdSampler::pin`].
+    /// Pins the rounding threshold of `v` before it is first served (tests
+    /// and ablations); see [`ThresholdSampler::pin`].
     ///
     /// # Panics
     ///
     /// Panics unless `0.0 <= mu <= 1.0`.
-    pub fn pin_threshold(&mut self, v: V, mu: f64) {
+    pub fn pin_threshold(&mut self, v: Triple, mu: f64) {
         self.thresholds.pin(v, mu);
     }
 }
@@ -148,56 +152,79 @@ impl<V: Eq + Hash + Copy> CoveringEngine<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use leasing_core::engine::Ledger;
+    use leasing_core::lease::{LeaseStructure, LeaseType};
     use proptest::prelude::*;
+
+    /// Variable `v` as a single-type triple of element `v`.
+    fn var(v: u32) -> Triple {
+        Triple::new(v as usize, 0, 0)
+    }
+
+    fn ledger() -> Ledger {
+        Ledger::new(LeaseStructure::new(vec![LeaseType::new(1, 1.0)]).unwrap())
+    }
+
+    fn serve(e: &mut CoveringEngine, ledger: &mut Ledger, cands: &[(u32, f64)]) -> Triple {
+        let cands: Vec<(Triple, f64)> = cands.iter().map(|&(v, c)| (var(v), c)).collect();
+        e.serve(0, &cands, &mut Books::new(ledger))
+    }
 
     #[test]
     fn serve_always_returns_an_owned_candidate() {
-        let mut e: CoveringEngine<u32> = CoveringEngine::new(4, 1);
+        let mut e = CoveringEngine::new(4, 1);
+        let mut ledger = ledger();
         for j in 0..10u32 {
             let cands = [(j % 3, 1.0 + (j % 3) as f64), (3 + j % 2, 2.0)];
-            let chosen = e.serve(&cands);
-            assert!(e.owns(&chosen));
-            assert!(cands.iter().any(|&(v, _)| v == chosen));
+            let chosen = serve(&mut e, &mut ledger, &cands);
+            assert!(ledger.owns(chosen));
+            assert!(cands.iter().any(|&(v, _)| var(v) == chosen));
         }
     }
 
     #[test]
     fn pinned_high_thresholds_force_fallback_to_cheapest() {
-        let mut e: CoveringEngine<u32> = CoveringEngine::new(1, 3);
-        e.pin_threshold(0, 1.0);
-        e.pin_threshold(1, 1.0);
-        // Fractions never exceed ~2 < threshold ∞ is impossible, but
-        // f > 1.0 can happen after overshoot; use a cheap/expensive pair and
-        // check the fallback picked the cheap one when rounding bought none.
-        let chosen = e.serve(&[(0u32, 5.0), (1, 1.0)]);
-        if e.stats().fallbacks == 1 {
-            assert_eq!(chosen, 1, "fallback must buy the cheapest candidate");
-            assert_eq!(e.total_cost(), 1.0);
-        } else {
-            // Rounding bought something despite µ = 1 (fraction overshot 1).
-            assert!(e.stats().rounded_cost > 0.0);
-        }
+        // Two equal-cost candidates grow symmetrically and stop at 0.5
+        // each, which never beats µ = 1: rounding buys nothing and the
+        // fallback buys the first cheapest candidate.
+        let mut e = CoveringEngine::new(1, 3);
+        let mut ledger = ledger();
+        e.pin_threshold(var(0), 1.0);
+        e.pin_threshold(var(1), 1.0);
+        let chosen = serve(&mut e, &mut ledger, &[(0, 1.0), (1, 1.0)]);
+        assert_eq!(e.stats().fallbacks, 1);
+        assert_eq!(e.stats().rounded_cost, 0.0);
+        assert_eq!(chosen, var(0), "ties go to the first cheapest candidate");
+        assert!(ledger.owns(var(0)) && !ledger.owns(var(1)));
+        assert_eq!(ledger.category_cost("fallback"), 1.0);
+        assert_eq!(ledger.category_cost("rounded"), 0.0);
+        assert_eq!(ledger.total_cost(), 1.0);
     }
 
     #[test]
     fn pinned_zero_thresholds_buy_every_candidate_with_mass() {
-        let mut e: CoveringEngine<u32> = CoveringEngine::new(1, 3);
-        e.pin_threshold(0, 0.0);
-        e.pin_threshold(1, 0.0);
-        e.serve(&[(0u32, 1.0), (1, 1.0)]);
-        assert_eq!(e.num_owned(), 2, "both candidates exceed a zero threshold");
+        let mut e = CoveringEngine::new(1, 3);
+        let mut ledger = ledger();
+        e.pin_threshold(var(0), 0.0);
+        e.pin_threshold(var(1), 0.0);
+        serve(&mut e, &mut ledger, &[(0, 1.0), (1, 1.0)]);
+        assert!(
+            ledger.owns(var(0)) && ledger.owns(var(1)),
+            "both candidates exceed a zero threshold"
+        );
         assert_eq!(e.stats().fallbacks, 0);
     }
 
     #[test]
     fn repeat_constraint_is_free_once_owned() {
-        let mut e: CoveringEngine<u32> = CoveringEngine::new(4, 9);
+        let mut e = CoveringEngine::new(4, 9);
+        let mut ledger = ledger();
         let cands = [(0u32, 2.0), (1, 3.0)];
-        e.serve(&cands);
-        let cost = e.total_cost();
-        e.serve(&cands);
+        serve(&mut e, &mut ledger, &cands);
+        let cost = ledger.total_cost();
+        serve(&mut e, &mut ledger, &cands);
         assert_eq!(
-            e.total_cost(),
+            ledger.total_cost(),
             cost,
             "re-serving an owned constraint is free"
         );
@@ -205,20 +232,28 @@ mod tests {
 
     #[test]
     fn total_cost_decomposes_into_rounded_plus_fallback() {
-        let mut e: CoveringEngine<u32> = CoveringEngine::new(2, 11);
+        let mut e = CoveringEngine::new(2, 11);
+        let mut ledger = ledger();
         for j in 0..20u32 {
-            e.serve(&[(j % 5, 1.0 + (j % 5) as f64), (5 + j % 3, 2.5)]);
+            serve(
+                &mut e,
+                &mut ledger,
+                &[(j % 5, 1.0 + (j % 5) as f64), (5 + j % 3, 2.5)],
+            );
         }
         let s = e.stats();
-        assert!((e.total_cost() - (s.rounded_cost + s.fallback_cost)).abs() < 1e-9);
+        assert!((ledger.total_cost() - (s.rounded_cost + s.fallback_cost)).abs() < 1e-9);
+        assert_eq!(ledger.category_cost("rounded"), s.rounded_cost);
+        assert_eq!(ledger.category_cost("fallback"), s.fallback_cost);
     }
 
     #[test]
     fn deterministic_under_seed() {
         let run = |seed| {
-            let mut e: CoveringEngine<u32> = CoveringEngine::new(4, seed);
+            let mut e = CoveringEngine::new(4, seed);
+            let mut ledger = ledger();
             (0..12u32)
-                .map(|j| e.serve(&[(j % 4, 1.0), (4 + j % 2, 3.0)]))
+                .map(|j| serve(&mut e, &mut ledger, &[(j % 4, 1.0), (4 + j % 2, 3.0)]))
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(5), run(5));
@@ -235,7 +270,8 @@ mod tests {
             ),
             seed in 0u64..50,
         ) {
-            let mut e: CoveringEngine<u32> = CoveringEngine::new(3, seed);
+            let mut e = CoveringEngine::new(3, seed);
+            let mut ledger = ledger();
             let mut served: Vec<Vec<(u32, f64)>> = Vec::new();
             for raw in &stream {
                 let mut seen = std::collections::HashSet::new();
@@ -244,14 +280,17 @@ mod tests {
                     .filter(|v| seen.insert(**v))
                     .map(|&v| (v, (v + 1) as f64))
                     .collect();
-                e.serve(&c);
+                serve(&mut e, &mut ledger, &c);
                 served.push(c);
             }
             for c in &served {
-                prop_assert!(c.iter().any(|(v, _)| e.owns(v)), "constraint left uncovered");
+                prop_assert!(c.iter().any(|&(v, _)| ledger.owns(var(v))), "constraint left uncovered");
             }
-            let owned_cost: f64 = e.owned().map(|&v| (v + 1) as f64).sum();
-            prop_assert!((owned_cost - e.total_cost()).abs() < 1e-9);
+            let owned_cost: f64 = (0u32..6)
+                .filter(|&v| ledger.owns(var(v)))
+                .map(|v| (v + 1) as f64)
+                .sum();
+            prop_assert!((owned_cost - ledger.total_cost()).abs() < 1e-9);
         }
     }
 }

@@ -10,15 +10,15 @@
 //!     f_i ← f_i · (1 + 1/c_i) + 1 / (|Q| · c_i)      for every i ∈ Q
 //! ```
 //!
-//! when a demand with candidate set `Q` arrives. This module isolates that
-//! update as a reusable engine over arbitrary variable keys, so the three
-//! algorithms become thin adapters (see [`crate::adapters`]) and the shared
-//! analysis — Lemma 3.1's "each increment adds at most 2" and the
-//! `O(log |Q|)`-increments argument — is instrumented exactly once.
+//! when a demand with candidate set `Q` arrives. [`grow`] is that loop, over
+//! a slice of fractions and costs; the parking permit runs it on its `K`
+//! live slots and [`FractionalCovering`] on the slots of its variable table,
+//! so the shared analysis — Lemma 3.1's "each increment adds at most 2" and
+//! the `O(log |Q|)`-increments argument — is instrumented exactly once.
 //!
 //! # Online dual certificates
 //!
-//! The engine additionally maintains the *dual* solution implicit in the
+//! The solver additionally maintains the *dual* solution implicit in the
 //! primal-dual view of the update (§2.1): serving a constraint `j` with `y_j`
 //! increment loops raises the dual objective by `y_j`, and the per-variable
 //! load `L_i = Σ_{j : i ∈ Q_j} y_j` measures how far the dual constraint
@@ -34,12 +34,13 @@
 //! O(log d)` for maximum candidate-set size `d`, which is exactly the
 //! Lemma 3.1 bound; experiment E28 measures it.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::Hash;
 
-/// A dual feasibility certificate extracted from a [`FractionalCovering`]
-/// run; see the [module docs](self) for the underlying weak-duality
-/// argument.
+/// A dual feasibility certificate extracted from a run of the
+/// multiplicative update; see the [module docs](self) for the underlying
+/// weak-duality argument.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DualCertificate {
     /// Raw dual objective `Σ_j y_j` (one unit per increment loop).
@@ -53,12 +54,70 @@ pub struct DualCertificate {
     pub lower_bound: f64,
 }
 
-/// The generic online fractional covering solver.
+impl DualCertificate {
+    /// The certificate of `dual_sum` increment loops whose most loaded
+    /// variable carries `max_load_ratio = max_i L_i / c_i`.
+    pub fn new(dual_sum: f64, max_load_ratio: f64) -> Self {
+        let scale = max_load_ratio.max(1.0);
+        DualCertificate {
+            dual_sum,
+            scale,
+            lower_bound: dual_sum / scale,
+        }
+    }
+}
+
+/// The multiplicative update on one covering constraint: while the
+/// fractions sum to less than one, every candidate grows by
+/// `f / c + 1 / (|Q| c)` and `fractional_cost` accumulates `c · delta`, in
+/// slice order. Returns the number of increment loops (the dual raise `y_j`
+/// of the constraint).
 ///
-/// Variables are identified by arbitrary hashable keys `V` (the problem
-/// crates use [`leasing_core::lease::Lease`] and
-/// [`leasing_core::framework::Triple`]); each key carries a fixed positive
-/// cost supplied at serve time and checked for consistency.
+/// `fractions` and `costs` are parallel, non-empty, and every cost is
+/// positive.
+///
+/// ```
+/// let mut fractions = [0.0, 0.0];
+/// let mut cost = 0.0;
+/// let loops = online_covering::grow(&mut fractions, &[1.0, 3.0], &mut cost);
+/// assert!(loops > 0 && fractions.iter().sum::<f64>() >= 1.0);
+/// assert!(cost <= 2.0 * loops as f64);
+/// ```
+pub fn grow(fractions: &mut [f64], costs: &[f64], fractional_cost: &mut f64) -> u64 {
+    debug_assert!(!fractions.is_empty() && fractions.len() == costs.len());
+    let q_len = fractions.len() as f64;
+    let mut loops = 0u64;
+    while fractions.iter().sum::<f64>() < 1.0 {
+        loops += 1;
+        for (f, &c) in fractions.iter_mut().zip(costs) {
+            let delta = *f / c + 1.0 / (q_len * c);
+            *f += delta;
+            *fractional_cost += c * delta;
+        }
+    }
+    loops
+}
+
+/// One covering variable in the solver's table.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Variable {
+    pub(crate) fraction: f64,
+    pub(crate) cost: f64,
+    /// Dual load `L_i`.
+    pub(crate) load: f64,
+    /// Rounding threshold `µ` (`NaN`, never beaten, when the solver runs
+    /// without rounding).
+    pub(crate) threshold: f64,
+}
+
+/// The online fractional covering solver over arbitrary variable keys.
+///
+/// Variables are identified by hashable keys `V` (the covering engine
+/// uses [`leasing_core::framework::Triple`]); each key carries a fixed
+/// positive cost supplied at serve time and checked for consistency. A
+/// served constraint maps each candidate key once to its slot in one
+/// variable table, and the increment loops of [`grow`] run on the gathered
+/// slices, not on hash probes.
 ///
 /// ```
 /// use online_covering::FractionalCovering;
@@ -72,9 +131,13 @@ pub struct DualCertificate {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct FractionalCovering<V> {
-    fractions: HashMap<V, f64>,
-    costs: HashMap<V, f64>,
-    loads: HashMap<V, f64>,
+    slots: HashMap<V, usize>,
+    variables: Vec<Variable>,
+    /// Table slots of the constraint served last, in candidate order.
+    served: Vec<usize>,
+    /// The served constraint's fractions and costs, gathered for [`grow`].
+    fractions: Vec<f64>,
+    costs: Vec<f64>,
     fractional_cost: f64,
     increments: u64,
     dual_sum: f64,
@@ -85,9 +148,11 @@ impl<V: Eq + Hash + Copy> FractionalCovering<V> {
     /// Creates an empty solver (all fractions zero).
     pub fn new() -> Self {
         FractionalCovering {
-            fractions: HashMap::new(),
-            costs: HashMap::new(),
-            loads: HashMap::new(),
+            slots: HashMap::new(),
+            variables: Vec::new(),
+            served: Vec::new(),
+            fractions: Vec::new(),
+            costs: Vec::new(),
             fractional_cost: 0.0,
             increments: 0,
             dual_sum: 0.0,
@@ -95,9 +160,13 @@ impl<V: Eq + Hash + Copy> FractionalCovering<V> {
         }
     }
 
+    fn variable(&self, v: &V) -> Option<&Variable> {
+        self.slots.get(v).and_then(|&slot| self.variables.get(slot))
+    }
+
     /// Current fraction of variable `v` (zero if never a candidate).
     pub fn fraction(&self, v: &V) -> f64 {
-        self.fractions.get(v).copied().unwrap_or(0.0)
+        self.variable(v).map_or(0.0, |var| var.fraction)
     }
 
     /// Accumulated fractional cost `Σ c_i · f_i`.
@@ -118,7 +187,7 @@ impl<V: Eq + Hash + Copy> FractionalCovering<V> {
 
     /// Number of distinct variables touched so far.
     pub fn num_variables(&self) -> usize {
-        self.costs.len()
+        self.variables.len()
     }
 
     /// Serves one covering constraint `Σ_{i ∈ candidates} x_i ≥ 1`: grows
@@ -132,42 +201,77 @@ impl<V: Eq + Hash + Copy> FractionalCovering<V> {
     /// non-positive, or if a variable reappears with a different cost (the
     /// covering LP requires one fixed cost per variable).
     pub fn serve(&mut self, candidates: &[(V, f64)]) -> u64 {
+        self.serve_with(candidates, |_| f64::NAN)
+    }
+
+    /// [`serve`](Self::serve), giving each variable first seen here the
+    /// rounding threshold `threshold(v)`, called in candidate order.
+    /// Candidates must be distinct.
+    pub(crate) fn serve_with(
+        &mut self,
+        candidates: &[(V, f64)],
+        mut threshold: impl FnMut(&V) -> f64,
+    ) -> u64 {
         assert!(
             !candidates.is_empty(),
             "covering constraint needs at least one candidate"
         );
+        self.served.clear();
+        self.fractions.clear();
+        self.costs.clear();
         for &(v, c) in candidates {
             assert!(
                 c.is_finite() && c > 0.0,
                 "candidate cost must be positive and finite"
             );
-            let prior = *self.costs.entry(v).or_insert(c);
-            assert!(
-                (prior - c).abs() <= 1e-12 * prior.abs().max(1.0),
-                "variable reappeared with a different cost ({prior} vs {c})"
-            );
+            let (slot, fraction) = match self.slots.entry(v) {
+                Entry::Occupied(entry) => {
+                    let slot = *entry.get();
+                    let var = self.variables.get(slot).copied();
+                    let (prior, fraction) = var.map_or((c, 0.0), |var| (var.cost, var.fraction));
+                    assert!(
+                        (prior - c).abs() <= 1e-12 * prior.abs().max(1.0),
+                        "variable reappeared with a different cost ({prior} vs {c})"
+                    );
+                    (slot, fraction)
+                }
+                Entry::Vacant(entry) => {
+                    let slot = self.variables.len();
+                    entry.insert(slot);
+                    self.variables.push(Variable {
+                        fraction: 0.0,
+                        cost: c,
+                        load: 0.0,
+                        threshold: threshold(&v),
+                    });
+                    (slot, 0.0)
+                }
+            };
+            self.served.push(slot);
+            self.fractions.push(fraction);
+            self.costs.push(c);
         }
         self.max_density = self.max_density.max(candidates.len());
 
-        let q_len = candidates.len() as f64;
-        let mut loops = 0u64;
-        loop {
-            let sum: f64 = candidates.iter().map(|(v, _)| self.fraction(v)).sum();
-            if sum >= 1.0 {
-                break;
-            }
-            loops += 1;
-            self.increments += 1;
-            self.dual_sum += 1.0;
-            for &(v, c) in candidates {
-                let f = self.fractions.entry(v).or_insert(0.0);
-                let delta = *f / c + 1.0 / (q_len * c);
-                *f += delta;
-                self.fractional_cost += c * delta;
-                *self.loads.entry(v).or_insert(0.0) += 1.0;
+        let loops = grow(&mut self.fractions, &self.costs, &mut self.fractional_cost);
+        if loops > 0 {
+            self.increments += loops;
+            self.dual_sum += loops as f64;
+            for (&slot, &fraction) in self.served.iter().zip(&self.fractions) {
+                if let Some(var) = self.variables.get_mut(slot) {
+                    var.fraction = fraction;
+                    var.load += loops as f64;
+                }
             }
         }
         loops
+    }
+
+    /// The variables of the constraint served last, in candidate order.
+    pub(crate) fn served(&self) -> impl Iterator<Item = &Variable> + '_ {
+        self.served
+            .iter()
+            .filter_map(move |&slot| self.variables.get(slot))
     }
 
     /// Whether the constraint over `candidates` is already fractionally
@@ -182,23 +286,19 @@ impl<V: Eq + Hash + Copy> FractionalCovering<V> {
 
     /// Dual load `L_v = Σ_{j : v ∈ Q_j} y_j` of variable `v`.
     pub fn load(&self, v: &V) -> f64 {
-        self.loads.get(v).copied().unwrap_or(0.0)
+        self.variable(v).map_or(0.0, |var| var.load)
     }
 
     /// Extracts the online weak-duality certificate for the constraints
     /// served so far. `lower_bound` is a valid lower bound on the cost of
     /// any (fractional or integral) solution satisfying those constraints.
     pub fn certificate(&self) -> DualCertificate {
-        let scale = self
-            .costs
+        let max_load_ratio = self
+            .variables
             .iter()
-            .map(|(v, &c)| self.load(v) / c)
-            .fold(1.0_f64, f64::max);
-        DualCertificate {
-            dual_sum: self.dual_sum,
-            scale,
-            lower_bound: self.dual_sum / scale,
-        }
+            .map(|var| var.load / var.cost)
+            .fold(0.0_f64, f64::max);
+        DualCertificate::new(self.dual_sum, max_load_ratio)
     }
 }
 

@@ -1,5 +1,5 @@
-//! **online-covering** — the generic online primal-dual covering engine
-//! behind the thesis' randomized algorithms.
+//! **online-covering** — the online primal-dual covering core behind the
+//! thesis' randomized algorithms.
 //!
 //! Section 2.1 of *Online Resource Leasing* (Markarian, 2015) introduces the
 //! primal-dual method as the unifying design technique of the thesis; the
@@ -8,7 +8,7 @@
 //!
 //! 1. **Fractional phase** — on each arriving demand, grow the fractions of
 //!    its candidate leases multiplicatively until they sum to one
-//!    ([`FractionalCovering`]).
+//!    ([`grow`], run by [`FractionalCovering`] over a variable table).
 //! 2. **Rounding phase** — convert the fractional solution to an integral
 //!    one online, either with per-variable thresholds (`min` of `q`
 //!    uniforms; [`ThresholdSampler`], Chapters 3/5) or with the suffix-sum
@@ -16,46 +16,41 @@
 //! 3. **Fallback** — buy the cheapest candidate if rounding left the demand
 //!    uncovered ([`CoveringEngine`]).
 //!
-//! This crate isolates that scheme over arbitrary variable keys and adds an
-//! **online dual certificate** ([`DualCertificate`]): a certified lower
-//! bound on the offline optimum, produced as a by-product of the fractional
-//! update via weak duality (Theorem 2.3) — no LP or ILP solve required.
-//!
-//! The thesis' *deterministic* primal-dual algorithms (Algorithm 1,
-//! Theorem 2.7; the §5.3 OLD algorithm, Theorem 5.3) share the dual-ascent
-//! step "raise until tight, buy tight candidates", isolated here as
-//! [`DualAscent`].
-//!
-//! The [`adapters`] module re-derives all five thesis algorithms as engine
-//! instances and proves them *bit-for-bit equivalent* to the specialized
-//! implementations in `parking-permit`, `set-cover-leasing` and
-//! `leasing-deadlines` (experiment E28).
+//! The problem crates step through this one core: the randomized parking
+//! permit (`parking-permit`) runs [`grow`] and [`suffix_crossing`] on its
+//! `K` live slots, and set multicover leasing (`set-cover-leasing`) and
+//! SCLD (`leasing-deadlines`) build candidate triples and call
+//! [`CoveringEngine::serve`], which buys into the ledger's books. Each
+//! also reports the **online dual certificate** ([`DualCertificate`]): a
+//! certified lower bound on the offline optimum, produced as a by-product
+//! of the fractional update via weak duality (Theorem 2.3) — no LP or ILP
+//! solve required.
 //!
 //! ```
+//! use leasing_core::engine::{Books, Ledger};
+//! use leasing_core::framework::Triple;
+//! use leasing_core::lease::{LeaseStructure, LeaseType};
 //! use online_covering::CoveringEngine;
 //!
-//! // Lease a meeting room: each constraint is "some candidate must be
+//! // Lease a meeting room: each demand is "some candidate lease must be
 //! // active"; the engine grows fractions, rounds, and certifies.
-//! let mut engine: CoveringEngine<(&str, u64)> = CoveringEngine::new(4, 42);
+//! let structure =
+//!     LeaseStructure::new(vec![LeaseType::new(1, 1.0), LeaseType::new(8, 5.0)]).unwrap();
+//! let mut ledger = Ledger::new(structure);
+//! let mut engine = CoveringEngine::new(4, 42);
 //! for day in 0..6u64 {
-//!     let candidates = [(("daily", day), 1.0), (("weekly", day / 7), 5.0)];
-//!     engine.serve(&candidates);
+//!     let candidates = [(Triple::new(0, 0, day), 1.0), (Triple::new(0, 1, 0), 5.0)];
+//!     engine.serve(day, &candidates, &mut Books::new(&mut ledger));
 //! }
 //! let cert = engine.certificate();
-//! assert!(cert.lower_bound <= engine.total_cost());
-//! assert!(engine.total_cost() > 0.0);
+//! assert!(cert.lower_bound <= ledger.total_cost());
+//! assert!(ledger.total_cost() > 0.0);
 //! ```
 
-pub mod adapters;
-pub mod dual_ascent;
 pub mod engine;
 pub mod fractional;
 pub mod rounding;
 
-pub use adapters::{
-    GenericDeterministicPermit, GenericOld, GenericParkingPermit, GenericScld, GenericSmcl,
-};
-pub use dual_ascent::DualAscent;
-pub use engine::{CoveringEngine, EngineStats};
-pub use fractional::{DualCertificate, FractionalCovering};
+pub use engine::{CoveringEngine, CoveringStats};
+pub use fractional::{grow, DualCertificate, FractionalCovering};
 pub use rounding::{suffix_crossing, ThresholdSampler};

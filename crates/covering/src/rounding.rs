@@ -18,15 +18,16 @@ use rand::SeedableRng;
 use std::collections::HashMap;
 use std::hash::Hash;
 
-/// Lazily samples and caches one rounding threshold per variable, each
-/// distributed as the minimum of `q` independent `U[0,1]` variables.
+/// Draws rounding thresholds, each distributed as the minimum of `q`
+/// independent `U[0,1]` variables, from one seeded stream.
 ///
-/// Thresholds are sampled on first request in request order, so two runs
-/// with the same seed and the same request sequence see identical
-/// thresholds — the property the adapter-equivalence tests rely on.
+/// The sampler keeps no thresholds: the caller stores each variable's
+/// threshold (the covering engine keeps it in its variable table) and
+/// draws once per variable, so two runs with the same seed that meet
+/// their variables in the same order see identical thresholds.
 #[derive(Debug)]
 pub struct ThresholdSampler<V> {
-    thresholds: HashMap<V, f64>,
+    pinned: HashMap<V, f64>,
     q: u32,
     rng: StdRng,
 }
@@ -40,7 +41,7 @@ impl<V: Eq + Hash + Copy> ThresholdSampler<V> {
     pub fn new(q: u32, seed: u64) -> Self {
         assert!(q > 0, "threshold count must be positive");
         ThresholdSampler {
-            thresholds: HashMap::new(),
+            pinned: HashMap::new(),
             q,
             rng: StdRng::seed_from_u64(seed),
         }
@@ -51,40 +52,29 @@ impl<V: Eq + Hash + Copy> ThresholdSampler<V> {
         self.q
     }
 
-    /// The threshold of `v`, sampling it on first request.
+    /// A threshold for `v`: its pinned value, or else the next draw of the
+    /// stream.
     pub fn threshold(&mut self, v: &V) -> f64 {
-        if let Some(&mu) = self.thresholds.get(v) {
-            return mu;
+        match self.pinned.get(v) {
+            Some(&mu) => mu,
+            None => min_of_uniforms(&mut self.rng, self.q),
         }
-        let mu = min_of_uniforms(&mut self.rng, self.q);
-        self.thresholds.insert(*v, mu);
-        mu
     }
 
     /// Pins the threshold of `v` to an explicit value (tests and ablations;
     /// e.g. pinning to `1.0` forces the fallback path, pinning to `0.0`
-    /// forces a purchase).
+    /// forces a purchase). Pinned variables draw nothing from the stream.
     ///
     /// # Panics
     ///
     /// Panics unless `0.0 <= mu <= 1.0`.
     pub fn pin(&mut self, v: V, mu: f64) {
         assert!((0.0..=1.0).contains(&mu), "threshold must lie in [0, 1]");
-        self.thresholds.insert(v, mu);
-    }
-
-    /// Number of thresholds sampled (or pinned) so far.
-    pub fn len(&self) -> usize {
-        self.thresholds.len()
-    }
-
-    /// Whether no threshold has been sampled yet.
-    pub fn is_empty(&self) -> bool {
-        self.thresholds.is_empty()
+        self.pinned.insert(v, mu);
     }
 }
 
-/// Algorithm 2's integral phase: returns the candidate at which the suffix
+/// Algorithm 2's integral phase: returns the index at which the suffix
 /// sums of `fractions` (accumulated from the **end** of the slice towards
 /// the front) first reach `tau`, or `None` if the total sum stays below
 /// `tau`.
@@ -95,19 +85,19 @@ impl<V: Eq + Hash + Copy> ThresholdSampler<V> {
 ///
 /// ```
 /// use online_covering::suffix_crossing;
-/// let fracs = [("short", 0.5), ("long", 0.5)];
+/// let fracs = [0.5, 0.5]; // short, long
 /// // τ below the last fraction picks the longest type…
-/// assert_eq!(suffix_crossing(&fracs, 0.4), Some("long"));
+/// assert_eq!(suffix_crossing(&fracs, 0.4), Some(1));
 /// // …a larger τ crosses only once the shorter type is included.
-/// assert_eq!(suffix_crossing(&fracs, 0.9), Some("short"));
+/// assert_eq!(suffix_crossing(&fracs, 0.9), Some(0));
 /// assert_eq!(suffix_crossing(&fracs, 1.5), None);
 /// ```
-pub fn suffix_crossing<V: Copy>(fractions: &[(V, f64)], tau: f64) -> Option<V> {
+pub fn suffix_crossing(fractions: &[f64], tau: f64) -> Option<usize> {
     let mut suffix = 0.0;
-    for &(v, f) in fractions.iter().rev() {
+    for (k, &f) in fractions.iter().enumerate().rev() {
         suffix += f;
         if suffix >= tau {
-            return Some(v);
+            return Some(k);
         }
     }
     None
@@ -118,13 +108,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn thresholds_are_cached_and_in_unit_interval() {
+    fn thresholds_lie_in_the_unit_interval() {
         let mut s: ThresholdSampler<u32> = ThresholdSampler::new(4, 7);
         let a = s.threshold(&0);
         let b = s.threshold(&1);
         assert!((0.0..=1.0).contains(&a) && (0.0..=1.0).contains(&b));
-        assert_eq!(s.threshold(&0), a, "cached threshold must be stable");
-        assert_eq!(s.len(), 2);
+        assert_ne!(a, b, "each request draws afresh");
     }
 
     #[test]
@@ -152,7 +141,10 @@ mod tests {
         let mut s: ThresholdSampler<u32> = ThresholdSampler::new(2, 1);
         s.pin(5, 1.0);
         assert_eq!(s.threshold(&5), 1.0);
-        assert!(!s.is_empty());
+        assert_eq!(s.threshold(&5), 1.0, "a pin holds for every request");
+        // Pinned requests draw nothing from the stream.
+        let mut fresh: ThresholdSampler<u32> = ThresholdSampler::new(2, 1);
+        assert_eq!(s.threshold(&0), fresh.threshold(&0));
     }
 
     #[test]
@@ -179,7 +171,7 @@ mod tests {
 
     #[test]
     fn suffix_crossing_exact_boundary_is_inclusive() {
-        let fracs = [(0u32, 0.25), (1, 0.75)];
+        let fracs = [0.25, 0.75];
         assert_eq!(suffix_crossing(&fracs, 0.75), Some(1));
         assert_eq!(suffix_crossing(&fracs, 0.7500001), Some(0));
         assert_eq!(suffix_crossing(&fracs, 1.0), Some(0));
@@ -187,16 +179,15 @@ mod tests {
 
     #[test]
     fn suffix_crossing_empty_slice_is_none() {
-        let fracs: [(u32, f64); 0] = [];
-        assert_eq!(suffix_crossing(&fracs, 0.1), None);
+        assert_eq!(suffix_crossing(&[], 0.1), None);
     }
 
     #[test]
     fn tiny_tau_picks_last_candidate_with_mass() {
-        let fracs = [(0u32, 0.9), (1, 0.0), (2, 0.1)];
+        let fracs = [0.9, 0.0, 0.1];
         assert_eq!(suffix_crossing(&fracs, 1e-12), Some(2));
         // Zero-fraction tail skipped when the tail holds no mass at all.
-        let fracs2 = [(0u32, 1.0), (1, 0.0)];
+        let fracs2 = [1.0, 0.0];
         assert_eq!(suffix_crossing(&fracs2, 1e-12), Some(0));
     }
 }

@@ -43,7 +43,8 @@ pub fn singleton_scld(instance: &OldInstance) -> ScldInstance {
 pub struct RandomizedOldRun {
     /// Total cost paid.
     pub cost: f64,
-    /// Leases bought (the set component is dropped — there is only one).
+    /// Leases bought, in purchase order (the set component is dropped —
+    /// there is only one).
     pub purchases: Vec<Lease>,
 }
 
@@ -77,9 +78,10 @@ pub fn randomized_old(instance: &OldInstance, seed: u64) -> RandomizedOldRun {
     debug_assert!(served.is_ok(), "sorted arrivals never travel back in time");
     let cost = driver.cost();
     let purchases: Vec<Lease> = driver
-        .algorithm()
-        .owned()
-        .map(|t| Lease::new(t.type_index, t.start))
+        .ledger()
+        .decisions()
+        .iter()
+        .filter_map(|d| d.lease)
         .collect();
     RandomizedOldRun { cost, purchases }
 }

@@ -13,12 +13,10 @@ use leasing_core::engine::{Books, LeasingAlgorithm};
 use leasing_core::framework::Triple;
 use leasing_core::interval::candidates_intersecting;
 use leasing_core::lease::LeaseStructure;
-use leasing_core::rng::{min_of_uniforms, threshold_count};
+use leasing_core::rng::threshold_count;
 use leasing_core::time::{TimeStep, Window};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use online_covering::{CoveringEngine, CoveringStats, DualCertificate};
 use set_cover_leasing::system::SetSystem;
-use std::collections::{HashMap, HashSet};
 
 /// One SCLD demand: element `element` arrives at `time` and must be covered
 /// by a set leased during some day of `[time, time + slack]`.
@@ -182,34 +180,12 @@ impl ScldInstance {
     }
 }
 
-/// Per-run telemetry of [`ScldOnline`].
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct ScldStats {
-    /// Accumulated fractional cost (Lemma 5.5 bounds it by
-    /// `O(log(δ(K + d_max/l_min))) · Opt` per `l_max` interval).
-    pub fractional_cost: f64,
-    /// Cost of threshold-rounded purchases.
-    pub rounded_cost: f64,
-    /// Cost of cheapest-candidate fallbacks (probability `≤ 1/l_max²` per
-    /// arrival, Lemma 5.6).
-    pub fallback_cost: f64,
-    /// Number of fallbacks.
-    pub fallbacks: usize,
-}
-
-/// The randomized SCLD algorithm (Algorithm 5).
+/// The randomized SCLD algorithm (Algorithm 5): each arrival's candidate
+/// triples go through one [`CoveringEngine::serve`].
 #[derive(Debug)]
 pub struct ScldOnline<'a> {
     instance: &'a ScldInstance,
-    fractions: HashMap<Triple, f64>,
-    thresholds: HashMap<Triple, f64>,
-    q: u32,
-    /// Purchase mirror for the [`owned`](ScldOnline::owned) diagnostics
-    /// accessor; the serve path queries
-    /// [`Ledger::owns`](leasing_core::engine::Ledger::owns).
-    owned: HashSet<Triple>,
-    stats: ScldStats,
-    rng: StdRng,
+    engine: CoveringEngine,
 }
 
 impl<'a> ScldOnline<'a> {
@@ -227,100 +203,31 @@ impl<'a> ScldOnline<'a> {
     ///
     /// Panics if `q == 0`.
     pub fn with_threshold_count(instance: &'a ScldInstance, seed: u64, q: u32) -> Self {
-        assert!(q > 0, "threshold count must be positive");
         ScldOnline {
             instance,
-            fractions: HashMap::new(),
-            thresholds: HashMap::new(),
-            q,
-            owned: HashSet::new(),
-            stats: ScldStats::default(),
-            rng: StdRng::seed_from_u64(seed),
+            engine: CoveringEngine::new(q, seed),
         }
     }
 
     /// Instrumentation counters.
-    pub fn stats(&self) -> ScldStats {
-        self.stats
+    pub fn stats(&self) -> CoveringStats {
+        self.engine.stats()
     }
 
-    /// The triples leased so far.
-    pub fn owned(&self) -> impl Iterator<Item = &Triple> {
-        self.owned.iter()
-    }
-
-    /// Core LP-growth + rounding step, recording purchases into `ledger`.
-    fn serve_with(&mut self, a: &ScldArrival, books: &mut Books<'_>) {
-        let candidates = self.instance.candidates(a);
-        debug_assert!(!candidates.is_empty(), "validated instances are coverable");
-        let f_len = candidates.len() as f64;
-
-        // (i) LP phase: multiplicative growth until fractions sum to 1.
-        loop {
-            let sum: f64 = candidates.iter().map(|c| self.fraction(c)).sum();
-            if sum >= 1.0 {
-                break;
-            }
-            for c in &candidates {
-                let cost = self.instance.cost(c.element, c.type_index);
-                let f = self.fractions.entry(*c).or_insert(0.0);
-                let delta = *f / cost + 1.0 / (f_len * cost);
-                *f += delta;
-                self.stats.fractional_cost += cost * delta;
-            }
-        }
-
-        // (ii) Rounding phase: buy candidates whose fraction beats their
-        // threshold; fall back to the cheapest candidate if uncovered.
-        // Ownership is the books's coverage index, not a private table.
-        for c in &candidates {
-            let f = self.fraction(c);
-            let mu = self.threshold(c);
-            if f > mu && !books.owns(*c) {
-                let cost = self.instance.cost(c.element, c.type_index);
-                self.owned.insert(*c);
-                books.buy_priced(a.time, *c, cost, "rounded");
-                self.stats.rounded_cost += cost;
-            }
-        }
-        if !candidates.iter().any(|c| books.owns(*c)) {
-            let cheapest = candidates
-                .iter()
-                .copied()
-                .min_by(|a, b| {
-                    let ca = self.instance.cost(a.element, a.type_index);
-                    let cb = self.instance.cost(b.element, b.type_index);
-                    ca.partial_cmp(&cb).expect("finite costs")
-                })
-                .expect("candidates are non-empty");
-            let cost = self.instance.cost(cheapest.element, cheapest.type_index);
-            self.owned.insert(cheapest);
-            books.buy_priced(a.time, cheapest, cost, "fallback");
-            self.stats.fallback_cost += cost;
-            self.stats.fallbacks += 1;
-        }
-    }
-
-    fn fraction(&self, c: &Triple) -> f64 {
-        self.fractions.get(c).copied().unwrap_or(0.0)
-    }
-
-    fn threshold(&mut self, c: &Triple) -> f64 {
-        if let Some(&mu) = self.thresholds.get(c) {
-            return mu;
-        }
-        let mu = min_of_uniforms(&mut self.rng, self.q);
-        self.thresholds.insert(*c, mu);
-        mu
+    /// The online weak-duality certificate: a lower bound on the offline
+    /// optimum of the arrivals served so far.
+    pub fn certificate(&self) -> DualCertificate {
+        self.engine.certificate()
     }
 }
 
-/// Checks that every arrival's window holds a leased candidate.
-pub fn is_feasible(instance: &ScldInstance, owned: &HashSet<Triple>) -> bool {
+/// Checks that every arrival's window holds a candidate `owns` accepts.
+/// Pass `|t| ledger.owns(t)` to check an online run.
+pub fn is_feasible(instance: &ScldInstance, owns: impl Fn(Triple) -> bool) -> bool {
     instance
         .arrivals
         .iter()
-        .all(|a| instance.candidates(a).iter().any(|c| owned.contains(c)))
+        .all(|a| instance.candidates(a).into_iter().any(&owns))
 }
 
 impl<'a> LeasingAlgorithm for ScldOnline<'a> {
@@ -329,14 +236,14 @@ impl<'a> LeasingAlgorithm for ScldOnline<'a> {
 
     fn on_request(&mut self, time: TimeStep, request: (u64, usize), mut books: Books<'_>) {
         let (slack, element) = request;
-        self.serve_with(
-            &ScldArrival {
-                time,
-                slack,
-                element,
-            },
-            &mut books,
-        );
+        let arrival = ScldArrival::new(time, element, slack);
+        let candidates: Vec<(Triple, f64)> = self
+            .instance
+            .candidates(&arrival)
+            .into_iter()
+            .map(|c| (c, self.instance.cost(c.element, c.type_index)))
+            .collect();
+        self.engine.serve(time, &candidates, &mut books);
     }
 }
 
@@ -375,11 +282,10 @@ mod tests {
         )
         .unwrap();
         for seed in 0..10 {
-            let (alg, ledger) = run(&inst, seed);
+            let (_, ledger) = run(&inst, seed);
             let cost = ledger.total_cost();
             assert!(cost > 0.0);
-            let owned: HashSet<Triple> = alg.owned().copied().collect();
-            assert!(is_feasible(&inst, &owned), "seed {seed}");
+            assert!(is_feasible(&inst, |t| ledger.owns(t)), "seed {seed}");
         }
     }
 
@@ -401,9 +307,8 @@ mod tests {
         let cands = inst.candidates(&inst.arrivals[0]);
         // Exactly K candidates per containing set.
         assert_eq!(cands.len(), 2 * inst.structure.num_types());
-        let (alg, _) = run(&inst, 1);
-        let owned: HashSet<Triple> = alg.owned().copied().collect();
-        assert!(is_feasible(&inst, &owned));
+        let (_, ledger) = run(&inst, 1);
+        assert!(is_feasible(&inst, |t| ledger.owns(t)));
     }
 
     #[test]
@@ -448,5 +353,18 @@ mod tests {
         let stats = alg.stats();
         assert!((stats.rounded_cost + stats.fallback_cost - cost).abs() < 1e-9);
         assert!(stats.fractional_cost > 0.0);
+    }
+
+    #[test]
+    fn certificate_lower_bounds_measured_cost() {
+        let arrivals = vec![ScldArrival::new(0, 0, 3), ScldArrival::new(9, 1, 1)];
+        let inst = ScldInstance::uniform(system(), structure(), arrivals).unwrap();
+        let (alg, ledger) = run(&inst, 5);
+        let cert = alg.certificate();
+        assert!(
+            cert.lower_bound <= ledger.total_cost() + 1e-9,
+            "certificate must not exceed the paid cost"
+        );
+        assert!(cert.lower_bound > 0.0);
     }
 }

@@ -103,10 +103,11 @@ proptest! {
             arrivals.push(ScldArrival::new(t, rng.random_range(0..4), rng.random_range(0..4)));
         }
         let inst = ScldInstance::uniform(system, structure(), arrivals).unwrap();
-        let (alg, cost) = run(ScldOnline::new(&inst, alg_seed), &inst.structure, inst.requests());
-        prop_assert!(cost > 0.0);
-        let owned: std::collections::HashSet<_> = alg.owned().copied().collect();
-        prop_assert!(leasing_deadlines::scld::is_feasible(&inst, &owned));
+        let mut driver = Driver::new(ScldOnline::new(&inst, alg_seed), inst.structure.clone());
+        driver.submit_batch(inst.requests()).unwrap();
+        prop_assert!(driver.cost() > 0.0);
+        let ledger = driver.ledger();
+        prop_assert!(leasing_deadlines::scld::is_feasible(&inst, |t| ledger.owns(t)));
     }
 
     /// The service-window primal-dual serves every client, stays above the

@@ -242,8 +242,7 @@ mod tests {
             driver.submit_batch(inst.requests()).unwrap();
             let cost = driver.cost();
             assert!(cost > 0.0);
-            let owned: std::collections::HashSet<_> = driver.algorithm().owned().copied().collect();
-            assert!(is_feasible_cover(&inst, &owned));
+            assert!(is_feasible_cover(&inst, |t| driver.ledger().owns(t)));
         }
     }
 }

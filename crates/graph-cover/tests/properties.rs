@@ -85,8 +85,7 @@ proptest! {
         for inst in instances {
             let mut alg = Driver::new(SmclOnline::new(&inst, seed ^ 0xC0FFEE), inst.structure.clone());
             alg.submit_batch(inst.requests()).unwrap();
-            let owned: std::collections::HashSet<_> = alg.algorithm().owned().copied().collect();
-            prop_assert!(is_feasible_cover(&inst, &owned));
+            prop_assert!(is_feasible_cover(&inst, |t| alg.ledger().owns(t)));
         }
     }
 }

@@ -6,13 +6,17 @@
 //! with a single random threshold `τ ~ U[0,1]`: at each demand it buys the
 //! candidate type at which the suffix sums of the fractions cross `τ`.
 //! Expected competitive ratio: `O(log K)` — optimal by Theorem 2.9.
+//!
+//! Both phases are the shared covering core's: [`grow`] and
+//! [`suffix_crossing`] from `online-covering`.
 
 use crate::PERMIT_ELEMENT;
 use leasing_core::engine::{Books, LeasingAlgorithm, CATEGORY_LEASE};
 use leasing_core::framework::Triple;
-use leasing_core::interval::candidates_covering;
+use leasing_core::interval::aligned_start;
 use leasing_core::lease::{Lease, LeaseStructure};
 use leasing_core::time::TimeStep;
+use online_covering::{grow, suffix_crossing, DualCertificate};
 use rand::{Rng, RngExt};
 
 /// Randomized fractional + threshold-rounding parking-permit algorithm.
@@ -20,22 +24,33 @@ use rand::{Rng, RngExt};
 /// Coverage and ownership are queried from the ledger's coverage index
 /// ([`Ledger::covered`]/[`Ledger::owns`]) — the algorithm keeps no private
 /// active-lease table.
+///
+/// [`Ledger::covered`]: leasing_core::engine::Ledger::covered
+/// [`Ledger::owns`]: leasing_core::engine::Ledger::owns
 #[derive(Clone, Debug)]
 pub struct RandomizedPermit {
     structure: LeaseStructure,
-    /// K live fraction accumulators — the det-permit K-accumulator trick:
-    /// `fractions[k] = (aligned start, f)` holds the fraction of the
-    /// type-`k` candidate lease currently being grown. Under the monotone
-    /// arrival order only the candidate covering the present demand is
-    /// ever read, so when type `k`'s window slides the slot resets to a
-    /// fresh zero fraction — K slots total instead of one map entry per
-    /// aligned lease ever touched.
-    fractions: Vec<(TimeStep, f64)>,
+    /// K live slots, one per lease type — the det-permit K-accumulator
+    /// trick: slot `k` holds the type-`k` candidate lease currently being
+    /// grown, starting at `starts[k]`, with fraction `fractions[k]` and
+    /// dual load `loads[k]`. Under the monotone arrival order only the
+    /// candidate covering the present demand is ever read, so when type
+    /// `k`'s window slides the slot resets to a fresh zero fraction — K
+    /// slots total instead of one entry per aligned lease ever touched.
+    starts: Vec<TimeStep>,
+    fractions: Vec<f64>,
+    loads: Vec<f64>,
+    /// `costs[k] = c_k`, the slice [`grow`] prices the slots with.
+    costs: Vec<f64>,
     /// The single uniform threshold `τ` drawn up front.
     tau: f64,
     /// Total fractional cost `Σ c_k · f_k` accumulated (for the Lemma-style
     /// instrumentation: fractional cost ≤ O(log K)·Opt).
     fractional_cost: f64,
+    /// Dual objective `Σ y` (one unit per increment loop).
+    dual_sum: f64,
+    /// Running `max L / c` over every slot window so far.
+    max_load_ratio: f64,
     purchases: Vec<Lease>,
 }
 
@@ -54,11 +69,17 @@ impl RandomizedPermit {
     /// Panics unless `0.0 < tau <= 1.0`.
     pub fn with_threshold(structure: LeaseStructure, tau: f64) -> Self {
         assert!(tau > 0.0 && tau <= 1.0, "threshold must lie in (0, 1]");
+        let k = structure.num_types();
         RandomizedPermit {
-            fractions: vec![(TimeStep::MAX, 0.0); structure.num_types()],
+            starts: vec![TimeStep::MAX; k],
+            fractions: vec![0.0; k],
+            loads: vec![0.0; k],
+            costs: structure.types().iter().map(|t| t.cost).collect(),
             structure,
             tau,
             fractional_cost: 0.0,
+            dual_sum: 0.0,
+            max_load_ratio: 0.0,
             purchases: Vec::new(),
         }
     }
@@ -68,51 +89,40 @@ impl RandomizedPermit {
     /// this permit's own prices (see
     /// [`DeterministicPrimalDual::serve_element`](crate::det::DeterministicPrimalDual::serve_element)).
     pub fn serve_element(&mut self, t: TimeStep, element: usize, books: &mut Books<'_>) {
-        let candidates = candidates_covering(&self.structure, t);
-        let q = candidates.len() as f64;
-
-        // Slide every accumulator whose window moved: a fresh window
-        // starts from fraction zero, exactly what the lazily-materialised
-        // map used to hand out for a never-touched lease.
-        for c in &candidates {
-            if let Some(slot) = self.fractions.get_mut(c.type_index) {
-                if slot.0 != c.start {
-                    *slot = (c.start, 0.0);
-                }
+        // Slide every slot whose window moved: a fresh window starts from
+        // fraction and load zero.
+        for (k, ((start, f), load)) in self
+            .starts
+            .iter_mut()
+            .zip(&mut self.fractions)
+            .zip(&mut self.loads)
+            .enumerate()
+        {
+            let aligned = aligned_start(t, self.structure.length(k));
+            if *start != aligned {
+                *start = aligned;
+                *f = 0.0;
+                *load = 0.0;
             }
         }
 
         // (i) Fractional phase: grow fractions until they sum to >= 1.
-        loop {
-            let sum: f64 = candidates.iter().map(|c| self.fraction(c)).sum();
-            if sum >= 1.0 {
-                break;
-            }
-            for c in &candidates {
-                let ck = c.cost(&self.structure);
-                if let Some(slot) = self.fractions.get_mut(c.type_index) {
-                    let delta = slot.1 / ck + 1.0 / (q * ck);
-                    slot.1 += delta;
-                    self.fractional_cost += ck * delta;
-                }
+        let loops = grow(&mut self.fractions, &self.costs, &mut self.fractional_cost);
+        if loops > 0 {
+            self.dual_sum += loops as f64;
+            for (load, &c) in self.loads.iter_mut().zip(&self.costs) {
+                *load += loops as f64;
+                self.max_load_ratio = self.max_load_ratio.max(*load / c);
             }
         }
 
         // (ii) Integral phase: buy the candidate type at which the suffix
         // sums of the fractions cross τ (types scanned from longest to
-        // shortest, as in the paper's Σ_{i=k..K}).
-        let mut suffix = 0.0;
-        let mut chosen: Option<Lease> = None;
-        for c in candidates.iter().rev() {
-            suffix += self.fraction(c);
-            if suffix >= self.tau {
-                chosen = Some(*c);
-                break;
-            }
-        }
-        // Σ f >= 1 >= τ guarantees a crossing; fall back to the shortest
-        // candidate against numerical loss.
-        let lease = chosen.unwrap_or(candidates[0]);
+        // shortest, as in the paper's Σ_{i=k..K}). Σ f >= 1 >= τ
+        // guarantees a crossing; fall back to the shortest type against
+        // numerical loss.
+        let k = suffix_crossing(&self.fractions, self.tau).unwrap_or(0);
+        let lease = Lease::new(k, self.starts.get(k).copied().unwrap_or(t));
         let triple = Triple::new(element, lease.type_index, lease.start);
         if !books.owns(triple) {
             books.buy_priced(t, triple, lease.cost(&self.structure), CATEGORY_LEASE);
@@ -132,17 +142,15 @@ impl RandomizedPermit {
         self.fractional_cost
     }
 
+    /// The online weak-duality certificate: a lower bound on the offline
+    /// optimum of the demands served so far.
+    pub fn certificate(&self) -> DualCertificate {
+        DualCertificate::new(self.dual_sum, self.max_load_ratio)
+    }
+
     /// The leases bought so far, in purchase order.
     pub fn purchases(&self) -> &[Lease] {
         &self.purchases
-    }
-
-    fn fraction(&self, lease: &Lease) -> f64 {
-        self.fractions
-            .get(lease.type_index)
-            .filter(|slot| slot.0 == lease.start)
-            .map(|slot| slot.1)
-            .unwrap_or(0.0)
     }
 }
 
@@ -250,6 +258,24 @@ mod tests {
         // O(log K) with K = 3: expect single digits; assert a generous cap
         // that a broken implementation (e.g. re-buying per demand) would blow.
         assert!(ratio < 6.0, "mean ratio {ratio}");
+    }
+
+    #[test]
+    fn certificate_lower_bounds_exact_optimum() {
+        // The DP optimum is available for the parking permit problem — the
+        // certificate must stay below it.
+        let s = structure();
+        let demands: Vec<u64> = (0..16).chain(40..44).collect();
+        let opt = offline::optimal_cost_interval_model(&s, &demands);
+        let mut alg = driver(RandomizedPermit::with_threshold(s, 0.5));
+        alg.submit_batch(demands.iter().map(|&t| (t, ()))).unwrap();
+        let cert = alg.algorithm().certificate();
+        assert!(
+            cert.lower_bound <= opt + 1e-9,
+            "certificate {} exceeds DP optimum {opt}",
+            cert.lower_bound
+        );
+        assert!(cert.lower_bound > 0.0);
     }
 
     #[test]

@@ -116,7 +116,7 @@ pub fn drive_ppp_embedding(
     let mut alg = Driver::new(SmclOnline::new(&template, seed), structure.clone());
     let mut arrivals = Vec::new();
     for t in 0..horizon {
-        if !alg.algorithm().set_active_at(0, t) && alg.submit(t, (0, 1)).is_ok() {
+        if !alg.ledger().covered(0, t) && alg.submit(t, (0, 1)).is_ok() {
             arrivals.push(Arrival::new(t, 0, 1));
         }
     }
@@ -160,11 +160,8 @@ pub fn drive_halving_adversary(
         while candidates.len() > 1 {
             let mid = candidates.len() / 2;
             let (first, second) = candidates.split_at(mid);
-            let active = |half: &[usize]| {
-                half.iter()
-                    .filter(|&&s| alg.algorithm().set_active_at(s, t))
-                    .count()
-            };
+            let active =
+                |half: &[usize]| half.iter().filter(|&&s| alg.ledger().covered(s, t)).count();
             let chosen: Vec<usize> = if active(first) <= active(second) {
                 first.to_vec()
             } else {

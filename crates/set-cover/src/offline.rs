@@ -278,7 +278,7 @@ mod tests {
         let (cost, bought) = greedy(&inst);
         assert!(cost > 0.0);
         let owned: HashSet<Triple> = bought.into_iter().collect();
-        assert!(crate::online::is_feasible_cover(&inst, &owned));
+        assert!(crate::online::is_feasible_cover(&inst, |t| owned.contains(&t)));
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! grows the fractions of the still-usable candidate triples `(S, k, t')`
 //! multiplicatively until they sum to one, rounds them against per-triple
 //! random thresholds `µ = min` of `2⌈log(n+1)⌉` uniforms, and falls back to
-//! buying the cheapest candidate if rounding left the layer uncovered.
+//! buying the cheapest candidate if rounding left the layer uncovered —
+//! one [`CoveringEngine::serve`] per round.
 //!
 //! Expected competitive ratio: `O(log(δK) · log n)` (Theorem 3.3).
 
@@ -14,29 +15,10 @@ use crate::instance::SmclInstance;
 use leasing_core::engine::{Books, LeasingAlgorithm};
 use leasing_core::framework::Triple;
 use leasing_core::interval::aligned_start;
-use leasing_core::rng::{min_of_uniforms, threshold_count};
+use leasing_core::rng::threshold_count;
 use leasing_core::time::TimeStep;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::collections::{HashMap, HashSet};
-
-/// Per-run telemetry used by the Lemma 3.1 / Lemma 3.2 instrumentation.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct SmclStats {
-    /// Total fractional cost `Σ c · f` accumulated (Lemma 3.1 bounds this by
-    /// `O(log(δK)) · Opt`).
-    pub fractional_cost: f64,
-    /// Cost of leases bought by threshold rounding (instrumentation mirror
-    /// of the ledger's `"rounded"` category).
-    pub rounded_cost: f64,
-    /// Cost of cheapest-candidate fallbacks (Lemma 3.2 shows these occur
-    /// with probability at most `1/n²` per layer).
-    pub fallback_cost: f64,
-    /// Number of fallback purchases.
-    pub fallbacks: usize,
-    /// Number of multiplicative increments performed.
-    pub increments: usize,
-}
+use online_covering::{CoveringEngine, CoveringStats, DualCertificate};
+use std::collections::HashSet;
 
 /// The randomized online set-multicover-leasing algorithm.
 ///
@@ -46,19 +28,7 @@ pub struct SmclStats {
 #[derive(Debug)]
 pub struct SmclOnline<'a> {
     instance: &'a SmclInstance,
-    /// Fraction per candidate triple (absent = 0).
-    fractions: HashMap<Triple, f64>,
-    /// Lazily-sampled threshold `µ` per candidate triple.
-    thresholds: HashMap<Triple, f64>,
-    /// Number of uniforms whose minimum forms each threshold.
-    q: u32,
-    /// Purchase mirror for the diagnostics accessors
-    /// ([`owned`](SmclOnline::owned)/[`set_active_at`](SmclOnline::set_active_at));
-    /// the serve path itself queries
-    /// [`Ledger::owns`](leasing_core::engine::Ledger::owns).
-    owned: HashSet<Triple>,
-    stats: SmclStats,
-    rng: StdRng,
+    engine: CoveringEngine,
 }
 
 impl<'a> SmclOnline<'a> {
@@ -76,49 +46,21 @@ impl<'a> SmclOnline<'a> {
     ///
     /// Panics if `q == 0`.
     pub fn with_threshold_count(instance: &'a SmclInstance, seed: u64, q: u32) -> Self {
-        assert!(q > 0, "threshold count must be positive");
         SmclOnline {
             instance,
-            fractions: HashMap::new(),
-            thresholds: HashMap::new(),
-            q,
-            owned: HashSet::new(),
-            stats: SmclStats::default(),
-            rng: StdRng::seed_from_u64(seed),
+            engine: CoveringEngine::new(q, seed),
         }
     }
 
     /// Instrumentation counters.
-    pub fn stats(&self) -> SmclStats {
-        self.stats
+    pub fn stats(&self) -> CoveringStats {
+        self.engine.stats()
     }
 
-    /// The triples leased so far.
-    pub fn owned(&self) -> impl Iterator<Item = &Triple> {
-        self.owned.iter()
-    }
-
-    /// Whether set `s` holds a lease active at time `t`.
-    pub fn set_active_at(&self, s: usize, t: TimeStep) -> bool {
-        (0..self.instance.structure.num_types()).any(|k| {
-            let start = aligned_start(t, self.instance.structure.length(k));
-            self.owned.contains(&Triple::new(s, k, start))
-        })
-    }
-
-    /// Serves one demand, recording purchases into the books.
-    fn serve_with(
-        &mut self,
-        t: TimeStep,
-        element: usize,
-        multiplicity: usize,
-        books: &mut Books<'_>,
-    ) {
-        let mut used_sets: HashSet<usize> = HashSet::new();
-        for _layer in 0..multiplicity {
-            let covering = self.cover_once(t, element, &used_sets, books);
-            used_sets.insert(covering);
-        }
+    /// The online weak-duality certificate: a lower bound on the offline
+    /// optimum of the layers served so far.
+    pub fn certificate(&self) -> DualCertificate {
+        self.engine.certificate()
     }
 
     /// One round of *i-Cover* (Algorithm 3): covers `(element, t)` by one
@@ -140,66 +82,19 @@ impl<'a> SmclOnline<'a> {
             !candidates.is_empty(),
             "no usable set contains element {element} (all excluded)"
         );
-        let q_len = candidates.len() as f64;
-
-        // (i) Fractional phase.
-        loop {
-            let sum: f64 = candidates.iter().map(|c| self.fraction(c)).sum();
-            if sum >= 1.0 {
-                break;
-            }
-            self.stats.increments += 1;
-            for c in &candidates {
-                let cost = self.instance.cost(c.element, c.type_index);
-                let f = self.fractions.entry(*c).or_insert(0.0);
-                let delta = *f / cost + 1.0 / (q_len * cost);
-                *f += delta;
-                self.stats.fractional_cost += cost * delta;
-            }
-        }
-
-        // (ii) Threshold rounding: lease every candidate whose fraction
-        // exceeds its threshold µ. Ownership is the books's coverage
-        // index, not a private table.
-        for c in &candidates {
-            let f = self.fraction(c);
-            let mu = self.threshold(c);
-            if f > mu && !books.owns(*c) {
-                let cost = self.instance.cost(c.element, c.type_index);
-                self.owned.insert(*c);
-                books.buy_priced(t, *c, cost, "rounded");
-                self.stats.rounded_cost += cost;
-            }
-        }
-
-        // (iii) Fallback: if no candidate is leased, buy the cheapest.
-        let covering = candidates.iter().find(|c| books.owns(**c)).copied();
-        match covering {
-            Some(c) => c.element,
-            None => {
-                let cheapest = candidates
-                    .iter()
-                    .copied()
-                    .min_by(|a, b| {
-                        let ca = self.instance.cost(a.element, a.type_index);
-                        let cb = self.instance.cost(b.element, b.type_index);
-                        ca.partial_cmp(&cb).expect("finite costs")
-                    })
-                    .expect("candidates are non-empty");
-                let cost = self.instance.cost(cheapest.element, cheapest.type_index);
-                self.owned.insert(cheapest);
-                books.buy_priced(t, cheapest, cost, "fallback");
-                self.stats.fallback_cost += cost;
-                self.stats.fallbacks += 1;
-                cheapest.element
-            }
-        }
+        self.engine.serve(t, &candidates, books).element
     }
 
-    /// The candidate triples of `(element, t)`: for every containing set not
-    /// excluded, the `K` aligned leases covering `t`. (`Triple.element`
-    /// stores the *set* id — sets are the infrastructure being leased.)
-    fn candidates(&self, t: TimeStep, element: usize, excluded: &HashSet<usize>) -> Vec<Triple> {
+    /// The priced candidate triples of `(element, t)`: for every containing
+    /// set not excluded, the `K` aligned leases covering `t`.
+    /// (`Triple.element` stores the *set* id — sets are the infrastructure
+    /// being leased.)
+    fn candidates(
+        &self,
+        t: TimeStep,
+        element: usize,
+        excluded: &HashSet<usize>,
+    ) -> Vec<(Triple, f64)> {
         let mut out = Vec::new();
         for &s in self.instance.system.sets_containing(element) {
             if excluded.contains(&s) {
@@ -207,23 +102,10 @@ impl<'a> SmclOnline<'a> {
             }
             for k in 0..self.instance.structure.num_types() {
                 let start = aligned_start(t, self.instance.structure.length(k));
-                out.push(Triple::new(s, k, start));
+                out.push((Triple::new(s, k, start), self.instance.cost(s, k)));
             }
         }
         out
-    }
-
-    fn fraction(&self, c: &Triple) -> f64 {
-        self.fractions.get(c).copied().unwrap_or(0.0)
-    }
-
-    fn threshold(&mut self, c: &Triple) -> f64 {
-        if let Some(&mu) = self.thresholds.get(c) {
-            return mu;
-        }
-        let mu = min_of_uniforms(&mut self.rng, self.q);
-        self.thresholds.insert(*c, mu);
-        mu
     }
 }
 
@@ -233,20 +115,25 @@ impl<'a> LeasingAlgorithm for SmclOnline<'a> {
 
     fn on_request(&mut self, time: TimeStep, request: (usize, usize), mut books: Books<'_>) {
         let (element, multiplicity) = request;
-        self.serve_with(time, element, multiplicity, &mut books);
+        let mut used_sets: HashSet<usize> = HashSet::new();
+        for _layer in 0..multiplicity {
+            let covering = self.cover_once(time, element, &used_sets, &mut books);
+            used_sets.insert(covering);
+        }
     }
 }
 
-/// Verifies that `owned` covers every arrival of `instance` with the
-/// demanded number of distinct sets — the feasibility invariant of the
-/// problem definition (§3.2).
-pub fn is_feasible_cover(instance: &SmclInstance, owned: &HashSet<Triple>) -> bool {
+/// Verifies that the triples `owns` accepts cover every arrival of
+/// `instance` with the demanded number of distinct sets — the feasibility
+/// invariant of the problem definition (§3.2). Pass `|t| ledger.owns(t)`
+/// to check an online run.
+pub fn is_feasible_cover(instance: &SmclInstance, owns: impl Fn(Triple) -> bool) -> bool {
     instance.arrivals.iter().all(|a| {
         let mut covering_sets = HashSet::new();
         for &s in instance.system.sets_containing(a.element) {
             for k in 0..instance.structure.num_types() {
                 let start = aligned_start(a.time, instance.structure.length(k));
-                if owned.contains(&Triple::new(s, k, start)) {
+                if owns(Triple::new(s, k, start)) {
                     covering_sets.insert(s);
                 }
             }
@@ -289,11 +176,13 @@ mod tests {
         ];
         let inst = SmclInstance::uniform(triangle_system(), lengths(), arrivals).unwrap();
         for seed in 0..10 {
-            let (alg, ledger) = run(&inst, seed);
+            let (_, ledger) = run(&inst, seed);
             let cost = ledger.total_cost();
             assert!(cost > 0.0);
-            let owned: HashSet<Triple> = alg.owned().copied().collect();
-            assert!(is_feasible_cover(&inst, &owned), "seed {seed} infeasible");
+            assert!(
+                is_feasible_cover(&inst, |t| ledger.owns(t)),
+                "seed {seed} infeasible"
+            );
         }
     }
 
@@ -301,9 +190,11 @@ mod tests {
     fn multiplicity_uses_distinct_sets() {
         let system = SetSystem::new(1, vec![vec![0], vec![0], vec![0]]).unwrap();
         let inst = SmclInstance::uniform(system, lengths(), vec![Arrival::new(0, 0, 3)]).unwrap();
-        let (alg, _) = run(&inst, 3);
-        let sets: HashSet<usize> = alg.owned().map(|tr| tr.element).collect();
-        assert_eq!(sets.len(), 3, "three distinct sets must hold leases");
+        let (_, ledger) = run(&inst, 3);
+        assert!(
+            (0..3).all(|s| ledger.covered(s, 0)),
+            "three distinct sets must hold leases"
+        );
     }
 
     #[test]
@@ -338,7 +229,7 @@ mod tests {
     }
 
     #[test]
-    fn fractional_cost_is_tracked_and_finite() {
+    fn stats_track_a_finite_fractional_cost() {
         let inst = SmclInstance::uniform(
             triangle_system(),
             lengths(),
@@ -372,11 +263,23 @@ mod tests {
     }
 
     #[test]
-    fn set_active_at_reflects_ownership_windows() {
+    fn solutions_are_feasible_multicovers() {
+        let arrivals = vec![Arrival::new(0, 0, 2), Arrival::new(9, 2, 2)];
+        let inst = SmclInstance::uniform(triangle_system(), lengths(), arrivals).unwrap();
+        for seed in 0..8 {
+            let (_, ledger) = run(&inst, seed);
+            assert!(is_feasible_cover(&inst, |t| ledger.owns(t)), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn ledger_coverage_reflects_ownership_windows() {
         let inst = SmclInstance::uniform(triangle_system(), lengths(), vec![Arrival::new(0, 0, 1)])
             .unwrap();
-        let (alg, _) = run(&inst, 2);
-        // Some set covering element 0 is active at time 0.
-        assert!(alg.set_active_at(0, 0) || alg.set_active_at(2, 0));
+        let (_, ledger) = run(&inst, 2);
+        // Some set covering element 0 is active at time 0, and nothing
+        // reaches past the longest window.
+        assert!(ledger.covered(0, 0) || ledger.covered(2, 0));
+        assert!(!(0..3).any(|s| ledger.covered(s, 16)));
     }
 }

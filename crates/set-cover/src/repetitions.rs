@@ -8,12 +8,13 @@
 //! `2⌈log₂(δn+1)⌉` uniforms instead of `2⌈log₂(n+1)⌉`.
 
 use crate::instance::{Arrival, InstanceError, SmclInstance};
-use crate::online::{SmclOnline, SmclStats};
+use crate::online::SmclOnline;
 use crate::system::SetSystem;
 use leasing_core::engine::{Books, LeasingAlgorithm};
 use leasing_core::lease::{LeaseStructure, LeaseType};
 use leasing_core::rng::threshold_count;
 use leasing_core::time::TimeStep;
+use online_covering::CoveringStats;
 use std::collections::{HashMap, HashSet};
 
 /// A lease length long enough to act as "buy forever" without overflowing
@@ -72,7 +73,7 @@ impl<'a> RepetitionsOnline<'a> {
     }
 
     /// Instrumentation counters of the underlying *i-Cover* rounds.
-    pub fn stats(&self) -> SmclStats {
+    pub fn stats(&self) -> CoveringStats {
         self.inner.stats()
     }
 

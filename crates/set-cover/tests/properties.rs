@@ -60,8 +60,7 @@ proptest! {
         alg.submit_batch(inst.requests()).unwrap();
         let cost = alg.cost();
         prop_assert!(cost >= 0.0);
-        let owned: std::collections::HashSet<_> = alg.algorithm().owned().copied().collect();
-        prop_assert!(is_feasible_cover(&inst, &owned));
+        prop_assert!(is_feasible_cover(&inst, |t| alg.ledger().owns(t)));
     }
 
     /// LP bound <= ILP optimum <= greedy cost, and the online cost never

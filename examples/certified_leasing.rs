@@ -9,21 +9,23 @@
 //! knowing future requests. Competitive analysis promises
 //! `O(log(δK) log n)` in the worst case — but a customer asking "how badly
 //! are we doing *on this workload*?" deserves a per-run answer, not a
-//! worst-case one. The generic covering engine provides it: its fractional
-//! phase builds a feasible dual solution as a by-product, and weak duality
-//! (Theorem 2.3) turns that into a certified lower bound on what *any*
-//! omniscient competitor would have to pay. No LP solver, no hindsight —
-//! the bound is available at every moment of the run.
+//! worst-case one. The covering engine behind the Chapter 3 algorithm
+//! provides it: its fractional phase builds a feasible dual solution as a
+//! by-product, and weak duality (Theorem 2.3) turns that into a certified
+//! lower bound on what *any* omniscient competitor would have to pay. No
+//! LP solver, no hindsight — the bound is available at every moment of
+//! the run.
 //!
 //! The example replays a month of requests, printing the spend, the
 //! certificate and the certified ratio after every week, then cross-checks
 //! the final certificate against the exact ILP optimum.
 
+use online_resource_leasing::core::engine::Driver;
 use online_resource_leasing::core::lease::{LeaseStructure, LeaseType};
 use online_resource_leasing::core::rng::seeded;
-use online_resource_leasing::covering::GenericSmcl;
 use online_resource_leasing::set_cover::instance::SmclInstance;
 use online_resource_leasing::set_cover::offline;
+use online_resource_leasing::set_cover::online::SmclOnline;
 use online_resource_leasing::workloads::set_systems::{random_system, zipf_arrivals};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -43,42 +45,39 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("{}", "-".repeat(52));
 
-    let mut alg = GenericSmcl::new(&instance, 7);
-    let mut served = 0usize;
+    let mut alg = Driver::new(SmclOnline::new(&instance, 7), instance.structure.clone());
     for week_end in [7u64, 14, 21, 28] {
-        while served < instance.arrivals.len() && instance.arrivals[served].time < week_end {
-            let a = instance.arrivals[served];
-            alg.serve_arrival(a.time, a.element, a.multiplicity);
-            served += 1;
-        }
-        let cert = alg.certificate();
+        let week_start = week_end - 7;
+        alg.submit_batch(
+            instance
+                .requests()
+                .filter(|&(t, _)| (week_start..week_end).contains(&t)),
+        )?;
+        let cert = alg.algorithm().certificate();
         let ratio = if cert.lower_bound > 0.0 {
-            alg.total_cost() / cert.lower_bound
+            alg.cost() / cert.lower_bound
         } else {
             1.0
         };
         println!(
             "{:>6} | {:>10.2} | {:>12.2} | {:>15.2}",
             week_end,
-            alg.total_cost(),
+            alg.cost(),
             cert.lower_bound,
             ratio
         );
     }
 
     // Hindsight check: the certificate must stand below the true optimum.
-    let cert = alg.certificate();
+    let cert = alg.algorithm().certificate();
     match offline::optimal_cost(&instance, 100_000) {
         Some(opt) => {
             println!("\nexact offline optimum (ILP):    {opt:.2}");
             println!("final certificate:              {:.2}", cert.lower_bound);
-            println!(
-                "true ratio:                     {:.2}",
-                alg.total_cost() / opt
-            );
+            println!("true ratio:                     {:.2}", alg.cost() / opt);
             println!(
                 "certified ratio (no hindsight): {:.2}",
-                alg.total_cost() / cert.lower_bound
+                alg.cost() / cert.lower_bound
             );
             assert!(
                 cert.lower_bound <= opt + 1e-9,

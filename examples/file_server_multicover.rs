@@ -40,13 +40,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut driver = Driver::new(SmclOnline::new(&instance, 2015), instance.structure.clone());
     driver.submit_batch(instance.requests())?;
-    let (alg, cost) = (driver.algorithm(), driver.cost());
-    let owned: std::collections::HashSet<_> = alg.owned().copied().collect();
-    assert!(is_feasible_cover(&instance, &owned));
+    let (ledger, cost) = (driver.ledger(), driver.cost());
+    assert!(is_feasible_cover(&instance, |t| ledger.owns(t)));
     println!(
         "online cost {cost:.2} ({} server-leases; {} rounding fallbacks)",
-        owned.len(),
-        alg.stats().fallbacks
+        ledger.leases_bought(),
+        driver.algorithm().stats().fallbacks
     );
 
     let (greedy_cost, _) = offline::greedy(&instance);

@@ -11,7 +11,7 @@
 //! | [`core`] | Ch. 2 | lease structures, interval model (Lemma 2.6), leasing framework (§2.3), ski rental |
 //! | [`lp`] | §2.1 | from-scratch two-phase simplex (warm-startable) + branch-and-bound ILP substrate |
 //! | [`oracle`] | — | offline-optimum oracles: exact DPs and certified LP lower bounds behind one [`OfflineOracle`](oracle::OfflineOracle) trait |
-//! | [`covering`] | §2.1 | generic online primal-dual covering engine (Buchbinder–Naor) with online dual certificates; Algorithms 2/3/5 as bit-equal instances |
+//! | [`covering`] | §2.1 | the online primal-dual covering core (Buchbinder–Naor) that Algorithms 2/3/5 step through: multiplicative growth, threshold rounding, cheapest fallback, online dual certificates |
 //! | [`parking_permit`] | §2.2 | Meyerson's parking permit problem: deterministic `O(K)` and randomized `O(log K)` algorithms, offline DP optima, lower-bound adversaries |
 //! | [`set_cover`] | Ch. 3 | set (multi)cover leasing: `O(log(δK) log n)` randomized algorithm, online set cover variants, §3.5 lower-bound adversaries |
 //! | [`facility`] | Ch. 4 | facility leasing: `4(3+K)·H_{l_max}`-competitive primal-dual algorithm, the Nagarajan–Williamson `O(K log n)` prior work, and facility leasing with deadlines (§5.6) |
@@ -83,7 +83,7 @@ pub mod lp {
     pub use leasing_lp::*;
 }
 
-/// Generic online covering engine, §2.1 (re-export of [`online_covering`]).
+/// Online primal-dual covering core, §2.1 (re-export of [`online_covering`]).
 pub mod covering {
     pub use online_covering::*;
 }

@@ -1,18 +1,17 @@
-//! Cross-crate integration tests for the generic covering engine
-//! (`online-covering`), the offline facility primal-dual baseline and the
-//! distributed phase-1 bidding — the 0.3.0 additions.
+//! Cross-crate integration tests for the online dual certificates of the
+//! randomized algorithms (the `online-covering` core), the offline facility
+//! primal-dual baseline and the distributed phase-1 bidding.
 //!
 //! These complement the per-crate unit tests with workload-scale instances
 //! and cross-checks that need several crates at once (exact DP/ILP optima,
-//! LP lower bounds, the online algorithms being re-derived).
+//! LP lower bounds).
 
 use leasing_core::engine::{Driver, LeasingAlgorithm};
 use leasing_core::lease::{LeaseStructure, LeaseType};
 use leasing_core::rng::seeded;
 use leasing_core::time::TimeStep;
 use leasing_workloads::set_systems::{random_system, zipf_arrivals};
-use online_resource_leasing::covering::{GenericParkingPermit, GenericScld, GenericSmcl};
-use online_resource_leasing::deadlines::scld::{ScldArrival, ScldInstance};
+use online_resource_leasing::deadlines::scld::{ScldArrival, ScldInstance, ScldOnline};
 use online_resource_leasing::facility::instance::FacilityInstance;
 use online_resource_leasing::facility::metric::Point;
 use online_resource_leasing::facility::{offline as fac_offline, offline_primal_dual};
@@ -48,38 +47,20 @@ fn sets_structure() -> LeaseStructure {
         .expect("valid structure")
 }
 
-/// The generic engine and the specialized Chapter 3 algorithm stay
-/// bit-equal on workload-scale instances, across seeds.
-#[test]
-fn unification_holds_at_workload_scale() {
-    for trial in 0..6u64 {
-        let mut rng = seeded(4000 + trial);
-        let system = random_system(&mut rng, 60, 30, 5);
-        let arrivals = zipf_arrivals(&mut rng, &system, 120, 256, 1.2, 3);
-        let inst = SmclInstance::uniform(system, sets_structure(), arrivals).expect("feasible");
-        let spec = drive(
-            SmclOnline::new(&inst, trial),
-            &inst.structure,
-            inst.requests(),
-        );
-        let mut gen = GenericSmcl::new(&inst, trial);
-        assert_eq!(spec.cost().to_bits(), gen.run().to_bits(), "trial {trial}");
-    }
-}
-
-/// The engine's online dual certificate never exceeds the exact optimum,
-/// across all three problem families it re-derives.
+/// The online dual certificate never exceeds the exact optimum, across all
+/// three problem families that step through the covering core.
 #[test]
 fn certificates_are_sound_across_problem_families() {
     // Parking permit: exact DP optimum.
     let mut rng = seeded(4100);
     let days: Vec<u64> = (0..200u64).filter(|_| rng.random::<f64>() < 0.3).collect();
-    let mut permit = GenericParkingPermit::with_threshold(permits(), 0.37);
-    for &t in &days {
-        permit.serve_demand(t);
-    }
+    let permit = drive(
+        RandomizedPermit::with_threshold(permits(), 0.37),
+        &permits(),
+        days.iter().map(|&t| (t, ())),
+    );
     let opt = ppp_offline::optimal_cost_interval_model(&permits(), &days);
-    let cert = permit.certificate();
+    let cert = permit.algorithm().certificate();
     assert!(
         cert.lower_bound <= opt + 1e-9,
         "permit: {} > {opt}",
@@ -92,11 +73,10 @@ fn certificates_are_sound_across_problem_families() {
     let system = random_system(&mut rng, 16, 8, 3);
     let arrivals = zipf_arrivals(&mut rng, &system, 16, 64, 1.1, 2);
     let inst = SmclInstance::uniform(system, sets_structure(), arrivals).expect("feasible");
-    let mut smcl = GenericSmcl::new(&inst, 9);
-    smcl.run();
+    let smcl = drive(SmclOnline::new(&inst, 9), &inst.structure, inst.requests());
     let opt = sc_offline::optimal_cost(&inst, 50_000)
         .unwrap_or_else(|| sc_offline::lp_lower_bound(&inst));
-    let cert = smcl.certificate();
+    let cert = smcl.algorithm().certificate();
     assert!(
         cert.lower_bound <= opt + 1e-9,
         "smcl: {} > {opt}",
@@ -116,9 +96,9 @@ fn certificates_are_sound_across_problem_families() {
         })
         .collect();
     let inst = ScldInstance::uniform(system, sets_structure(), arrivals).expect("feasible");
-    let mut scld = GenericScld::new(&inst, 9);
-    let cost = scld.run();
-    let cert = scld.certificate();
+    let scld = drive(ScldOnline::new(&inst, 9), &inst.structure, inst.requests());
+    let cost = scld.cost();
+    let cert = scld.algorithm().certificate();
     assert!(cert.lower_bound <= cost + 1e-9);
     assert!(cert.lower_bound >= 0.0);
 }
@@ -136,9 +116,13 @@ fn certified_ratio_dominates_true_ratio() {
         let Some(opt) = sc_offline::optimal_cost(&inst, 50_000) else {
             continue;
         };
-        let mut alg = GenericSmcl::new(&inst, trial);
-        let cost = alg.run();
-        let cert = alg.certificate();
+        let alg = drive(
+            SmclOnline::new(&inst, trial),
+            &inst.structure,
+            inst.requests(),
+        );
+        let cost = alg.cost();
+        let cert = alg.algorithm().certificate();
         let true_ratio = cost / opt;
         let certified = cost / cert.lower_bound.max(1e-12);
         assert!(
@@ -146,29 +130,6 @@ fn certified_ratio_dominates_true_ratio() {
             "trial {trial}: certified {certified} < true {true_ratio}"
         );
     }
-}
-
-/// Both randomized parking-permit implementations (specialized and generic)
-/// have the same *expected* cost, estimated over many seeds — a sanity
-/// check beyond per-seed bit-equality.
-#[test]
-fn parking_permit_expected_costs_agree() {
-    let days: Vec<u64> = (0..24).chain(64..72).collect();
-    let trials = 60u64;
-    let (mut spec_total, mut gen_total) = (0.0, 0.0);
-    for seed in 0..trials {
-        let mut r1 = seeded(seed);
-        let mut r2 = seeded(seed);
-        let spec = RandomizedPermit::new(permits(), &mut r1);
-        let spec = drive(spec, &permits(), days.iter().map(|&t| (t, ())));
-        let mut gen = GenericParkingPermit::new(permits(), &mut r2);
-        for &t in &days {
-            gen.serve_demand(t);
-        }
-        spec_total += spec.cost();
-        gen_total += gen.total_cost();
-    }
-    assert!((spec_total - gen_total).abs() < 1e-9);
 }
 
 /// The offline facility primal-dual is feasible, certified, and within the
