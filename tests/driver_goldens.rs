@@ -340,7 +340,9 @@ fn capacitated_matches_golden() {
 fn steiner_matches_golden() {
     use online_resource_leasing::graph::graph::Graph;
     use online_resource_leasing::steiner::instance::{PairRequest, SteinerInstance};
-    use online_resource_leasing::steiner::online::SteinerLeasingOnline;
+    use online_resource_leasing::steiner::online::{
+        RandomizedSteinerLeasing, SteinerLeasingOnline,
+    };
     for seed in SEEDS {
         let g = Graph::new(
             5,
@@ -367,6 +369,12 @@ fn steiner_matches_golden() {
         assert_golden(
             &format!("steiner-{seed}"),
             SteinerLeasingOnline::new(&inst),
+            structure(),
+            inst.requests.iter().map(|r| (r.time, (r.u, r.v))),
+        );
+        assert_golden(
+            &format!("steiner-rand-{seed}"),
+            RandomizedSteinerLeasing::new(&inst, &mut seeded(seed + 1)),
             structure(),
             inst.requests.iter().map(|r| (r.time, (r.u, r.v))),
         );
