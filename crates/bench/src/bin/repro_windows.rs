@@ -69,7 +69,7 @@ fn main() {
                 inst.requests(),
             );
             let cost = alg.cost();
-            assert!(is_feasible(&inst, alg.algorithm().purchases()));
+            assert!(is_feasible(&inst, |t| alg.ledger().owns(t)));
             stats.push(cost / opt);
         }
         table::row(
@@ -176,7 +176,7 @@ fn main() {
                 inst.requests(),
             );
             let cost = alg.cost();
-            assert!(is_feasible(&inst, alg.algorithm().purchases()));
+            assert!(is_feasible(&inst, |t| alg.ledger().owns(t)));
             stats.push(cost / opt);
             dual_stats.push(alg.algorithm().dual_value() / opt);
         }

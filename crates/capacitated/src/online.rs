@@ -5,7 +5,6 @@ use leasing_core::engine::{Books, LeasingAlgorithm, CATEGORY_CONNECTION, CATEGOR
 use leasing_core::framework::Triple;
 use leasing_core::interval::candidates_covering;
 use leasing_core::time::TimeStep;
-use std::collections::HashSet;
 
 /// How the greedy picks a lease type when opening a facility.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
@@ -29,7 +28,6 @@ pub enum LeaseChoice {
 pub struct CapacitatedGreedy<'a> {
     instance: &'a CapacitatedInstance,
     choice: LeaseChoice,
-    owned: HashSet<Triple>,
     /// `(client, facility)` assignment log.
     assignments: Vec<(usize, usize)>,
 }
@@ -40,7 +38,6 @@ impl<'a> CapacitatedGreedy<'a> {
         CapacitatedGreedy {
             instance,
             choice,
-            owned: HashSet::new(),
             assignments: Vec::new(),
         }
     }
@@ -80,7 +77,6 @@ impl<'a> CapacitatedGreedy<'a> {
             let (_, i, new_lease) =
                 best.expect("validated instances always leave an available facility");
             if let Some(triple) = new_lease {
-                self.owned.insert(triple);
                 books.buy_priced(t, triple, base.cost(i, triple.type_index), CATEGORY_LEASE);
             }
             books.charge(t, i, base.distance(i, j), CATEGORY_CONNECTION);
@@ -92,11 +88,6 @@ impl<'a> CapacitatedGreedy<'a> {
     /// `(client, facility)` assignments in service order.
     pub fn assignments(&self) -> &[(usize, usize)] {
         &self.assignments
-    }
-
-    /// The leases bought so far.
-    pub fn owned(&self) -> impl Iterator<Item = &Triple> {
-        self.owned.iter()
     }
 
     fn pick_lease(&self, i: usize) -> (usize, f64) {
@@ -126,13 +117,14 @@ impl<'a> LeasingAlgorithm for CapacitatedGreedy<'a> {
     }
 }
 
-/// Whether `assignments` (paired with the bought `owned` leases) is a valid
-/// capacitated solution: every client is assigned to a facility that is
-/// active at the client's arrival step, and no facility exceeds its per-step
-/// capacity.
+/// Whether `assignments` is a valid capacitated solution: every client is
+/// assigned to a facility that owns an interval-model lease active at the
+/// client's arrival step, and no facility exceeds its per-step capacity.
+/// `owns` answers ownership of a `(facility, type, start)` triple
+/// (`|t| ledger.owns(t)` for an online run).
 pub fn is_feasible_assignment(
     instance: &CapacitatedInstance,
-    owned: &HashSet<Triple>,
+    owns: impl Fn(Triple) -> bool,
     assignments: &[(usize, usize)],
 ) -> bool {
     let base = &instance.base;
@@ -151,9 +143,9 @@ pub fn is_feasible_assignment(
             let Some(Some(i)) = assigned.get(j).copied() else {
                 return false;
             };
-            let active = owned
-                .iter()
-                .any(|tr| tr.element == i && tr.covers(structure, batch.time));
+            let active = candidates_covering(structure, batch.time)
+                .into_iter()
+                .any(|l| owns(Triple::new(i, l.type_index, l.start)));
             if !active {
                 return false;
             }
@@ -173,6 +165,7 @@ mod tests {
     use facility_leasing::metric::Point;
     use leasing_core::engine::{Driver, Ledger};
     use leasing_core::lease::{LeaseStructure, LeaseType};
+    use std::collections::HashSet;
 
     fn structure() -> LeaseStructure {
         LeaseStructure::new(vec![LeaseType::new(2, 1.0), LeaseType::new(8, 3.0)]).unwrap()
@@ -211,8 +204,12 @@ mod tests {
         let cost = ledger.total_cost();
         assert!((cost - 1.0).abs() < 1e-9); // short lease at the co-located site
         assert_eq!(alg.assignments(), &[(0, 0)]);
-        let owned: HashSet<Triple> = alg.owned().copied().collect();
-        assert!(is_feasible_assignment(&inst, &owned, alg.assignments()));
+        assert!(is_feasible_assignment(
+            &inst,
+            |t| ledger.owns(t),
+            alg.assignments()
+        ));
+        assert!(!is_feasible_assignment(&inst, |_| false, alg.assignments()));
     }
 
     #[test]
@@ -220,11 +217,14 @@ mod tests {
         // Batch of 2 with capacity 1: the second client must spill to the
         // remote facility even though it is farther.
         let inst = two_facility_instance(&[2], 1);
-        let (alg, _) = run(&inst, LeaseChoice::CheapestTotal);
+        let (alg, ledger) = run(&inst, LeaseChoice::CheapestTotal);
         let facilities: HashSet<usize> = alg.assignments().iter().map(|&(_, i)| i).collect();
         assert_eq!(facilities.len(), 2, "both facilities must serve");
-        let owned: HashSet<Triple> = alg.owned().copied().collect();
-        assert!(is_feasible_assignment(&inst, &owned, alg.assignments()));
+        assert!(is_feasible_assignment(
+            &inst,
+            |t| ledger.owns(t),
+            alg.assignments()
+        ));
     }
 
     #[test]
@@ -260,11 +260,11 @@ mod tests {
     #[test]
     fn feasibility_checker_rejects_overload() {
         let inst = two_facility_instance(&[2], 1);
-        let mut owned = HashSet::new();
-        owned.insert(Triple::new(0, 1, 0)); // long lease at facility 0
-                                            // Both clients at facility 0 exceeds capacity 1.
-        assert!(!is_feasible_assignment(&inst, &owned, &[(0, 0), (1, 0)]));
+        // A long lease at facility 0.
+        let owns = |t: Triple| t == Triple::new(0, 1, 0);
+        // Both clients at facility 0 exceeds capacity 1.
+        assert!(!is_feasible_assignment(&inst, owns, &[(0, 0), (1, 0)]));
         // Unassigned client is also infeasible.
-        assert!(!is_feasible_assignment(&inst, &owned, &[(0, 0)]));
+        assert!(!is_feasible_assignment(&inst, owns, &[(0, 0)]));
     }
 }

@@ -91,9 +91,7 @@ mod tests {
     use crate::offline::optimal_cost;
     use crate::online::{is_feasible_assignment, CapacitatedGreedy, LeaseChoice};
     use leasing_core::engine::Driver;
-    use leasing_core::framework::Triple;
     use leasing_core::lease::LeaseType;
-    use std::collections::HashSet;
 
     fn structure() -> LeaseStructure {
         LeaseStructure::new(vec![LeaseType::new(2, 1.0), LeaseType::new(8, 3.0)]).unwrap()
@@ -156,9 +154,12 @@ mod tests {
         driver.submit_batch(inst.base.requests()).unwrap();
         let cost = driver.cost();
         assert!(cost > 0.0);
-        let alg = driver.algorithm();
-        let owned: HashSet<Triple> = alg.owned().copied().collect();
-        assert!(is_feasible_assignment(&inst, &owned, alg.assignments()));
+        let ledger = driver.ledger();
+        assert!(is_feasible_assignment(
+            &inst,
+            |t| ledger.owns(t),
+            driver.algorithm().assignments()
+        ));
     }
 
     #[test]

@@ -7,12 +7,10 @@ use capacitated_facility::online::{is_feasible_assignment, CapacitatedGreedy, Le
 use facility_leasing::instance::FacilityInstance;
 use facility_leasing::metric::Point;
 use leasing_core::engine::{Driver, CATEGORY_CONNECTION, CATEGORY_LEASE};
-use leasing_core::framework::Triple;
 use leasing_core::lease::{LeaseStructure, LeaseType};
 use leasing_core::rng::seeded;
 use proptest::prelude::*;
 use rand::RngExt;
-use std::collections::HashSet;
 
 fn structure() -> LeaseStructure {
     LeaseStructure::new(vec![LeaseType::new(2, 1.0), LeaseType::new(8, 3.0)]).unwrap()
@@ -56,12 +54,11 @@ proptest! {
             driver.submit_batch(inst.base.requests()).unwrap();
             let cost = driver.cost();
             prop_assert!(cost > 0.0);
-            let alg = driver.algorithm();
-            let owned: HashSet<Triple> = alg.owned().copied().collect();
-            prop_assert!(is_feasible_assignment(&inst, &owned, alg.assignments()),
+            let ledger = driver.ledger();
+            prop_assert!(
+                is_feasible_assignment(&inst, |t| ledger.owns(t), driver.algorithm().assignments()),
                 "{choice:?} infeasible");
             // Connection + leasing split sums to the total.
-            let ledger = driver.ledger();
             let split = ledger.category_cost(CATEGORY_LEASE) + ledger.category_cost(CATEGORY_CONNECTION);
             prop_assert!((split - cost).abs() < 1e-9);
         }

@@ -21,7 +21,7 @@ use leasing_core::time::{TimeStep, Window};
 use leasing_core::EPS;
 use leasing_lp::{Cmp, IlpOutcome, IntegerProgram, LinearProgram};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// One multi-day demand.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -139,9 +139,6 @@ impl MultiDayInstance {
 pub struct MultiDayOnline<'a> {
     instance: &'a MultiDayInstance,
     contributions: HashMap<Lease, f64>,
-    /// Purchase mirror for the [`owned`](MultiDayOnline::owned) diagnostics
-    /// accessor; the serve path queries the ledger's coverage index.
-    owned: HashSet<Lease>,
     /// Chosen service block start per served client (in client order).
     service_starts: Vec<TimeStep>,
 }
@@ -152,7 +149,6 @@ impl<'a> MultiDayOnline<'a> {
         MultiDayOnline {
             instance,
             contributions: HashMap::new(),
-            owned: HashSet::new(),
             service_starts: Vec::new(),
         }
     }
@@ -199,7 +195,6 @@ impl<'a> MultiDayOnline<'a> {
             *entry += delta;
             let triple = Triple::new(0, c.type_index, c.start);
             if *entry >= c.cost(&self.instance.structure) - EPS && !books.owns(triple) {
-                self.owned.insert(c);
                 books.buy(t, triple);
             }
         }
@@ -209,11 +204,6 @@ impl<'a> MultiDayOnline<'a> {
     /// The chosen service-block start of each served client.
     pub fn service_starts(&self) -> &[TimeStep] {
         &self.service_starts
-    }
-
-    /// The owned leases.
-    pub fn owned(&self) -> impl Iterator<Item = &Lease> {
-        self.owned.iter()
     }
 }
 
@@ -227,13 +217,14 @@ impl<'a> LeasingAlgorithm for MultiDayOnline<'a> {
     }
 }
 
-/// Whether `leases` admits, for every client, a feasible block that is fully
-/// covered.
-pub fn is_feasible(instance: &MultiDayInstance, leases: &[Lease]) -> bool {
+/// Whether every client has a feasible block whose days each have an owned
+/// interval-model lease (element `0`) covering them; `owns` answers
+/// ownership of a triple (`|t| ledger.owns(t)` for an online run).
+pub fn is_feasible(instance: &MultiDayInstance, owns: impl Fn(Triple) -> bool) -> bool {
     let covered = |t: TimeStep| {
-        leases
-            .iter()
-            .any(|l| l.window(&instance.structure).contains(t))
+        candidates_covering(&instance.structure, t)
+            .into_iter()
+            .any(|l| owns(Triple::new(0, l.type_index, l.start)))
     };
     instance
         .clients
@@ -347,11 +338,14 @@ mod tests {
     #[test]
     fn single_client_is_served_and_covered() {
         let inst = MultiDayInstance::new(structure(), vec![MultiDayClient::new(0, 3, 3)]).unwrap();
-        let (alg, ledger) = run(&inst);
+        let (_, ledger) = run(&inst);
         let cost = ledger.total_cost();
         assert!(cost > 0.0);
-        let leases: Vec<Lease> = alg.owned().copied().collect();
-        assert!(is_feasible(&inst, &leases));
+        assert!(is_feasible(&inst, |t| ledger.owns(t)));
+        // Withholding any one purchase leaves a day of the block uncovered.
+        for bought in ledger.decisions().iter().filter_map(|d| d.triple()) {
+            assert!(!is_feasible(&inst, |t| t != bought && ledger.owns(t)));
+        }
     }
 
     #[test]
@@ -448,10 +442,9 @@ mod tests {
                 clients.push(MultiDayClient::new(t, slack, duration));
             }
             let inst = MultiDayInstance::new(structure(), clients).unwrap();
-            let (alg, ledger) = run(&inst);
+            let (_, ledger) = run(&inst);
             let online = ledger.total_cost();
-            let leases: Vec<Lease> = alg.owned().copied().collect();
-            assert!(is_feasible(&inst, &leases));
+            assert!(is_feasible(&inst, |t| ledger.owns(t)));
             let opt = optimal_cost(&inst, 300_000).unwrap();
             let lb = lp_lower_bound(&inst);
             assert!(lb <= opt + 1e-6);
@@ -473,9 +466,8 @@ mod tests {
                 clients.push(MultiDayClient::new(t, slack, duration));
             }
             let inst = MultiDayInstance::new(structure(), clients).unwrap();
-            let (alg, _) = run(&inst);
-            let leases: Vec<Lease> = alg.owned().copied().collect();
-            prop_assert!(is_feasible(&inst, &leases));
+            let (alg, ledger) = run(&inst);
+            prop_assert!(is_feasible(&inst, |t| ledger.owns(t)));
             // Every chosen block lies inside its client's window.
             for (c, &b) in inst.clients.iter().zip(alg.service_starts()) {
                 prop_assert!(b >= c.arrival);

@@ -120,7 +120,6 @@ pub struct OldPrimalDual<'a> {
     /// Clients with a strictly positive dual variable, with their dual.
     positive_clients: Vec<(OldClient, f64)>,
     dual_value: f64,
-    purchases: Vec<Lease>,
 }
 
 /// The single leased resource of the OLD problem; its element id in the
@@ -135,7 +134,6 @@ impl<'a> OldPrimalDual<'a> {
             contributions: HashMap::new(),
             positive_clients: Vec::new(),
             dual_value: 0.0,
-            purchases: Vec::new(),
         }
     }
 
@@ -143,11 +141,6 @@ impl<'a> OldPrimalDual<'a> {
     /// duality).
     pub fn dual_value(&self) -> f64 {
         self.dual_value
-    }
-
-    /// The leases bought, in purchase order.
-    pub fn purchases(&self) -> &[Lease] {
-        &self.purchases
     }
 
     /// Core primal-dual step for one client, recording purchases into
@@ -214,11 +207,10 @@ impl<'a> OldPrimalDual<'a> {
         debug_assert!(books.covered_during(OLD_ELEMENT, client.window()));
     }
 
-    fn buy(&mut self, t: TimeStep, lease: Lease, books: &mut Books<'_>) {
+    fn buy(&self, t: TimeStep, lease: Lease, books: &mut Books<'_>) {
         let triple = Triple::new(OLD_ELEMENT, lease.type_index, lease.start);
         if !books.owns(triple) {
             books.buy(t, triple);
-            self.purchases.push(lease);
         }
     }
 }
@@ -233,14 +225,14 @@ impl<'a> LeasingAlgorithm for OldPrimalDual<'a> {
     }
 }
 
-/// Checks that every client of `instance` has a lease intersecting its
-/// window.
-pub fn is_feasible(instance: &OldInstance, owned: &[Lease]) -> bool {
+/// Checks that every client of `instance` has an owned interval-model
+/// lease of [`OLD_ELEMENT`] intersecting its window; `owns` answers
+/// ownership of a triple (`|t| ledger.owns(t)` for an online run).
+pub fn is_feasible(instance: &OldInstance, owns: impl Fn(Triple) -> bool) -> bool {
     instance.clients.iter().all(|c| {
-        let w = c.window();
-        owned
-            .iter()
-            .any(|l| l.window(&instance.structure).intersects(&w))
+        candidates_intersecting(&instance.structure, c.window())
+            .into_iter()
+            .any(|l| owns(Triple::new(OLD_ELEMENT, l.type_index, l.start)))
     })
 }
 
@@ -276,13 +268,13 @@ mod tests {
             vec![OldClient::new(0, 0), OldClient::new(1, 0)],
         )
         .unwrap();
-        let (alg, ledger) = run(&inst);
+        let (_, ledger) = run(&inst);
         let cost = ledger.total_cost();
         assert!(cost > 0.0);
-        assert!(is_feasible(&inst, alg.purchases()));
+        assert!(is_feasible(&inst, |t| ledger.owns(t)));
         // With zero slack, Step 2 buys nothing extra: every purchase covers
         // an arrival day.
-        for l in alg.purchases() {
+        for l in ledger.decisions().iter().filter_map(|d| d.lease) {
             assert!(
                 inst.clients
                     .iter()
@@ -304,11 +296,15 @@ mod tests {
             ],
         )
         .unwrap();
-        let (alg, ledger) = run(&inst);
-        assert!(is_feasible(&inst, alg.purchases()));
+        let (_, ledger) = run(&inst);
+        assert!(is_feasible(&inst, |t| ledger.owns(t)));
         for c in &inst.clients {
             assert!(ledger.covered_during(OLD_ELEMENT, c.window()));
         }
+        // The client at day 30 has a single serving purchase: withholding
+        // it leaves the client unserved.
+        let last = ledger.decisions().last().and_then(|d| d.triple()).unwrap();
+        assert!(!is_feasible(&inst, |t| t != last && ledger.owns(t)));
     }
 
     #[test]

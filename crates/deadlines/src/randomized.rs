@@ -21,8 +21,7 @@
 
 use crate::old::OldInstance;
 use crate::scld::{ScldArrival, ScldInstance, ScldOnline};
-use leasing_core::engine::Driver;
-use leasing_core::lease::Lease;
+use leasing_core::engine::{Driver, Ledger};
 use set_cover_leasing::system::SetSystem;
 
 /// Re-expresses an OLD instance as the `m = n = 1` SCLD instance (one set
@@ -39,17 +38,18 @@ pub fn singleton_scld(instance: &OldInstance) -> ScldInstance {
 }
 
 /// The outcome of one randomized-OLD run.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub struct RandomizedOldRun {
     /// Total cost paid.
     pub cost: f64,
-    /// Leases bought, in purchase order (the set component is dropped —
-    /// there is only one).
-    pub purchases: Vec<Lease>,
+    /// The run's ledger. Its element is the one set, which is also
+    /// [`OLD_ELEMENT`](crate::old::OLD_ELEMENT), so `|t| ledger.owns(t)`
+    /// answers [`is_feasible`](crate::old::is_feasible) directly.
+    pub ledger: Ledger,
 }
 
 /// Runs the §5.5 randomized algorithm on an OLD instance with the given
-/// seed and returns its cost and purchases.
+/// seed and returns its cost and ledger.
 ///
 /// ```
 /// use leasing_core::lease::{LeaseStructure, LeaseType};
@@ -66,7 +66,7 @@ pub struct RandomizedOldRun {
 ///     OldClient::new(7, 2),
 /// ])?;
 /// let run = randomized_old(&instance, 42);
-/// assert!(is_feasible(&instance, &run.purchases));
+/// assert!(is_feasible(&instance, |t| run.ledger.owns(t)));
 /// # Ok(())
 /// # }
 /// ```
@@ -77,13 +77,8 @@ pub fn randomized_old(instance: &OldInstance, seed: u64) -> RandomizedOldRun {
     let served = driver.submit_batch(scld.requests());
     debug_assert!(served.is_ok(), "sorted arrivals never travel back in time");
     let cost = driver.cost();
-    let purchases: Vec<Lease> = driver
-        .ledger()
-        .decisions()
-        .iter()
-        .filter_map(|d| d.lease)
-        .collect();
-    RandomizedOldRun { cost, purchases }
+    let (_, ledger) = driver.into_parts();
+    RandomizedOldRun { cost, ledger }
 }
 
 #[cfg(test)]
@@ -125,9 +120,15 @@ mod tests {
         let opt = offline::old_optimal_cost(&inst, 100_000).unwrap();
         for seed in 0..30u64 {
             let run = randomized_old(&inst, seed);
-            assert!(is_feasible(&inst, &run.purchases), "seed {seed}");
+            assert!(is_feasible(&inst, |t| run.ledger.owns(t)), "seed {seed}");
             assert!(run.cost >= opt - 1e-9, "seed {seed}: cost below opt");
-            let paid: f64 = run.purchases.iter().map(|l| l.cost(&inst.structure)).sum();
+            let paid: f64 = run
+                .ledger
+                .decisions()
+                .iter()
+                .filter_map(|d| d.lease)
+                .map(|l| l.cost(&inst.structure))
+                .sum();
             assert!((paid - run.cost).abs() < 1e-9, "cost accounting");
         }
     }
@@ -156,6 +157,6 @@ mod tests {
         let inst = OldInstance::new(structure(), vec![]).unwrap();
         let run = randomized_old(&inst, 1);
         assert_eq!(run.cost, 0.0);
-        assert!(run.purchases.is_empty());
+        assert_eq!(run.ledger.leases_bought(), 0);
     }
 }

@@ -62,7 +62,7 @@ mod tests {
         let inst = tight_example(d_max, l_min, 0.01);
         let driver = run(&inst);
         let cost = driver.cost();
-        assert!(is_feasible(&inst, driver.algorithm().purchases()));
+        assert!(is_feasible(&inst, |t| driver.ledger().owns(t)));
         let opt = tight_example_optimum(0.01);
         let ratio = cost / opt;
         let lower = (d_max / l_min) as f64 / 2.0;

@@ -146,12 +146,6 @@ impl WindowClient {
     pub fn span(&self) -> u64 {
         self.deadline() - self.arrival
     }
-
-    /// Whether `lease` (under `structure`) covers one of the allowed days.
-    pub fn served_by(&self, structure: &LeaseStructure, lease: &Lease) -> bool {
-        let w = lease.window(structure);
-        self.allowed.iter().any(|&d| w.contains(d))
-    }
 }
 
 /// A service-window instance: lease structure plus clients in arrival order.
@@ -235,7 +229,6 @@ pub struct WindowPrimalDual<'a> {
     instance: &'a WindowInstance,
     contributions: HashMap<Lease, f64>,
     dual_value: f64,
-    purchases: Vec<Lease>,
 }
 
 impl<'a> WindowPrimalDual<'a> {
@@ -245,7 +238,6 @@ impl<'a> WindowPrimalDual<'a> {
             instance,
             contributions: HashMap::new(),
             dual_value: 0.0,
-            purchases: Vec::new(),
         }
     }
 
@@ -253,11 +245,6 @@ impl<'a> WindowPrimalDual<'a> {
     /// duality, used for solver-free ratio estimates.
     pub fn dual_value(&self) -> f64 {
         self.dual_value
-    }
-
-    /// The leases bought, in purchase order.
-    pub fn purchases(&self) -> &[Lease] {
-        &self.purchases
     }
 
     /// Whether `ledger` holds a lease covering one of `client`'s allowed
@@ -333,11 +320,10 @@ impl<'a> WindowPrimalDual<'a> {
         );
     }
 
-    fn buy(&mut self, t: TimeStep, lease: Lease, books: &mut Books<'_>) {
+    fn buy(&self, t: TimeStep, lease: Lease, books: &mut Books<'_>) {
         let triple = Triple::new(0, lease.type_index, lease.start);
         if !books.owns(triple) {
             books.buy(t, triple);
-            self.purchases.push(lease);
         }
     }
 }
@@ -352,13 +338,16 @@ impl<'a> LeasingAlgorithm for WindowPrimalDual<'a> {
     }
 }
 
-/// Checks that every client of `instance` has a lease covering one of its
-/// allowed days.
-pub fn is_feasible(instance: &WindowInstance, owned: &[Lease]) -> bool {
-    instance
-        .clients
-        .iter()
-        .all(|c| owned.iter().any(|l| c.served_by(&instance.structure, l)))
+/// Checks that every client of `instance` has an owned candidate lease
+/// (element `0`) covering one of its allowed days; `owns` answers
+/// ownership of a triple (`|t| ledger.owns(t)` for an online run).
+pub fn is_feasible(instance: &WindowInstance, owns: impl Fn(Triple) -> bool) -> bool {
+    instance.clients.iter().all(|c| {
+        instance
+            .candidates(c)
+            .into_iter()
+            .any(|l| owns(Triple::new(0, l.type_index, l.start)))
+    })
 }
 
 /// Builds the covering ILP of the model (the Figure 5.2 program with the
@@ -498,10 +487,14 @@ mod tests {
             ],
         )
         .unwrap();
-        let (alg, ledger) = run(&inst);
+        let (_, ledger) = run(&inst);
         let cost = ledger.total_cost();
         assert!(cost > 0.0);
-        assert!(is_feasible(&inst, alg.purchases()));
+        assert!(is_feasible(&inst, |t| ledger.owns(t)));
+        // Nothing else serves the day-41 client: withholding its purchase
+        // leaves it unserved.
+        let last = ledger.decisions().last().and_then(|d| d.triple()).unwrap();
+        assert!(!is_feasible(&inst, |t| t != last && ledger.owns(t)));
     }
 
     #[test]
@@ -562,9 +555,9 @@ mod tests {
         let opt = window_optimal_cost(&inst, 10_000).unwrap();
         // A single short lease at day 40 serves everybody.
         assert!((opt - 1.0).abs() < 1e-9, "opt {opt}");
-        let (alg, ledger) = run(&inst);
+        let (_, ledger) = run(&inst);
         let cost = ledger.total_cost();
-        assert!(is_feasible(&inst, alg.purchases()));
+        assert!(is_feasible(&inst, |t| ledger.owns(t)));
         assert!(cost >= opt - 1e-9);
     }
 

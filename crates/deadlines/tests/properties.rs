@@ -1,7 +1,7 @@
 //! Property tests for the deadline models: OLD primal-dual feasibility and
 //! guarantee, SCLD feasibility, and the capacitated first-fit invariants.
 
-use leasing_core::engine::{Driver, LeasingAlgorithm};
+use leasing_core::engine::{Driver, LeasingAlgorithm, Ledger};
 use leasing_core::lease::{LeaseStructure, LeaseType};
 use leasing_core::rng::seeded;
 use leasing_core::time::TimeStep;
@@ -24,16 +24,15 @@ fn structure() -> LeaseStructure {
 }
 
 /// Serves `requests` through a fresh driver over `structure`, returning the
-/// algorithm and the cost its driver recorded.
+/// algorithm and the ledger its driver recorded.
 fn run<A: LeasingAlgorithm>(
     alg: A,
     structure: &LeaseStructure,
     requests: impl IntoIterator<Item = (TimeStep, A::Request)>,
-) -> (A, f64) {
+) -> (A, Ledger) {
     let mut driver = Driver::new(alg, structure.clone());
     driver.submit_batch(requests).unwrap();
-    let cost = driver.cost();
-    (driver.into_parts().0, cost)
+    driver.into_parts()
 }
 
 fn random_clients(seed: u64, count: usize, max_slack: u64) -> Vec<OldClient> {
@@ -56,8 +55,9 @@ proptest! {
     fn old_primal_dual_is_feasible_with_valid_dual(seed in 0u64..300) {
         let clients = random_clients(seed, 6, 5);
         let inst = OldInstance::new(structure(), clients).unwrap();
-        let (alg, cost) = run(OldPrimalDual::new(&inst), &inst.structure, inst.requests());
-        prop_assert!(old_feasible(&inst, alg.purchases()));
+        let (alg, ledger) = run(OldPrimalDual::new(&inst), &inst.structure, inst.requests());
+        let cost = ledger.total_cost();
+        prop_assert!(old_feasible(&inst, |t| ledger.owns(t)));
         let Some(opt) = offline::old_optimal_cost(&inst, 300_000) else {
             return Ok(());
         };
@@ -79,7 +79,7 @@ proptest! {
             clients.push(OldClient::new(t, slack)); // uniform slack
         }
         let inst = OldInstance::new(structure(), clients).unwrap();
-        let (_, cost) = run(OldPrimalDual::new(&inst), &inst.structure, inst.requests());
+        let cost = run(OldPrimalDual::new(&inst), &inst.structure, inst.requests()).1.total_cost();
         let Some(opt) = offline::old_optimal_cost(&inst, 300_000) else {
             return Ok(());
         };
@@ -130,10 +130,11 @@ proptest! {
             clients.push(WindowClient::specific(t, days).unwrap());
         }
         let inst = WindowInstance::new(structure(), clients).unwrap();
-        let (alg, cost) = run(WindowPrimalDual::new(&inst), &inst.structure, inst.requests());
-        prop_assert!(win_feasible(&inst, alg.purchases()));
+        let (alg, ledger) = run(WindowPrimalDual::new(&inst), &inst.structure, inst.requests());
+        let cost = ledger.total_cost();
+        prop_assert!(win_feasible(&inst, |t| ledger.owns(t)));
         let k = inst.structure.num_types();
-        prop_assert!(alg.purchases().len() <= 2 * k * inst.clients.len(),
+        prop_assert!(ledger.leases_bought() <= 2 * k * inst.clients.len(),
             "more than 2K purchases per client");
         let Some(opt) = window_optimal_cost(&inst, 300_000) else {
             return Ok(());
@@ -179,7 +180,8 @@ proptest! {
         }
         let inst = CapacitatedOldInstance::new(structure(), 1.0, demands).unwrap();
         for rule in [BuyRule::Cheapest, BuyRule::BestRate] {
-            let (alg, cost) = run(FirstFitOnline::new(&inst), &inst.structure, inst.requests(rule));
+            let (alg, ledger) = run(FirstFitOnline::new(&inst), &inst.structure, inst.requests(rule));
+            let cost = ledger.total_cost();
             prop_assert!(cost > 0.0);
             prop_assert!(cap_feasible(&inst, &alg.purchases(), alg.assignments()),
                 "rule {rule:?} produced an infeasible packing");

@@ -16,7 +16,6 @@ use leasing_core::framework::Triple;
 use leasing_core::interval::aligned_start;
 use leasing_core::lease::LeaseStructure;
 use leasing_core::time::TimeStep;
-use std::collections::HashSet;
 
 /// The near-zero bid of a facility whose lease is already active (the
 /// bidding substrate requires strictly positive prices).
@@ -49,10 +48,6 @@ pub struct DistributedFacilityLeasing {
     epsilon: f64,
     seed: u64,
     steps_served: u64,
-    owned: HashSet<Triple>,
-    /// Per facility: one past the last day any bought lease covers
-    /// (`t < active_until[i]` ⇔ facility `i` holds an active lease).
-    active_until: Vec<TimeStep>,
     /// `(client, facility)` assignments in service order.
     assignments: Vec<(usize, usize)>,
     stats: LeasingRunStats,
@@ -78,7 +73,6 @@ impl DistributedFacilityLeasing {
     ) -> Result<Self, BiddingError> {
         // Validate via the substrate's constructor, then keep the raw data.
         let _ = BiddingInstance::new(base_prices.clone(), distances.clone())?;
-        let active_until = vec![0; base_prices.len()];
         Ok(DistributedFacilityLeasing {
             base_prices,
             distances,
@@ -86,8 +80,6 @@ impl DistributedFacilityLeasing {
             epsilon,
             seed,
             steps_served: 0,
-            owned: HashSet::new(),
-            active_until,
             assignments: Vec::new(),
             stats: LeasingRunStats::default(),
         })
@@ -106,15 +98,6 @@ impl DistributedFacilityLeasing {
             .expect("validated structures are non-empty")
     }
 
-    /// Whether facility `i` holds a lease active at time `t`.
-    ///
-    /// Requests arrive in non-decreasing time order and leases are bought
-    /// aligned at the current step, so a facility is active exactly when
-    /// `t` lies before its latest lease window end — an `O(1)` check.
-    pub fn is_active(&self, i: usize, t: TimeStep) -> bool {
-        t < self.active_until[i]
-    }
-
     /// Aggregate LOCAL accounting over every step served so far.
     pub fn stats(&self) -> LeasingRunStats {
         self.stats
@@ -123,11 +106,6 @@ impl DistributedFacilityLeasing {
     /// `(client, facility)` assignments in service order.
     pub fn assignments(&self) -> &[(usize, usize)] {
         &self.assignments
-    }
-
-    /// The leases bought so far.
-    pub fn owned(&self) -> impl Iterator<Item = &Triple> {
-        self.owned.iter()
     }
 
     /// Core step: distributed bidding + MIS over effective prices, then
@@ -175,8 +153,6 @@ impl DistributedFacilityLeasing {
                         self.base_prices[i] * type_multiplier,
                         CATEGORY_LEASE,
                     );
-                    self.owned.insert(triple);
-                    self.active_until[i] = self.active_until[i].max(triple.start + len);
                 }
             }
         }
@@ -258,11 +234,11 @@ mod tests {
     fn active_leases_are_reused_within_their_window() {
         let mut driver = driven(algorithm());
         driver.submit(0, vec![0]).unwrap();
-        let leases_after_first = driver.algorithm().owned().count();
+        let leases_after_first = driver.ledger().leases_bought();
         // Same window [0, 4): the nearby facility stays active.
         driver.submit(1, vec![1]).unwrap();
         assert_eq!(
-            driver.algorithm().owned().count(),
+            driver.ledger().leases_bought(),
             leases_after_first,
             "lease must be reused"
         );

@@ -133,7 +133,11 @@ mod tests {
         let cost = alg.run();
         assert!(cost > 0.0);
         let owned: HashSet<Triple> = alg.owned_leases().copied().collect();
-        assert!(is_feasible(&inst, &owned, &alg.assignments()));
+        assert!(is_feasible(
+            &inst,
+            |t| owned.contains(&t),
+            &alg.assignments()
+        ));
     }
 
     #[test]

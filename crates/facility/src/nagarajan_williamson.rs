@@ -38,7 +38,6 @@ use leasing_core::engine::{Books, LeasingAlgorithm, CATEGORY_CONNECTION, CATEGOR
 use leasing_core::framework::Triple;
 use leasing_core::interval::aligned_start;
 use leasing_core::time::TimeStep;
-use std::collections::HashSet;
 
 /// State of the Nagarajan–Williamson-style sequential primal-dual algorithm.
 ///
@@ -66,10 +65,6 @@ use std::collections::HashSet;
 #[derive(Debug)]
 pub struct NagarajanWilliamson<'a> {
     instance: &'a FacilityInstance,
-    /// Purchase mirror backing
-    /// [`owned_leases`](NagarajanWilliamson::owned_leases); the serve path
-    /// queries the ledger's coverage index instead.
-    owned: HashSet<Triple>,
     /// Frozen dual `α̂_j` per client, set when the client is served.
     alpha_hat: Vec<f64>,
     /// Arrival time per served client (bids are window-gated on it).
@@ -82,7 +77,6 @@ impl<'a> NagarajanWilliamson<'a> {
     pub fn new(instance: &'a FacilityInstance) -> Self {
         NagarajanWilliamson {
             instance,
-            owned: HashSet::new(),
             alpha_hat: vec![0.0; instance.num_clients()],
             arrival: vec![None; instance.num_clients()],
             assignments: vec![None; instance.num_clients()],
@@ -92,11 +86,6 @@ impl<'a> NagarajanWilliamson<'a> {
     /// The frozen dual values `α̂_j` of all clients served so far.
     pub fn alpha_hat(&self) -> &[f64] {
         &self.alpha_hat
-    }
-
-    /// The leases bought so far.
-    pub fn owned_leases(&self) -> impl Iterator<Item = &Triple> {
-        self.owned.iter()
     }
 
     /// Final `(client, facility, type)` assignments.
@@ -176,7 +165,6 @@ impl<'a> NagarajanWilliamson<'a> {
                     inst.cost(triple.element, triple.type_index),
                     CATEGORY_LEASE,
                 );
-                self.owned.insert(triple);
                 self.alpha_hat[j] = event;
                 self.arrival[j] = Some(time);
                 self.assignments[j] = Some((triple.element, triple.type_index));
@@ -225,6 +213,17 @@ mod tests {
     use crate::online::is_feasible;
     use leasing_core::engine::{Driver, Ledger};
     use leasing_core::lease::{LeaseStructure, LeaseType};
+    use std::collections::HashSet;
+
+    /// The facilities `ledger` bought a lease of.
+    fn opened(ledger: &Ledger) -> HashSet<usize> {
+        ledger
+            .decisions()
+            .iter()
+            .filter_map(|d| d.triple())
+            .map(|t| t.element)
+            .collect()
+    }
 
     /// Serves every batch of `inst` and returns the algorithm with its
     /// ledger.
@@ -266,9 +265,16 @@ mod tests {
             ],
         )
         .unwrap();
-        let (alg, _) = run(&inst);
-        let owned: HashSet<Triple> = alg.owned_leases().copied().collect();
-        assert!(is_feasible(&inst, &owned, &alg.assignments()));
+        let (alg, ledger) = run(&inst);
+        let assignments = alg.assignments();
+        assert!(is_feasible(&inst, |t| ledger.owns(t), &assignments));
+        // Facility 1's leases serve the two clients at day 5; withholding
+        // them strands those clients.
+        assert!(!is_feasible(
+            &inst,
+            |t| t.element != 1 && ledger.owns(t),
+            &assignments
+        ));
     }
 
     #[test]
@@ -282,12 +288,8 @@ mod tests {
             ],
         )
         .unwrap();
-        let (alg, _) = run(&inst);
-        assert_eq!(
-            alg.owned_leases().count(),
-            1,
-            "second client connects for free"
-        );
+        let (alg, ledger) = run(&inst);
+        assert_eq!(ledger.leases_bought(), 1, "second client connects for free");
         assert!(
             (alg.alpha_hat()[1] - 0.2).abs() < 1e-9,
             "α̂ = connection distance"
@@ -305,8 +307,8 @@ mod tests {
             ],
         )
         .unwrap();
-        let (alg, _) = run(&inst);
-        assert!(alg.owned_leases().count() >= 2);
+        let (_, ledger) = run(&inst);
+        assert!(ledger.leases_bought() >= 2);
     }
 
     #[test]
@@ -329,8 +331,8 @@ mod tests {
             batches,
         )
         .unwrap();
-        let (alg, _) = run(&inst);
-        let opened: HashSet<usize> = alg.owned_leases().map(|t| t.element).collect();
+        let (alg, ledger) = run(&inst);
+        let opened = opened(&ledger);
         assert!(
             opened.contains(&1),
             "bids must eventually open facility 1: {opened:?}"
@@ -360,8 +362,8 @@ mod tests {
             batches,
         )
         .unwrap();
-        let (alg, _) = run(&inst);
-        let opened: HashSet<usize> = alg.owned_leases().map(|t| t.element).collect();
+        let (_, ledger) = run(&inst);
+        let opened = opened(&ledger);
         assert!(
             !opened.contains(&1),
             "window-gated bids never complete facility 1's price: {opened:?}"

@@ -29,15 +29,13 @@ const TIGHT_EPS: f64 = 1e-9;
 
 /// The state of the §4.3 online algorithm.
 ///
-/// The driver-facing serve path derives which leases are permanently open
-/// from the ledger's coverage index ([`Ledger::owns`]); the `owned` set is
-/// only a purchase mirror for the diagnostics accessors.
+/// Which leases are permanently open is read from the ledger's coverage
+/// index ([`Ledger::owns`]).
+///
+/// [`Ledger::owns`]: leasing_core::engine::Ledger::owns
 #[derive(Debug)]
 pub struct PrimalDualFacility<'a> {
     instance: &'a FacilityInstance,
-    /// Purchase mirror backing [`owned_leases`](PrimalDualFacility::owned_leases)
-    /// and [`facility_active_at`](PrimalDualFacility::facility_active_at).
-    owned: HashSet<Triple>,
     /// `α̂_j` per client (fixed in the round of its arrival).
     alpha_hat: Vec<f64>,
     /// Final `(facility, lease type)` per client.
@@ -51,7 +49,6 @@ impl<'a> PrimalDualFacility<'a> {
     pub fn new(instance: &'a FacilityInstance) -> Self {
         PrimalDualFacility {
             instance,
-            owned: HashSet::new(),
             alpha_hat: vec![0.0; instance.num_clients()],
             assignments: vec![None; instance.num_clients()],
             arrived: Vec::new(),
@@ -70,19 +67,6 @@ impl<'a> PrimalDualFacility<'a> {
             .enumerate()
             .filter_map(|(j, a)| a.map(|(i, k)| (j, i, k)))
             .collect()
-    }
-
-    /// The permanently bought leases.
-    pub fn owned_leases(&self) -> impl Iterator<Item = &Triple> {
-        self.owned.iter()
-    }
-
-    /// Whether facility `i` holds any lease active at time `t`.
-    pub fn facility_active_at(&self, i: usize, t: TimeStep) -> bool {
-        (0..self.instance.structure().num_types()).any(|k| {
-            let start = aligned_start(t, self.instance.structure().length(k));
-            self.owned.contains(&Triple::new(i, k, start))
-        })
     }
 
     fn process_round(&mut self, time: TimeStep, new_clients: &[usize], books: &mut Books<'_>) {
@@ -329,7 +313,6 @@ impl<'a> PrimalDualFacility<'a> {
                     if !books.owns(triple) {
                         books.buy_priced(time, triple, inst.cost(i, k), CATEGORY_LEASE);
                     }
-                    self.owned.insert(triple);
                 }
             }
             // Connect new clients whose tentative facility has type k.
@@ -394,9 +377,12 @@ impl<'a> LeasingAlgorithm for PrimalDualFacility<'a> {
 
 /// Checks the feasibility invariant: every client is assigned to a facility
 /// whose lease was active at the client's arrival time.
+///
+/// `owns` answers ownership of a `(facility, type, start)` triple
+/// (`|t| ledger.owns(t)` for an online run).
 pub fn is_feasible(
     instance: &FacilityInstance,
-    owned: &HashSet<Triple>,
+    owns: impl Fn(Triple) -> bool,
     assignments: &[(usize, usize, usize)],
 ) -> bool {
     // client id -> arrival time
@@ -418,7 +404,7 @@ pub fn is_feasible(
     assignments.iter().all(|&(j, i, k)| {
         let Some(t) = arrival[j] else { return false };
         let start = aligned_start(t, instance.structure().length(k));
-        owned.contains(&Triple::new(i, k, start))
+        owns(Triple::new(i, k, start))
     })
 }
 
@@ -459,8 +445,13 @@ mod tests {
         let (alg, ledger) = run(&inst);
         let cost = ledger.total_cost();
         assert!(cost > 0.0);
-        let owned: HashSet<Triple> = alg.owned_leases().copied().collect();
-        assert!(is_feasible(&inst, &owned, &alg.assignments()));
+        let assignments = alg.assignments();
+        assert!(is_feasible(&inst, |t| ledger.owns(t), &assignments));
+        // Withholding the leases behind the first assignment strands its
+        // client.
+        let (_, i, k) = assignments[0];
+        let withheld = |t: Triple| !(t.element == i && t.type_index == k) && ledger.owns(t);
+        assert!(!is_feasible(&inst, withheld, &assignments));
     }
 
     #[test]
@@ -501,14 +492,14 @@ mod tests {
             )],
         )
         .unwrap();
-        let (alg, _) = run(&inst);
+        let (alg, ledger) = run(&inst);
         let assignments = alg.assignments();
         assert!(
             assignments.iter().all(|&(_, i, _)| i == 0),
             "{assignments:?}"
         );
         // Exactly one lease of facility 0 is bought in this round.
-        assert_eq!(alg.owned_leases().count(), 1);
+        assert_eq!(ledger.leases_bought(), 1);
     }
 
     #[test]
@@ -525,12 +516,8 @@ mod tests {
             ],
         )
         .unwrap();
-        let (alg, _) = run(&inst);
-        assert_eq!(
-            alg.owned_leases().count(),
-            1,
-            "second client reuses the lease"
-        );
+        let (alg, ledger) = run(&inst);
+        assert_eq!(ledger.leases_bought(), 1, "second client reuses the lease");
         // The second client's dual is just its connection distance.
         assert!(alg.alpha_hat()[1] <= 0.2 + 1e-6);
     }
@@ -548,11 +535,8 @@ mod tests {
             ],
         )
         .unwrap();
-        let (alg, _) = run(&inst);
-        assert!(
-            alg.owned_leases().count() >= 2,
-            "lease must be bought twice"
-        );
+        let (_, ledger) = run(&inst);
+        assert!(ledger.leases_bought() >= 2, "lease must be bought twice");
     }
 
     #[test]

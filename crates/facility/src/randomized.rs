@@ -12,7 +12,7 @@
 //! algorithm and against exact optima on small instances.
 
 use crate::instance::FacilityInstance;
-use leasing_core::engine::{Books, LeasingAlgorithm, CATEGORY_CONNECTION};
+use leasing_core::engine::{Books, LeasingAlgorithm, Ledger, CATEGORY_CONNECTION};
 use leasing_core::lease::{LeaseStructure, LeaseType};
 use leasing_core::time::TimeStep;
 use parking_permit::rand_alg::RandomizedPermit;
@@ -90,24 +90,17 @@ impl<'a> RandomizedFacility<'a> {
         &self.assignments
     }
 
-    /// Whether every client was assigned to a facility active at the
-    /// client's arrival time.
-    pub fn is_feasible(&self) -> bool {
+    /// Whether every client was assigned to a facility that `ledger` (the
+    /// ledger of the run) covers at the client's arrival time.
+    pub fn is_feasible(&self, ledger: &Ledger) -> bool {
         let mut assigned = vec![None; self.instance.num_clients()];
         for &(j, i) in &self.assignments {
             assigned[j] = Some(i);
         }
-        let active = |i: usize, t: TimeStep| {
-            let permit = &self.permits[i];
-            permit
-                .purchases()
-                .iter()
-                .any(|l| l.window(permit.structure()).contains(t))
-        };
         self.instance.batches().iter().all(|b| {
             b.clients
                 .iter()
-                .all(|&j| assigned[j].is_some_and(|i| active(i, b.time)))
+                .all(|&j| assigned[j].is_some_and(|i| ledger.covered(i, b.time)))
         })
     }
 }
@@ -128,7 +121,7 @@ mod tests {
     use crate::metric::Point;
     use crate::offline;
     use crate::online::PrimalDualFacility;
-    use leasing_core::engine::{Driver, LeasingAlgorithm, Ledger};
+    use leasing_core::engine::{Driver, LeasingAlgorithm};
     use leasing_core::lease::LeaseStructure;
     use leasing_core::rng::seeded;
     use rand::RngExt;
@@ -168,7 +161,8 @@ mod tests {
         let (alg, ledger) = run(RandomizedFacility::new(&inst, &mut rng), &inst);
         let cost = ledger.total_cost();
         assert!(cost > 0.0);
-        assert!(alg.is_feasible());
+        assert!(alg.is_feasible(&ledger));
+        assert!(!alg.is_feasible(&Ledger::new(structure())));
         assert_eq!(alg.assignments().len(), 4);
     }
 

@@ -12,7 +12,6 @@ use facility_leasing::online::{is_feasible, PrimalDualFacility};
 use facility_leasing::randomized::RandomizedFacility;
 use facility_leasing::series::h_series;
 use leasing_core::engine::{Driver, LeasingAlgorithm, Ledger, CATEGORY_CONNECTION, CATEGORY_LEASE};
-use leasing_core::framework::Triple;
 use leasing_core::lease::{LeaseStructure, LeaseType};
 use leasing_core::rng::seeded;
 use proptest::prelude::*;
@@ -84,7 +83,7 @@ proptest! {
         let greedy = GreedyLease::new(&inst).run();
         let (rnd_alg, rnd_ledger) = run(RandomizedFacility::new(&inst, &mut seeded(rng_seed)), &inst);
         let rnd = rnd_ledger.total_cost();
-        prop_assert!(rnd_alg.is_feasible());
+        prop_assert!(rnd_alg.is_feasible(&rnd_ledger));
         for (name, cost) in [("pd", pd), ("greedy", greedy), ("rnd", rnd)] {
             prop_assert!(cost >= lb - 1e-6, "{name} cost {cost} below LP bound {lb}");
         }
@@ -111,8 +110,7 @@ proptest! {
         let cost = ledger.total_cost();
         prop_assert!((split_cost(&ledger) - cost).abs() < 1e-9);
         prop_assert_eq!(alg.assignments().len(), inst.num_clients());
-        let owned: HashSet<Triple> = alg.owned_leases().copied().collect();
-        prop_assert!(is_feasible(&inst, &owned, &alg.assignments()));
+        prop_assert!(is_feasible(&inst, |t| ledger.owns(t), &alg.assignments()));
         let Some(opt) = offline::optimal_cost(&inst, 300_000) else {
             return Ok(());
         };

@@ -142,7 +142,6 @@ pub struct VcPrimalDual<'a> {
     instance: &'a VcLeasingInstance,
     contributions: HashMap<(usize, Lease), f64>,
     dual_value: f64,
-    purchases: Vec<(usize, Lease)>,
 }
 
 impl<'a> VcPrimalDual<'a> {
@@ -152,7 +151,6 @@ impl<'a> VcPrimalDual<'a> {
             instance,
             contributions: HashMap::new(),
             dual_value: 0.0,
-            purchases: Vec::new(),
         }
     }
 
@@ -192,7 +190,6 @@ impl<'a> VcPrimalDual<'a> {
             let triple = Triple::new(v, lease.type_index, lease.start);
             if *entry >= price - EPS && !books.owns(triple) {
                 books.buy_priced(t, triple, price, CATEGORY_LEASE);
-                self.purchases.push((v, lease));
             }
         }
         debug_assert!(
@@ -206,11 +203,6 @@ impl<'a> VcPrimalDual<'a> {
     pub fn dual_value(&self) -> f64 {
         self.dual_value
     }
-
-    /// Purchases as `(vertex, lease)` pairs in buy order.
-    pub fn purchases(&self) -> &[(usize, Lease)] {
-        &self.purchases
-    }
 }
 
 impl<'a> LeasingAlgorithm for VcPrimalDual<'a> {
@@ -222,13 +214,18 @@ impl<'a> LeasingAlgorithm for VcPrimalDual<'a> {
     }
 }
 
-/// Whether `purchases` covers every arrival of `instance`.
-pub fn is_feasible(instance: &VcLeasingInstance, purchases: &[(usize, Lease)]) -> bool {
+/// Whether every arrival of `instance` has an endpoint with an owned
+/// interval-model lease covering its time; `owns` answers ownership of a
+/// `(vertex, type, start)` triple (`|t| ledger.owns(t)` for an online run).
+pub fn is_feasible(instance: &VcLeasingInstance, owns: impl Fn(Triple) -> bool) -> bool {
     instance.arrivals.iter().all(|&(t, e)| {
         let edge = instance.graph.edge(e);
-        purchases.iter().any(|&(v, lease)| {
-            (v == edge.u || v == edge.v) && lease.window(&instance.structure).contains(t)
-        })
+        candidates_covering(&instance.structure, t)
+            .into_iter()
+            .any(|l| {
+                owns(Triple::new(edge.u, l.type_index, l.start))
+                    || owns(Triple::new(edge.v, l.type_index, l.start))
+            })
     })
 }
 
@@ -270,10 +267,13 @@ mod tests {
         let (alg, ledger) = run(&inst);
         let cost = ledger.total_cost();
         assert!((cost - 2.0).abs() < 1e-9);
-        assert_eq!(alg.purchases().len(), 2);
-        assert!(alg.purchases().iter().all(|&(_, l)| l.type_index == 0));
+        assert_eq!(ledger.leases_bought(), 2);
+        assert!(ledger
+            .decisions()
+            .iter()
+            .all(|d| d.lease.is_some_and(|l| l.type_index == 0)));
         assert!((alg.dual_value() - 1.0).abs() < 1e-9);
-        assert!(is_feasible(&inst, alg.purchases()));
+        assert!(is_feasible(&inst, |t| ledger.owns(t)));
     }
 
     #[test]
@@ -281,9 +281,9 @@ mod tests {
         // Both edges of the path share vertex 1; after the first edge's dual
         // tightens vertex-1 candidates, the second edge can reuse them.
         let inst = path_instance(vec![(0, 0), (0, 1)]);
-        let (alg, ledger) = run(&inst);
+        let (_, ledger) = run(&inst);
         let cost = ledger.total_cost();
-        assert!(is_feasible(&inst, alg.purchases()));
+        assert!(is_feasible(&inst, |t| ledger.owns(t)));
         // Never worse than covering each edge separately.
         assert!(cost <= 2.0 + 1e-9, "cost {cost}");
     }
@@ -305,11 +305,15 @@ mod tests {
     fn weighted_vertices_steer_purchases() {
         let g = leasing_graph::graph::Graph::new(2, vec![(0, 1, 1.0)]).unwrap();
         let inst = VcLeasingInstance::new(g, structure(), vec![100.0, 1.0], vec![(0, 0)]).unwrap();
-        let (alg, ledger) = run(&inst);
+        let (_, ledger) = run(&inst);
         let cost = ledger.total_cost();
         // The cheap endpoint must be bought, not the expensive one.
         assert!((cost - 1.0).abs() < 1e-9);
-        assert!(alg.purchases().iter().all(|&(v, _)| v == 1));
+        assert!(ledger.decisions().iter().all(|d| d.element == 1));
+        // Its single lease is the only cover: withholding it is infeasible.
+        let bought = ledger.decisions()[0].triple().unwrap();
+        assert!(is_feasible(&inst, |t| ledger.owns(t)));
+        assert!(!is_feasible(&inst, |t| t != bought && ledger.owns(t)));
     }
 
     #[test]
@@ -370,7 +374,7 @@ mod tests {
             let inst = VcLeasingInstance::unweighted(g, structure(), arrivals).unwrap();
             let (alg, ledger) = run(&inst);
             let cost = ledger.total_cost();
-            prop_assert!(is_feasible(&inst, alg.purchases()));
+            prop_assert!(is_feasible(&inst, |t| ledger.owns(t)));
             let bound = 2.0 * inst.structure.num_types() as f64 * alg.dual_value();
             prop_assert!(cost <= bound + 1e-6);
         }

@@ -11,7 +11,7 @@ use crate::PERMIT_ELEMENT;
 use leasing_core::engine::{Books, LeasingAlgorithm, CATEGORY_LEASE};
 use leasing_core::framework::Triple;
 use leasing_core::interval::dual_step;
-use leasing_core::lease::{Lease, LeaseStructure};
+use leasing_core::lease::LeaseStructure;
 use leasing_core::time::TimeStep;
 
 /// Deterministic primal-dual parking-permit algorithm over aligned
@@ -34,8 +34,6 @@ pub struct DeterministicPrimalDual {
     /// Total dual value Σ y raised so far (a lower bound on the interval
     /// model optimum by weak duality — used by tests and experiments).
     dual_value: f64,
-    /// Purchase log in buy order.
-    purchases: Vec<Lease>,
 }
 
 impl DeterministicPrimalDual {
@@ -52,7 +50,6 @@ impl DeterministicPrimalDual {
             structure,
             contributions,
             dual_value: 0.0,
-            purchases: Vec::new(),
         }
     }
 
@@ -66,12 +63,10 @@ impl DeterministicPrimalDual {
             return;
         }
         let structure = &self.structure;
-        let purchases = &mut self.purchases;
         self.dual_value += dual_step(structure, &mut self.contributions, t, |k, start| {
             let triple = Triple::new(element, k, start);
             if !books.owns(triple) {
                 books.buy_priced(t, triple, structure.cost(k), CATEGORY_LEASE);
-                purchases.push(Lease::new(k, start));
             }
         });
         debug_assert!(
@@ -83,11 +78,6 @@ impl DeterministicPrimalDual {
     /// The permit structure this algorithm leases from.
     pub fn structure(&self) -> &LeaseStructure {
         &self.structure
-    }
-
-    /// The leases bought so far, in purchase order.
-    pub fn purchases(&self) -> &[Lease] {
-        &self.purchases
     }
 
     /// Total dual value `Σ_t y_t` raised so far. By weak duality this is a
@@ -110,7 +100,7 @@ mod tests {
     use super::*;
     use crate::offline;
     use leasing_core::engine::Driver;
-    use leasing_core::lease::LeaseType;
+    use leasing_core::lease::{Lease, LeaseType};
     use leasing_core::rng::seeded;
     use rand::RngExt;
 
@@ -130,7 +120,13 @@ mod tests {
         let driver = driven(&two_type(), &[5]);
         let alg = driver.algorithm();
         // y = 1 makes the day lease tight first; only it is bought.
-        assert_eq!(alg.purchases(), &[Lease::new(0, 5)]);
+        let bought: Vec<Option<Lease>> = driver
+            .ledger()
+            .decisions()
+            .iter()
+            .map(|d| d.lease)
+            .collect();
+        assert_eq!(bought, vec![Some(Lease::new(0, 5))]);
         assert!((driver.cost() - 1.0).abs() < 1e-9);
         assert!((alg.dual_value() - 1.0).abs() < 1e-9);
     }
@@ -144,9 +140,10 @@ mod tests {
         // Day 3: covered by the long lease, no purchase.
         assert!(driver.ledger().covered(PERMIT_ELEMENT, 3));
         let bought_types: Vec<usize> = driver
-            .algorithm()
-            .purchases()
+            .ledger()
+            .decisions()
             .iter()
+            .filter_map(|d| d.lease)
             .map(|l| l.type_index)
             .collect();
         assert_eq!(bought_types, vec![0, 0, 0, 1]);

@@ -51,7 +51,6 @@ pub struct RandomizedPermit {
     dual_sum: f64,
     /// Running `max L / c` over every slot window so far.
     max_load_ratio: f64,
-    purchases: Vec<Lease>,
 }
 
 impl RandomizedPermit {
@@ -80,7 +79,6 @@ impl RandomizedPermit {
             fractional_cost: 0.0,
             dual_sum: 0.0,
             max_load_ratio: 0.0,
-            purchases: Vec::new(),
         }
     }
 
@@ -126,7 +124,6 @@ impl RandomizedPermit {
         let triple = Triple::new(element, lease.type_index, lease.start);
         if !books.owns(triple) {
             books.buy_priced(t, triple, lease.cost(&self.structure), CATEGORY_LEASE);
-            self.purchases.push(lease);
         }
         debug_assert!(books.covered(element, t));
     }
@@ -146,11 +143,6 @@ impl RandomizedPermit {
     /// optimum of the demands served so far.
     pub fn certificate(&self) -> DualCertificate {
         DualCertificate::new(self.dual_sum, self.max_load_ratio)
-    }
-
-    /// The leases bought so far, in purchase order.
-    pub fn purchases(&self) -> &[Lease] {
-        &self.purchases
     }
 }
 
@@ -202,7 +194,7 @@ mod tests {
         // reaches 1, i.e. scanning from the longest type downward.
         let mut alg = driver(RandomizedPermit::with_threshold(structure(), 1.0));
         alg.submit(0, ()).unwrap();
-        assert_eq!(alg.algorithm().purchases().len(), 1);
+        assert_eq!(alg.ledger().leases_bought(), 1);
         assert!(alg.ledger().covered(PERMIT_ELEMENT, 0));
     }
 
@@ -214,7 +206,10 @@ mod tests {
             1e-12_f64.max(0.001),
         ));
         alg.submit(0, ()).unwrap();
-        assert_eq!(alg.algorithm().purchases()[0].type_index, 2);
+        assert_eq!(
+            alg.ledger().decisions()[0].lease.map(|l| l.type_index),
+            Some(2)
+        );
     }
 
     #[test]
@@ -285,7 +280,7 @@ mod tests {
             let mut rng = seeded(seed);
             let mut alg = driver(RandomizedPermit::new(s.clone(), &mut rng));
             alg.submit_batch([0u64, 3, 9, 27].map(|t| (t, ()))).unwrap();
-            (alg.cost(), alg.algorithm().purchases().to_vec())
+            (alg.cost(), alg.ledger().decisions().to_vec())
         };
         assert_eq!(run(42), run(42));
     }

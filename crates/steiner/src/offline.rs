@@ -9,6 +9,7 @@
 //!   upper bound any reasonable algorithm must beat on repetitive inputs.
 
 use crate::instance::SteinerInstance;
+use leasing_core::framework::Triple;
 use leasing_core::interval::aligned_start;
 use leasing_core::lease::Lease;
 use leasing_core::time::TimeStep;
@@ -22,6 +23,15 @@ pub struct OfflineSolution {
     pub cost: f64,
     /// Purchases as `(edge, lease)` pairs.
     pub purchases: Vec<(usize, Lease)>,
+}
+
+impl OfflineSolution {
+    /// Whether the solution bought the `(edge, type, start)` triple — the
+    /// ownership predicate [`is_feasible`](crate::online::is_feasible)
+    /// takes.
+    pub fn owns(&self, triple: Triple) -> bool {
+        self.purchases.contains(&(triple.element, triple.lease()))
+    }
 }
 
 /// Route-then-lease: greedy Steiner routing per aligned `l_max` window with
@@ -121,7 +131,7 @@ mod tests {
             PairRequest::new(9, 1, 2),
         ]);
         let sol = route_then_lease(&inst);
-        assert!(is_feasible(&inst, &sol.purchases));
+        assert!(is_feasible(&inst, |t| sol.owns(t)));
         assert!(sol.cost > 0.0);
     }
 
@@ -133,7 +143,7 @@ mod tests {
         let inst = line_instance(requests);
         let sol = route_then_lease(&inst);
         assert!((sol.cost - 6.0).abs() < 1e-9, "cost {}", sol.cost);
-        assert!(is_feasible(&inst, &sol.purchases));
+        assert!(is_feasible(&inst, |t| sol.owns(t)));
     }
 
     #[test]
@@ -142,7 +152,7 @@ mod tests {
         let inst = line_instance(requests);
         let naive = buy_per_request(&inst);
         let smart = route_then_lease(&inst);
-        assert!(is_feasible(&inst, &naive.purchases));
+        assert!(is_feasible(&inst, |t| naive.owns(t)));
         assert!(
             naive.cost > 2.0 * smart.cost,
             "naive {} must far exceed offline {}",
@@ -159,7 +169,7 @@ mod tests {
             PairRequest::new(8, 0, 2), // next aligned window of length 8
         ]);
         let sol = route_then_lease(&inst);
-        assert!(is_feasible(&inst, &sol.purchases));
+        assert!(is_feasible(&inst, |t| sol.owns(t)));
         // Each window pays at least the 2-edge short-lease cost.
         assert!(sol.cost >= 4.0 - 1e-9);
     }

@@ -13,6 +13,8 @@
 
 use crate::instance::{PairRequest, SteinerInstance};
 use leasing_core::engine::{Books, LeasingAlgorithm};
+use leasing_core::framework::Triple;
+use leasing_core::interval::candidates_covering;
 use leasing_core::lease::Lease;
 use leasing_core::time::TimeStep;
 use leasing_graph::paths::dijkstra_with;
@@ -144,16 +146,21 @@ impl<'a, P> LeasingAlgorithm for GenericSteinerLeasing<'a, P> {
     }
 }
 
-/// Whether `solution` (a list of `(edge, lease)` purchases under the
-/// instance's scaled per-edge costs) connects every request at its arrival
-/// time.
-pub fn is_feasible(instance: &SteinerInstance, solution: &[(usize, Lease)]) -> bool {
+/// Whether the owned leases connect every request at its arrival time: an
+/// edge is active when it owns an interval-model lease covering that time.
+/// `owns` answers ownership of an `(edge, type, start)` triple
+/// (`|t| ledger.owns(t)` for an online run, [`OfflineSolution::owns`] for an
+/// offline one).
+///
+/// [`OfflineSolution::owns`]: crate::offline::OfflineSolution::owns
+pub fn is_feasible(instance: &SteinerInstance, owns: impl Fn(Triple) -> bool) -> bool {
     let g = &instance.graph;
     instance.requests.iter().all(|req| {
+        let candidates = candidates_covering(&instance.structure, req.time);
         let sp = dijkstra_with(g, req.u, |e| {
-            let active = solution.iter().any(|&(se, lease)| {
-                se == e && lease.window(&instance.structure).contains(req.time)
-            });
+            let active = candidates
+                .iter()
+                .any(|l| owns(Triple::new(e, l.type_index, l.start)));
             if active {
                 0.0
             } else {
@@ -237,10 +244,11 @@ mod tests {
         let g = Graph::new(2, vec![(0, 1, 1.0)]).unwrap();
         let inst = SteinerInstance::new(g, structure(), requests).unwrap();
         let driver = driven(SteinerLeasingOnline::new(&inst), &inst);
-        let long_bought = driver.algorithm().permits[0]
-            .purchases()
+        let long_bought = driver
+            .ledger()
+            .decisions()
             .iter()
-            .any(|l| l.type_index == 1);
+            .any(|d| d.element == 0 && d.lease.is_some_and(|l| l.type_index == 1));
         assert!(long_bought, "sustained demand must trigger the long lease");
     }
 
@@ -262,13 +270,17 @@ mod tests {
             PairRequest::new(9, 0, 2),
         ]);
         let driver = driven(SteinerLeasingOnline::new(&inst), &inst);
-        let mut solution: Vec<(usize, Lease)> = Vec::new();
-        for (e, permit) in driver.algorithm().permits.iter().enumerate() {
-            for &lease in permit.purchases() {
-                solution.push((e, lease));
-            }
-        }
-        assert!(is_feasible(&inst, &solution));
+        let ledger = driver.ledger();
+        assert!(is_feasible(&inst, |t| ledger.owns(t)));
+        // The last purchase is the only lease of edge 0-2 at day 9.
+        let last = ledger.decisions().last().and_then(|d| d.triple()).unwrap();
+        assert!(!is_feasible(&inst, |t| t != last && ledger.owns(t)));
+        let solution: Vec<(usize, Lease)> = ledger
+            .decisions()
+            .iter()
+            .filter_map(|d| d.triple())
+            .map(|t| (t.element, t.lease()))
+            .collect();
         assert!(
             (solution_cost(&inst, &solution) - driver.cost()).abs() < 1e-9,
             "per-edge permit costs must match the scaled lease prices"

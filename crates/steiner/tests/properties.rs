@@ -2,7 +2,7 @@
 //! and topology, baseline ordering, and reuse economics.
 
 use leasing_core::engine::Driver;
-use leasing_core::lease::{Lease, LeaseStructure, LeaseType};
+use leasing_core::lease::{LeaseStructure, LeaseType};
 use leasing_core::rng::seeded;
 use leasing_graph::generators::connected_erdos_renyi;
 use proptest::prelude::*;
@@ -78,7 +78,7 @@ proptest! {
     fn offline_solutions_are_feasible_and_priced(seed in 0u64..200) {
         let inst = random_instance(seed, 7, 6);
         for sol in [route_then_lease(&inst), buy_per_request(&inst)] {
-            prop_assert!(is_feasible(&inst, &sol.purchases));
+            prop_assert!(is_feasible(&inst, |t| sol.owns(t)));
             let priced: f64 = solution_cost(&inst, &sol.purchases);
             prop_assert!((priced - sol.cost).abs() < 1e-6,
                 "cost field {} vs priced {}", sol.cost, priced);
@@ -91,10 +91,9 @@ proptest! {
     fn feasibility_checker_detects_missing_leases(seed in 0u64..100) {
         let inst = random_instance(seed, 5, 4);
         let sol = route_then_lease(&inst);
-        prop_assert!(is_feasible(&inst, &sol.purchases));
+        prop_assert!(is_feasible(&inst, |t| sol.owns(t)));
         if !sol.purchases.is_empty() && !inst.requests.is_empty() {
-            let empty: Vec<(usize, Lease)> = Vec::new();
-            prop_assert!(!is_feasible(&inst, &empty));
+            prop_assert!(!is_feasible(&inst, |_| false));
         }
     }
 }

@@ -43,5 +43,5 @@ pub mod policies;
 pub mod prices;
 
 pub use demand::{Bernoulli, DemandProcess, MarkovModulated, Seasonal};
-pub use policies::{CoveringLease, EmpiricalRate, RateThreshold, SwitchCombiner};
+pub use policies::{EmpiricalRate, RateThreshold, SwitchCombiner};
 pub use prices::{optimal_cost_priced, PriceAwarePermit, PricePath};

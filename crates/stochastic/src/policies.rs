@@ -44,7 +44,6 @@ fn best_type_for_rate(structure: &LeaseStructure, p: f64) -> usize {
 pub struct RateThreshold {
     structure: LeaseStructure,
     p: f64,
-    purchases: Vec<Lease>,
 }
 
 impl RateThreshold {
@@ -55,11 +54,7 @@ impl RateThreshold {
     /// Panics unless `0.0 <= p <= 1.0`.
     pub fn new(structure: LeaseStructure, p: f64) -> Self {
         assert!((0.0..=1.0).contains(&p), "rate out of range");
-        RateThreshold {
-            structure,
-            p,
-            purchases: Vec::new(),
-        }
+        RateThreshold { structure, p }
     }
 
     /// Core policy step, recording the purchase into `books`.
@@ -76,17 +71,11 @@ impl RateThreshold {
             t,
             Triple::new(PERMIT_ELEMENT, lease.type_index, lease.start),
         );
-        self.purchases.push(lease);
     }
 
     /// The lease type this policy currently buys.
     pub fn chosen_type(&self) -> usize {
         best_type_for_rate(&self.structure, self.p)
-    }
-
-    /// The purchases made so far (each bought exactly once, in buy order).
-    pub fn owned(&self) -> impl Iterator<Item = &Lease> {
-        self.purchases.iter()
     }
 }
 
@@ -157,44 +146,15 @@ impl LeasingAlgorithm for EmpiricalRate {
     }
 }
 
-/// Access to the concrete lease a policy covers a day with — the hook the
-/// [`SwitchCombiner`] needs to replicate its leader's purchase instead of
-/// guessing.
-pub trait CoveringLease {
-    /// A lease of this policy, owned in `ledger` (the ledger of the engine
-    /// driving it), whose window contains `t`, if any.
-    fn covering_lease_at(&self, ledger: &Ledger, t: TimeStep) -> Option<Lease>;
-}
-
 /// The first aligned candidate of `t` (shortest type first) that `ledger`
-/// owns. Candidate order is part of the combiner's replication contract,
-/// so ownership is probed per candidate instead of taking the ledger's
-/// latest-expiry pick.
-fn owned_candidate(structure: &LeaseStructure, ledger: &Ledger, t: TimeStep) -> Option<Lease> {
-    candidates_covering(structure, t)
+/// owns — the lease the [`SwitchCombiner`] replicates from an inner
+/// policy's ledger. Candidate order is part of the combiner's replication
+/// contract, so ownership is probed per candidate instead of taking the
+/// ledger's latest-expiry pick.
+fn owned_candidate(ledger: &Ledger, t: TimeStep) -> Option<Lease> {
+    candidates_covering(ledger.structure()?, t)
         .into_iter()
         .find(|l| ledger.owns(Triple::new(PERMIT_ELEMENT, l.type_index, l.start)))
-}
-
-impl CoveringLease for RateThreshold {
-    fn covering_lease_at(&self, ledger: &Ledger, t: TimeStep) -> Option<Lease> {
-        owned_candidate(&self.structure, ledger, t)
-    }
-}
-
-impl CoveringLease for EmpiricalRate {
-    fn covering_lease_at(&self, ledger: &Ledger, t: TimeStep) -> Option<Lease> {
-        owned_candidate(&self.structure, ledger, t)
-    }
-}
-
-impl CoveringLease for parking_permit::det::DeterministicPrimalDual {
-    fn covering_lease_at(&self, _ledger: &Ledger, t: TimeStep) -> Option<Lease> {
-        self.purchases()
-            .iter()
-            .copied()
-            .find(|l| l.window(self.structure()).contains(t))
-    }
 }
 
 /// Robustness combiner: simulates two permit policies on the same demand
@@ -217,8 +177,8 @@ pub struct SwitchCombiner<A, B> {
 
 impl<A, B> SwitchCombiner<A, B>
 where
-    A: LeasingAlgorithm<Request = ()> + CoveringLease,
-    B: LeasingAlgorithm<Request = ()> + CoveringLease,
+    A: LeasingAlgorithm<Request = ()>,
+    B: LeasingAlgorithm<Request = ()>,
 {
     /// Combines `a` (e.g. a prediction policy) with `b` (e.g. the worst-case
     /// primal-dual), each simulated over `structure`.
@@ -248,8 +208,8 @@ where
         // Replicate the leader's covering lease for day t; if the leader
         // somehow exposes none (both policies must cover t after serving),
         // fall back to the follower's.
-        let lease_a = || self.a.algorithm().covering_lease_at(self.a.ledger(), t);
-        let lease_b = || self.b.algorithm().covering_lease_at(self.b.ledger(), t);
+        let lease_a = || owned_candidate(self.a.ledger(), t);
+        let lease_b = || owned_candidate(self.b.ledger(), t);
         let lease = if leader_a {
             lease_a().or_else(lease_b)
         } else {
@@ -275,8 +235,8 @@ where
 
 impl<A, B> LeasingAlgorithm for SwitchCombiner<A, B>
 where
-    A: LeasingAlgorithm<Request = ()> + CoveringLease,
-    B: LeasingAlgorithm<Request = ()> + CoveringLease,
+    A: LeasingAlgorithm<Request = ()>,
+    B: LeasingAlgorithm<Request = ()>,
 {
     type Request = ();
 

@@ -14,8 +14,8 @@ use leasing_core::interval::{aligned_start, candidates_covering};
 use leasing_core::lease::{Lease, LeaseStructure};
 use leasing_core::time::TimeStep;
 use leasing_core::EPS;
+use parking_permit::PERMIT_ELEMENT;
 use rand::{Rng, RngExt};
-use std::collections::HashSet;
 
 /// A sampled per-day multiplier path, bounded inside `[lo, hi]`.
 #[derive(Clone, Debug, PartialEq)]
@@ -88,11 +88,8 @@ pub struct PriceAwarePermit<'a> {
     /// window. Under the monotone arrival order only the candidate
     /// covering the present demand is ever read, so a slot resets to zero
     /// when its window slides — K slots instead of one map entry per
-    /// aligned lease ever charged. Ownership history (`owned`) is kept in
-    /// full: it backs [`is_covered`](PriceAwarePermit::is_covered) and
-    /// [`owned`](PriceAwarePermit::owned).
+    /// aligned lease ever charged.
     contributions: Vec<(TimeStep, f64)>,
-    owned: HashSet<Lease>,
 }
 
 impl<'a> PriceAwarePermit<'a> {
@@ -102,26 +99,13 @@ impl<'a> PriceAwarePermit<'a> {
             contributions: vec![(TimeStep::MAX, 0.0); structure.num_types()],
             structure,
             prices,
-            owned: HashSet::new(),
         }
-    }
-
-    /// The purchases made so far.
-    pub fn owned(&self) -> impl Iterator<Item = &Lease> {
-        self.owned.iter()
-    }
-
-    /// Whether one of this policy's purchases covers day `t`.
-    pub fn is_covered(&self, t: TimeStep) -> bool {
-        candidates_covering(&self.structure, t)
-            .into_iter()
-            .any(|l| self.owned.contains(&l))
     }
 
     /// Core price-aware primal-dual step, recording purchases into
     /// `books` at day-of-purchase prices.
     fn serve_with(&mut self, t: TimeStep, books: &mut Books<'_>) {
-        if self.is_covered(t) {
+        if books.covered(PERMIT_ELEMENT, t) {
             return;
         }
         let candidates = candidates_covering(&self.structure, t);
@@ -155,17 +139,12 @@ impl<'a> PriceAwarePermit<'a> {
                 }
                 None => delta,
             };
-            if paid >= price(&c) - EPS && !self.owned.contains(&c) {
-                self.owned.insert(c);
-                books.buy_priced(
-                    t,
-                    Triple::new(parking_permit::PERMIT_ELEMENT, c.type_index, c.start),
-                    price(&c),
-                    CATEGORY_LEASE,
-                );
+            let triple = Triple::new(PERMIT_ELEMENT, c.type_index, c.start);
+            if paid >= price(&c) - EPS && !books.owns(triple) {
+                books.buy_priced(t, triple, price(&c), CATEGORY_LEASE);
             }
         }
-        debug_assert!(self.is_covered(t));
+        debug_assert!(books.covered(PERMIT_ELEMENT, t));
     }
 }
 
@@ -307,7 +286,7 @@ mod tests {
         let mut alg = Driver::new(PriceAwarePermit::new(structure(), &prices), structure());
         for &t in &demands {
             alg.submit(t, ()).unwrap();
-            assert!(alg.algorithm().is_covered(t));
+            assert!(alg.ledger().covered(PERMIT_ELEMENT, t));
         }
         assert!(alg.cost() > 0.0);
     }

@@ -83,7 +83,7 @@ proptest! {
         let mut alg = Driver::new(PriceAwarePermit::new(s.clone(), &prices), s);
         for &t in &days {
             alg.submit(t, ()).unwrap();
-            prop_assert!(alg.algorithm().is_covered(t));
+            prop_assert!(alg.ledger().covered(PERMIT_ELEMENT, t));
         }
     }
 }

@@ -59,13 +59,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         instance.structure().clone(),
     );
     driver.submit_batch(instance.requests())?;
-    let (pd, pd_cost) = (driver.algorithm(), driver.cost());
+    let pd_cost = driver.cost();
     println!(
         "primal-dual online:  total {:>7.2} (leases {:>6.2}, connections {:>6.2}, {} leases bought)",
         pd_cost,
         driver.ledger().category_cost(CATEGORY_LEASE),
         driver.ledger().category_cost(CATEGORY_CONNECTION),
-        pd.owned_leases().count()
+        driver.ledger().leases_bought()
     );
 
     let mut greedy = GreedyLease::new(&instance);

@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (alg, cost) = (driver.algorithm(), driver.cost());
     println!(
         "online cost {cost:.2} with {} guide contracts; dual certificate {:.2}",
-        alg.purchases().len(),
+        driver.ledger().leases_bought(),
         alg.dual_value(),
     );
 

@@ -33,10 +33,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut driver = Driver::new(OldPrimalDual::new(&instance), instance.structure.clone());
     driver.submit_batch(instance.requests())?;
-    let (alg, cost) = (driver.algorithm(), driver.cost());
+    let cost = driver.cost();
     println!(
         "online cost {cost:.2} ({} guide contracts)",
-        alg.purchases().len()
+        driver.ledger().leases_bought()
     );
     match offline::old_optimal_cost(&instance, 200_000) {
         Some(opt) => println!("offline optimum {opt:.2}; ratio {:.2}", cost / opt),

@@ -124,7 +124,7 @@ fn vertex_cover_direct_vs_reduction() {
         let vc = VcLeasingInstance::unweighted(g.clone(), structure(), arrivals.clone()).unwrap();
         let direct = drive(VcPrimalDual::new(&vc), &vc.structure, vc.requests());
         let direct_cost = direct.cost();
-        assert!(vc_feasible(&vc, direct.algorithm().purchases()));
+        assert!(vc_feasible(&vc, |t| direct.ledger().owns(t)));
 
         // Randomized reduction through set multicover leasing.
         let reduced = vertex_cover_instance(&g, structure(), &arrivals, None).unwrap();
